@@ -8,9 +8,9 @@ leverage from a normal level f_n to an abnormal level f_a raises it by
 
 A cell (n, chi) is "safe" when that increase is at most epsilon_safe, and
 the critical diversification n* is the smallest n whose whole suffix
-[n, N] is safe (scanned from n = N downward, so minimality of the
-boundary is established by construction).  There may be no such n; that
-outcome is reported as None, not an error.
+[n, N] is safe (a cumulative AND from n = N downward, so minimality of
+the boundary is established by construction).  There may be no such n;
+that outcome is reported as None, not an error.
 """
 
 from __future__ import annotations
@@ -30,15 +30,6 @@ from .gaussian import DEFAULT_GRID, GridSpec, binorm_cdf
 from .merton import BankStrategy, MarketParams, asset_correlation, z_score
 
 EPSILON_SAFE = 1e-6
-
-_METHODS = ("oracle", "grid")
-
-
-def _check_method(method: str) -> str:
-    if method not in _METHODS:
-        raise ConfigError(f"unknown method {method!r}, expected one of {_METHODS}")
-    return method
-
 
 @dataclass(frozen=True)
 class LeverageScenario:
@@ -77,8 +68,8 @@ class Regime(str, Enum):
     RISKY = "risky"
 
 
-# both evaluation routes keep the differential above this: the oracle to
-# quadrature noise, the grid because its tabulation is monotone in z
+# both routes keep the differential above this: the Gauss-Legendre oracle is
+# within about 2e-16 of Phi2, and the grid tabulation is monotone in z
 _DELTA_SLACK = 1e-6
 
 
@@ -164,7 +155,6 @@ def systemic_pd(
 ) -> float:
     """Joint default probability Phi2(z, z, n/N) of two banks using the
     same strategy on the same market."""
-    _check_method(method)
     z = z_score(strategy, market)
     rho = asset_correlation(strategy.diversification, market)
     return binorm_cdf(z, z, rho, method=method, spec=grid_spec)
@@ -179,15 +169,57 @@ def delta_phi2(
 ) -> float:
     """Increase in systemic default probability caused by moving from the
     normal to the abnormal leverage; nonnegative up to method tolerance."""
-    if scenario.f_abnormal == scenario.f_normal:
-        return 0.0
-    high = systemic_pd(
-        BankStrategy(scenario.f_abnormal, n), market, method=method, grid_spec=grid_spec
-    )
-    low = systemic_pd(
-        BankStrategy(scenario.f_normal, n), market, method=method, grid_spec=grid_spec
-    )
-    return high - low
+    _, deltas = _delta_tables([scenario], [market.market_size], [n], [market], method, grid_spec)
+    return float(deltas[0, 0, 0])
+
+
+Blocks = list[tuple[int, list[int]]]  # (N, ascending n values) per market size
+
+
+def _delta_tables(
+    scenarios: Sequence[LeverageScenario],
+    market_sizes: Sequence[int],
+    n_values: Sequence[int] | None,
+    markets: Sequence[MarketParams],
+    method: str,
+    grid_spec: GridSpec,
+) -> tuple[Blocks, np.ndarray]:
+    """Check the box up front; return its blocks and delta_phi2 of shape
+    (scenario, cell, market) from one Phi2 call, for every sweep, critical
+    level and drift scan.  Markets give chi, drift and horizon; cells give N."""
+    if not market_sizes:
+        raise ConfigError("market_sizes must be non-empty")
+    blocks = []
+    for size in market_sizes:
+        if not isinstance(size, int) or size < 1:
+            raise ConfigError(f"market sizes must be integers >= 1, got {size!r}")
+        ns = sorted(n_values) if n_values is not None else list(range(1, size + 1))
+        for n in ns:
+            if not isinstance(n, int) or not 1 <= n <= size:
+                raise DomainError(f"invalid cell (N={size}, n={n!r}): need 1 <= n <= N")
+        blocks.append((size, ns))
+    chi = np.array([m.chi for m in markets])
+    if not (chi > 0.0).all():
+        raise DomainError("delta_phi2 requires chi > 0 (sigma > 0 and T > 0)")
+    levels = sorted({f for s in scenarios for f in (s.f_normal, s.f_abnormal)})
+    offset = [[math.log(1.0 / f) + m.drift * m.horizon for m in markets] for f in levels]
+    n = np.array([n for _, ns in blocks for n in ns], dtype=float)[:, None]
+    size = np.array([size for size, ns in blocks for _ in ns], dtype=float)[:, None]
+    z = -(np.array(offset)[:, None, :] - chi / n) / np.sqrt(2.0 * chi / n)
+    pd = dict(zip(levels, binorm_cdf(z, z, n / size, method=method, spec=grid_spec)))
+    return blocks, np.stack([pd[s.f_abnormal] - pd[s.f_normal] for s in scenarios])
+
+
+def _critical(blocks: Blocks, labels: Sequence, deltas: np.ndarray, epsilon_safe: float) -> dict:
+    """{(N, label): n*} for each block and labelled column of a (cell,
+    market) delta table: n* is the smallest n of the block whose whole
+    suffix is safe, or None, from a reversed cumulative AND over n."""
+    out = {}
+    ends = np.cumsum([len(ns) for _, ns in blocks])
+    for (size, ns), d in zip(blocks, np.split(deltas, ends[:-1])):
+        safe_run = np.logical_and.accumulate((d <= epsilon_safe)[::-1], axis=0).sum(axis=0)
+        out.update({(size, x): ns[-c] if c else None for x, c in zip(labels, safe_run.tolist())})
+    return out
 
 
 def critical_diversification(
@@ -198,16 +230,8 @@ def critical_diversification(
     grid_spec: GridSpec = DEFAULT_GRID,
 ) -> int | None:
     """Smallest n such that every n' in [n, N] is safe, or None if even
-    n = N is risky.  Scanning downward from N makes the returned level
-    suffix-safe and minimal by construction."""
-    _check_method(method)
-    n_star: int | None = None
-    for n in range(market.market_size, 0, -1):
-        if delta_phi2(scenario, n, market, method=method, grid_spec=grid_spec) <= epsilon_safe:
-            n_star = n
-        else:
-            break
-    return n_star
+    n = N is risky: the drift scan at the market's own drift."""
+    return mu_sensitivity(scenario, market, [market.drift], method, epsilon_safe, grid_spec)[market.drift]
 
 
 def effective_critical(n_star: int | None, market_size: int) -> int:
@@ -223,6 +247,22 @@ def default_chi_grid(points: int = 100, lo: float = 0.001, hi: float = 9.0) -> n
     return np.logspace(math.log10(lo), math.log10(hi), points)
 
 
+def critical_table(
+    scenarios: Sequence[LeverageScenario],
+    market_sizes: Sequence[int],
+    chi_values: Iterable[float],
+    method: str = "oracle",
+    epsilon_safe: float = EPSILON_SAFE,
+    grid_spec: GridSpec = DEFAULT_GRID,
+) -> list[dict[tuple[int, float], int | None]]:
+    """Critical diversification at every (N, chi), per scenario, from one
+    batch, so the grid method tabulates each correlation n/N once."""
+    chis = [float(c) for c in chi_values]
+    markets = [MarketParams.from_chi(1, chi) for chi in chis]
+    blocks, tables = _delta_tables(scenarios, market_sizes, None, markets, method, grid_spec)
+    return [_critical(blocks, chis, deltas, epsilon_safe) for deltas in tables]
+
+
 def regime_sweep(
     scenario: LeverageScenario,
     market_sizes: Sequence[int],
@@ -236,62 +276,26 @@ def regime_sweep(
     """Classify every (N, n, chi) cell and derive the per-(N, chi) critical
     levels from the same delta values.
 
-    Cells are emitted sorted by (N, chi, n) regardless of evaluation order,
-    so repeated sweeps produce identical results.
+    Cells are emitted sorted by (N, chi, n), so repeated sweeps produce
+    identical results.
     """
-    _check_method(method)
     chis = [float(c) for c in chi_values]
-    if not market_sizes or not chis:
-        raise ConfigError("market_sizes and chi_values must be non-empty")
-    cells: list[RegimeCell] = []
-    critical: dict[tuple[int, float], int | None] = {}
-    for size in market_sizes:
-        if not isinstance(size, int) or size < 1:
-            raise ConfigError(f"market sizes must be integers >= 1, got {size!r}")
-        ns = list(n_values) if n_values is not None else list(range(1, size + 1))
-        for n in ns:
-            if not 1 <= n <= size:
-                raise DomainError(
-                    f"sweep cell (N={size}, n={n}) is invalid: need 1 <= n <= N"
-                )
-        # n outer, chi inner: the grid method reuses one tabulation per rho = n/N
-        per_chi: dict[float, list[tuple[int, float]]] = {c: [] for c in chis}
-        for n in ns:
-            for chi in chis:
-                try:
-                    d = delta_phi2(
-                        scenario,
-                        n,
-                        MarketParams.from_chi(size, chi, drift=mu),
-                        method=method,
-                        grid_spec=grid_spec,
-                    )
-                except Exception as exc:
-                    exc.args = (f"sweep cell (N={size}, n={n}, chi={chi}): {exc}",)
-                    raise
-                per_chi[chi].append((n, d))
-        for chi in chis:
-            entries = sorted(per_chi[chi])
-            for n, d in entries:
-                regime = Regime.SAFE if d <= epsilon_safe else Regime.RISKY
-                cells.append(
-                    RegimeCell(market_size=size, n=n, chi=chi, delta_phi2=d, regime=regime)
-                )
-            # suffix-safe scan over the n values swept for this chi
-            n_star: int | None = None
-            for n, d in reversed(entries):
-                if d <= epsilon_safe:
-                    n_star = n
-                else:
-                    break
-            critical[(size, chi)] = n_star
+    if not chis:
+        raise ConfigError("chi_values must be non-empty")
+    markets = [MarketParams.from_chi(1, chi, drift=mu) for chi in chis]
+    blocks, (deltas,) = _delta_tables([scenario], market_sizes, n_values, markets, method, grid_spec)
+    cells = [
+        RegimeCell(size, n, chi, v, Regime.SAFE if v <= epsilon_safe else Regime.RISKY)
+        for (size, n), row in zip([(size, n) for size, ns in blocks for n in ns], deltas.tolist())
+        for chi, v in zip(chis, row)
+    ]
     cells.sort(key=lambda c: (c.market_size, c.chi, c.n))
     return SweepResult(
         scenario=scenario,
         mu=mu,
         epsilon_safe=epsilon_safe,
         cells=tuple(cells),
-        critical_n=critical,
+        critical_n=_critical(blocks, chis, deltas, epsilon_safe),
     )
 
 
@@ -304,13 +308,8 @@ def mu_sensitivity(
     grid_spec: GridSpec = DEFAULT_GRID,
 ) -> dict[float, int | None]:
     """Critical diversification as a function of the drift mu."""
-    out: dict[float, int | None] = {}
-    for mu in mu_values:
-        out[float(mu)] = critical_diversification(
-            scenario,
-            market.with_drift(float(mu)),
-            method=method,
-            epsilon_safe=epsilon_safe,
-            grid_spec=grid_spec,
-        )
-    return out
+    mus = [float(mu) for mu in mu_values]
+    markets = [market.with_drift(mu) for mu in mus]
+    blocks, (deltas,) = _delta_tables([scenario], [market.market_size], None, markets, method, grid_spec)
+    critical = _critical(blocks, mus, deltas, epsilon_safe)
+    return {mu: critical[(market.market_size, mu)] for mu in mus}

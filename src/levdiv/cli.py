@@ -21,6 +21,7 @@ from .analysis import (
     EPSILON_SAFE,
     LeverageScenario,
     critical_diversification,
+    critical_table,
     default_chi_grid,
     delta_phi2,
     mu_sensitivity,
@@ -29,7 +30,7 @@ from .analysis import (
 )
 from .errors import ConfigError, DomainError
 from .gaussian import DEFAULT_GRID, GridSpec, binorm_cdf
-from .merton import BankStrategy, MarketParams, individual_pd, z_score
+from .merton import BankStrategy, MarketParams, individual_pd, random_overlap_joint_pd, z_score
 from .simulate import (
     FixedOverlap,
     RandomSelection,
@@ -53,21 +54,14 @@ def compute_table1(
     method: str = "oracle", epsilon_safe: float = EPSILON_SAFE
 ) -> dict[tuple[float, float], dict[float, list[int | None]]]:
     """Critical diversification on the fixed (N, chi, scenario) box."""
-    out: dict[tuple[float, float], dict[float, list[int | None]]] = {}
-    for fn, fa in TABLE1_SCENARIOS:
-        scenario = LeverageScenario(fn, fa)
-        out[(fn, fa)] = {}
-        for chi in TABLE1_CHIS:
-            out[(fn, fa)][chi] = [
-                critical_diversification(
-                    scenario,
-                    MarketParams.from_chi(size, chi),
-                    method=method,
-                    epsilon_safe=epsilon_safe,
-                )
-                for size in TABLE1_MARKET_SIZES
-            ]
-    return out
+    scenarios = [LeverageScenario(fn, fa) for fn, fa in TABLE1_SCENARIOS]
+    tables = critical_table(
+        scenarios, TABLE1_MARKET_SIZES, TABLE1_CHIS, method=method, epsilon_safe=epsilon_safe
+    )
+    return {
+        pair: {chi: [table[(size, chi)] for size in TABLE1_MARKET_SIZES] for chi in TABLE1_CHIS}
+        for pair, table in zip(TABLE1_SCENARIOS, tables)
+    }
 
 
 def _fmt_n(n: int | None) -> str:
@@ -363,11 +357,15 @@ def _cmd_simulate(args, cfg) -> int:
         print(f"wrote {path}")
 
     pd_target = individual_pd(strat, market)
+    z = z_score(strat, market)
     if isinstance(overlap, FixedOverlap):
         rho_target = overlap.shared / strat.diversification
+        joint_target = mixture_target = binorm_cdf(z, z, rho_target)
     else:
+        # the paper's mean-correlation value, and the model's exact joint PD
         rho_target = strat.diversification / market.market_size
-    joint_target = binorm_cdf(z_score(strat, market), z_score(strat, market), rho_target)
+        joint_target = binorm_cdf(z, z, rho_target)
+        mixture_target = random_overlap_joint_pd(strat, market)
     fields = {
         "pd1_hat": result.pd1_hat,
         "pd2_hat": result.pd2_hat,
@@ -379,12 +377,14 @@ def _cmd_simulate(args, cfg) -> int:
         "target_correlation": rho_target,
         "analytic_pd": pd_target,
         "analytic_joint_pd": joint_target,
+        "analytic_joint_pd_mixture": mixture_target,
         "pd1_abs_dev": abs(result.pd1_hat - pd_target),
         "pd2_abs_dev": abs(result.pd2_hat - pd_target),
         "joint_abs_dev": abs(result.joint_pd_hat - joint_target),
         "pd1_se_multiple": _se_multiple(result.pd1_hat, pd_target, result.se_pd1),
         "pd2_se_multiple": _se_multiple(result.pd2_hat, pd_target, result.se_pd2),
         "joint_se_multiple": _se_multiple(result.joint_pd_hat, joint_target, result.se_joint),
+        "joint_se_multiple_mixture": _se_multiple(result.joint_pd_hat, mixture_target, result.se_joint),
         "paths_used": result.paths_used,
         "seed_used": result.seed_used,
     }

@@ -1,4 +1,5 @@
-"""Single-bank Merton quantities and the overlap-induced asset correlation.
+"""Single-bank Merton quantities, the overlap-induced asset correlation and
+the joint default probability under random project selection.
 
 A bank with debt-to-asset ratio f holding n equally weighted projects out
 of a pool of N defaults at horizon T when its asset value falls to or
@@ -13,8 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import DomainError, StrategyMarketMismatchError
-from .gaussian import Correlation, phi1
+from .gaussian import Correlation, binorm_cdf, phi1
 
 _F_BOUNDARY_TOL = 1e-12
 
@@ -145,3 +148,16 @@ def asset_correlation(n: int, market: MarketParams) -> Correlation:
             f"n={n} exceeds market size {market.market_size}"
         )
     return Correlation.from_overlap(n, market.market_size)
+
+
+def random_overlap_joint_pd(strategy: BankStrategy, market: MarketParams) -> float:
+    """Joint default probability of two banks that each draw their n
+    projects at random: sum_k P(K = k) Phi2(z, z, k/n), the overlap K being
+    hypergeometric(N, n, n).  Phi2 at the mean correlation n/N (the paper's
+    value, ``analysis.systemic_pd``) is lower, because Phi2(z, z, rho) is
+    convex in rho on [0, 1]."""
+    z = z_score(strategy, market)
+    n, size = strategy.diversification, market.market_size
+    ks = range(max(0, 2 * n - size), n + 1)
+    pmf = [math.comb(n, k) * math.comb(size - n, n - k) / math.comb(size, n) for k in ks]
+    return float((np.array(pmf) * binorm_cdf(z, z, np.array(ks) / n)).sum())

@@ -27,6 +27,7 @@ from levdiv import (
     systemic_pd,
     z_score,
 )
+from levdiv.analysis import critical_table
 
 M10 = MarketParams.from_chi(10, 1.6)
 SCENARIO = LeverageScenario(0.10, 0.25)
@@ -214,6 +215,32 @@ class TestRegimeSweep:
         oracle = regime_sweep(SCENARIO, [4], [0.5])
         for got, want in zip(result.cells, oracle.cells):
             assert got.delta_phi2 == pytest.approx(want.delta_phi2, abs=2e-3)
+
+
+class TestCriticalReductions:
+    """Critical levels from the scalar, sweep and table entry points agree."""
+
+    @pytest.mark.parametrize("scenario", [SCENARIO, LeverageScenario(0.25, 0.5)])
+    def test_scalar_matches_sweep_on_standard_box(self, scenario):
+        sizes = [10, 20, 30, 40]
+        result = regime_sweep(scenario, sizes, default_chi_grid())
+        scalar = {
+            (size, chi): critical_diversification(scenario, MarketParams.from_chi(size, chi))
+            for size, chi in result.critical_n
+        }
+        assert scalar == result.critical_n
+        assert critical_table([scenario], sizes, default_chi_grid()) == [result.critical_n]
+
+    def test_table_batches_scenarios(self):
+        scenarios = [SCENARIO, LeverageScenario(0.25, 0.5)]
+        chis_ = [0.4, 1.6, 5.1]
+        tables = critical_table(scenarios, [10, 20], chis_, epsilon_safe=1e-3)
+        assert tables == [critical_table([s], [10, 20], chis_, epsilon_safe=1e-3)[0] for s in scenarios]
+
+    def test_empty_n_values_give_no_level(self):
+        result = regime_sweep(SCENARIO, [10], [1.6], n_values=[])
+        assert result.cells == ()
+        assert result.critical_n == {(10, 1.6): None}
 
 
 class TestMuSensitivity:

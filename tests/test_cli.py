@@ -236,6 +236,21 @@ class TestSimulateCommand:
         assert 0 <= doc["pd1_hat"] <= 1
         assert doc["analytic_pd"] == pytest.approx(0.32150071778, abs=1e-8)
         assert doc["pd1_se_multiple"] >= 0
+        # with a fixed overlap the mixture over K is the single Phi2 value
+        assert doc["analytic_joint_pd_mixture"] == doc["analytic_joint_pd"]
+
+    def test_random_overlap_reports_both_joint_targets(self, capsys):
+        code, out, _ = run(
+            capsys, "simulate", "--f", "0.25", "--n", "4", "--N", "8", "--chi", "1.6",
+            "--paths", "200", "--steps", "10", "--seed", "3", "--overlap", "random", "--output", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["analytic_joint_pd"] == pytest.approx(0.049681, abs=1e-6)
+        assert doc["analytic_joint_pd_mixture"] == pytest.approx(0.051975, abs=1e-6)
+        assert doc["joint_se_multiple_mixture"] == pytest.approx(
+            abs(doc["joint_pd_hat"] - doc["analytic_joint_pd_mixture"]) / doc["se_joint"]
+        )
 
     def test_single_path_determinism(self, capsys):
         args = (

@@ -1,15 +1,22 @@
 """Tests for the normal/bivariate-normal primitives.
 
 High-precision reference values were frozen from mpmath (30 digits):
-ncdf and the rho-integral reduction of Phi2 evaluated with mp.quad.
+ncdf and the rho-integral reduction of Phi2 evaluated with mp.quad.  The
+adaptive-quadrature reference ``phi2_quad`` checks the Gauss-Legendre
+oracle on a large random sample.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from quad_reference import phi2_quad
 
 from levdiv import (
     CdfGrid,
@@ -154,9 +161,41 @@ class TestOracle:
         lo, hi = z1s
         assert binorm_cdf_oracle(lo, z2, rho) <= binorm_cdf_oracle(hi, z2, rho) + 1e-12
 
+    def test_agrees_with_adaptive_quadrature(self):
+        # z1 != z2 over [-8, 8], both signs of rho, and a quarter of the
+        # sample beyond the 0.925 split where the near-degenerate form runs
+        rng = np.random.default_rng(20261018)
+        size = 10_000
+        z1 = rng.uniform(-8.0, 8.0, size)
+        z2 = rng.uniform(-8.0, 8.0, size)
+        rho = rng.uniform(-1.0, 1.0, size)
+        rho[: size // 4] = rng.choice([-1.0, 1.0], size // 4) * rng.uniform(0.925, 0.99999, size // 4)
+        got = binorm_cdf_oracle(z1, z2, rho)
+        ref = np.array([phi2_quad(a, b, r) for a, b, r in zip(z1, z2, rho)])
+        assert np.abs(got - ref[:, 0]).max() <= 1e-12
+
+    def test_batch_matches_single_calls_bitwise(self):
+        # more cells than one pass of a rule takes, so chunking is covered
+        rng = np.random.default_rng(7)
+        z1, z2 = rng.uniform(-6.0, 6.0, (2, 5000))
+        rho = np.concatenate([rng.uniform(-1.0, 1.0, 4996), [0.0, 1.0, -1.0, 0.95]])
+        batch = binorm_cdf_oracle(z1, z2, rho)
+        single = [binorm_cdf_oracle(a, b, r) for a, b, r in zip(z1, z2, rho)]
+        assert isinstance(single[0], float)
+        assert batch.tolist() == single
+
+    def test_broadcasts_and_keeps_shape(self):
+        rho = np.array([[0.1], [0.5], [0.97]])
+        z = np.linspace(-2.0, 2.0, 4)
+        got = binorm_cdf_oracle(z, z, rho)
+        assert got.shape == (3, 4)
+        assert got[2, 1] == binorm_cdf_oracle(z[1], z[1], 0.97)
+
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             binorm_cdf_oracle(float("nan"), 0.0, 0.3)
+        with pytest.raises(DomainError):
+            binorm_cdf_oracle([0.0, 1.0], 0.0, [0.3, float("nan")])
         with pytest.raises(DomainError):
             binorm_cdf_oracle(0.0, float("inf"), 0.3)
 
@@ -230,6 +269,14 @@ class TestGrid:
         with pytest.raises(ConfigError):
             binorm_cdf(0.0, 0.0, 0.3, method="simpson")
 
+    def test_dispatcher_groups_by_correlation(self):
+        tabulate_cdf_grid.cache_clear()
+        z = np.linspace(-2.0, 1.0, 6)
+        rho = np.array([0.25, 0.5, 1.0, 0.25, 0.5, 0.25])
+        got = binorm_cdf(z, z, rho, method="grid", spec=SMALL_GRID)
+        assert tabulate_cdf_grid.cache_info().misses == 2
+        assert got.tolist() == [binorm_cdf(a, a, r, method="grid", spec=SMALL_GRID) for a, r in zip(z, rho)]
+
     def test_csv_cache_round_trip(self, tmp_path):
         spec = GridSpec(z_min=-4.0, z_max=4.0, cells_per_axis=50)
         grid = tabulate_cdf_grid(0.25, spec)
@@ -258,3 +305,19 @@ class TestCorrelation:
             Correlation.from_overlap(0, 10)
         with pytest.raises(DomainError):
             Correlation.from_overlap(11, 10)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    import levdiv
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(levdiv.__file__)))
+    code = "import sys, levdiv.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

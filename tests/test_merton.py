@@ -14,8 +14,10 @@ from levdiv import (
     StrategyMarketMismatchError,
     asset_correlation,
     individual_pd,
+    systemic_pd,
     z_score,
 )
+from levdiv.merton import random_overlap_joint_pd
 
 leverages = st.floats(min_value=0.01, max_value=0.99, allow_nan=False)
 chis = st.floats(min_value=0.05, max_value=9.0, allow_nan=False)
@@ -198,3 +200,13 @@ class TestBalanceSheet:
             BalanceSheet(assets=-1.0, debt=1.0)
         with pytest.raises(DomainError):
             BalanceSheet(assets=1.0, debt=0.0)
+
+
+def test_random_overlap_joint_pd_is_hypergeometric_mixture():
+    strategy, market = BankStrategy(0.25, 4), MarketParams.from_chi(8, 1.6)
+    assert random_overlap_joint_pd(strategy, market) == pytest.approx(0.051975285, abs=1e-6)
+    # the mean-correlation value the paper uses is lower (Phi2 convex in rho)
+    assert systemic_pd(strategy, market) == pytest.approx(0.049681, abs=1e-6)
+    # N = n: both banks hold every project, so K = n with certainty
+    full = MarketParams.from_chi(4, 1.6)
+    assert random_overlap_joint_pd(strategy, full) == systemic_pd(strategy, full)
