@@ -27,7 +27,7 @@ def main() -> None:
         sweep = regime_sweep(scenario, [10, 20, 30, 40], default_chi_grid())
         path = out_dir / f"regime_map_{tag}.csv"
         path.write_text(sweep.to_csv())
-        print(f"{tag}: wrote {path} ({len(sweep.cells)} cells, {time.time() - t0:.1f}s)")
+        print(f"{tag}: wrote {path} ({sweep.n.size} cells, {time.time() - t0:.1f}s)")
         for size in sweep.market_sizes():
             print(f"  N={size}: risky fraction {sweep.risky_fraction(size):.4f}")
 

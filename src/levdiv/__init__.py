@@ -10,8 +10,6 @@ cross-check of the analytic pipeline.
 from .analysis import (
     EPSILON_SAFE,
     LeverageScenario,
-    Regime,
-    RegimeCell,
     SweepResult,
     critical_diversification,
     default_chi_grid,
@@ -30,7 +28,6 @@ from .errors import (
 from .gaussian import (
     DEFAULT_GRID,
     CdfGrid,
-    Correlation,
     GridSpec,
     binorm_cdf,
     binorm_cdf_grid,
@@ -40,7 +37,6 @@ from .gaussian import (
     tabulate_cdf_grid,
 )
 from .merton import (
-    BalanceSheet,
     BankStrategy,
     MarketParams,
     asset_correlation,
@@ -63,11 +59,9 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BalanceSheet",
     "BankStrategy",
     "CdfGrid",
     "ConfigError",
-    "Correlation",
     "DEFAULT_GRID",
     "DegenerateCorrelationError",
     "DomainError",
@@ -78,8 +72,6 @@ __all__ = [
     "MarketParams",
     "PortfolioState",
     "RandomSelection",
-    "Regime",
-    "RegimeCell",
     "SimConfig",
     "SimResult",
     "StrategyMarketMismatchError",

@@ -6,21 +6,22 @@ leverage from a normal level f_n to an abnormal level f_a raises it by
 
     delta_phi2 = Phi2(z(f_a), z(f_a), n/N) - Phi2(z(f_n), z(f_n), n/N) >= 0.
 
-A cell (n, chi) is "safe" when that increase is at most epsilon_safe, and
-the critical diversification n* is the smallest n whose whole suffix
+A cell (N, n, chi) is "safe" when that increase is at most epsilon_safe,
+and the critical diversification n* is the smallest n whose whole suffix
 [n, N] is safe (a cumulative AND from n = N downward, so minimality of
 the boundary is established by construction).  There may be no such n;
 that outcome is reported as None, not an error.
+
+A regime sweep is held as columns: ``SweepResult`` keeps read-only arrays
+``market_size``, ``n``, ``chi`` and ``delta_phi2`` with one entry per cell,
+sorted by (N, chi, n), and ``risky`` is derived as delta_phi2 > epsilon_safe.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import InitVar, dataclass
-from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,78 +64,62 @@ class LeverageScenario:
         return self.f_abnormal - self.f_normal
 
 
-class Regime(str, Enum):
-    SAFE = "safe"
-    RISKY = "risky"
-
-
 # both routes keep the differential above this: the Gauss-Legendre oracle is
 # within about 2e-16 of Phi2, and the grid tabulation is monotone in z
 _DELTA_SLACK = 1e-6
 
 
-@dataclass(frozen=True)
-class RegimeCell:
-    market_size: int
-    n: int
-    chi: float
-    delta_phi2: float
-    regime: Regime
-
-    def __post_init__(self) -> None:
-        if not self.delta_phi2 >= -_DELTA_SLACK:
-            raise DomainError(
-                f"leverage differential {self.delta_phi2} is negative beyond "
-                f"numerical slack at (N={self.market_size}, n={self.n}, chi={self.chi})"
-            )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """All cells of a regime sweep plus the per-(N, chi) critical levels."""
+    """A regime sweep as read-only columns, one entry per (N, n, chi) cell
+    sorted by (N, chi, n), plus the per-(N, chi) critical levels."""
 
     scenario: LeverageScenario
     mu: float
     epsilon_safe: float
-    cells: tuple[RegimeCell, ...]
+    market_size: np.ndarray
+    n: np.ndarray
+    chi: np.ndarray
+    delta_phi2: np.ndarray
     critical_n: dict[tuple[int, float], int | None]
 
+    @property
+    def risky(self) -> np.ndarray:
+        return self.delta_phi2 > self.epsilon_safe
+
     def risky_fraction(self, market_size: int) -> float:
-        sub = [c for c in self.cells if c.market_size == market_size]
-        if not sub:
+        at = self.market_size == market_size
+        if not at.any():
             raise DomainError(f"no cells for market size {market_size}")
-        return sum(c.regime is Regime.RISKY for c in sub) / len(sub)
+        return int(self.risky[at].sum()) / int(at.sum())
 
     def market_sizes(self) -> list[int]:
-        return sorted({c.market_size for c in self.cells})
+        return np.unique(self.market_size).tolist()
+
+    def _rows(self):
+        """(N, n, chi, delta_phi2, regime label) of each cell as Python values."""
+        labels = np.where(self.risky, "risky", "safe").tolist()
+        columns = (self.market_size, self.n, self.chi, self.delta_phi2)
+        return zip(*(col.tolist() for col in columns), labels)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["N", "n", "chi", "delta_phi2", "regime"])
-        for c in self.cells:
-            writer.writerow([c.market_size, c.n, repr(c.chi), repr(c.delta_phi2), c.regime.value])
-        return buf.getvalue()
+        # no field ever needs quoting, so these are csv.writer's bytes
+        lines = [f"{size},{n},{chi!r},{d!r},{label}\r\n" for size, n, chi, d, label in self._rows()]
+        return "N,n,chi,delta_phi2,regime\r\n" + "".join(lines)
 
     def to_json(self) -> str:
-        by_n: dict[str, dict] = {}
-        for size in self.market_sizes():
-            cells = [
-                {
-                    "n": c.n,
-                    "chi": c.chi,
-                    "delta_phi2": c.delta_phi2,
-                    "regime": c.regime.value,
-                }
-                for c in self.cells
-                if c.market_size == size
-            ]
-            crit = {
-                repr(chi): self.critical_n[(size, chi)]
-                for (n_, chi) in sorted(self.critical_n)
-                if n_ == size
+        cells: dict[int, list] = {size: [] for size in self.market_sizes()}
+        for size, n, chi, d, label in self._rows():
+            cells[size].append({"n": n, "chi": chi, "delta_phi2": d, "regime": label})
+        by_n = {
+            str(size): {
+                "cells": rows,
+                "critical_n_by_chi": {
+                    repr(chi): self.critical_n[(n_, chi)] for (n_, chi) in sorted(self.critical_n) if n_ == size
+                },
             }
-            by_n[str(size)] = {"cells": cells, "critical_n_by_chi": crit}
+            for size, rows in cells.items()
+        }
         doc = {
             "scenario": {
                 "f_normal": self.scenario.f_normal,
@@ -276,7 +261,7 @@ def regime_sweep(
     """Classify every (N, n, chi) cell and derive the per-(N, chi) critical
     levels from the same delta values.
 
-    Cells are emitted sorted by (N, chi, n), so repeated sweeps produce
+    Cells are sorted by (N, chi, n), stably, so repeated sweeps produce
     identical results.
     """
     chis = [float(c) for c in chi_values]
@@ -284,19 +269,23 @@ def regime_sweep(
         raise ConfigError("chi_values must be non-empty")
     markets = [MarketParams.from_chi(1, chi, drift=mu) for chi in chis]
     blocks, (deltas,) = _delta_tables([scenario], market_sizes, n_values, markets, method, grid_spec)
-    cells = [
-        RegimeCell(size, n, chi, v, Regime.SAFE if v <= epsilon_safe else Regime.RISKY)
-        for (size, n), row in zip([(size, n) for size, ns in blocks for n in ns], deltas.tolist())
-        for chi, v in zip(chis, row)
-    ]
-    cells.sort(key=lambda c: (c.market_size, c.chi, c.n))
-    return SweepResult(
-        scenario=scenario,
-        mu=mu,
-        epsilon_safe=epsilon_safe,
-        cells=tuple(cells),
-        critical_n=_critical(blocks, chis, deltas, epsilon_safe),
-    )
+    # one row of deltas per (N, n) in block order, one column per chi
+    row_size = np.repeat([size for size, _ in blocks], [len(ns) for _, ns in blocks])
+    row_n = np.array([n for _, ns in blocks for n in ns], dtype=int)
+    size, n = np.repeat(row_size, len(chis)), np.repeat(row_n, len(chis))
+    chi, delta = np.tile(chis, len(row_n)), deltas.ravel()
+    bad = np.flatnonzero(~(delta >= -_DELTA_SLACK))
+    if bad.size:
+        i = bad[0]
+        raise DomainError(
+            f"leverage differential {delta[i].item()} is negative beyond numerical "
+            f"slack at (N={size[i]}, n={n[i]}, chi={chi[i].item()})"
+        )
+    order = np.lexsort((n, chi, size))
+    columns = [col[order] for col in (size, n, chi, delta)]
+    for col in columns:
+        col.setflags(write=False)
+    return SweepResult(scenario, mu, epsilon_safe, *columns, _critical(blocks, chis, deltas, epsilon_safe))
 
 
 def mu_sensitivity(

@@ -52,36 +52,9 @@ from .errors import ConfigError, DegenerateCorrelationError, DomainError
 DEGENERATE_RHO_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Correlation:
-    """A correlation coefficient in [-1, 1]."""
-
-    rho: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.rho):
-            raise DomainError(f"correlation must be finite, got {self.rho!r}")
-        if not -1.0 <= self.rho <= 1.0:
-            raise DomainError(f"correlation must lie in [-1, 1], got {self.rho}")
-
-    @classmethod
-    def from_overlap(cls, n: int, market_size: int) -> "Correlation":
-        """Correlation n/N induced by n shared-pool projects out of N."""
-        if not isinstance(n, int) or not isinstance(market_size, int):
-            raise DomainError("overlap counts must be integers")
-        if market_size < 1 or not 1 <= n <= market_size:
-            raise DomainError(
-                f"need 1 <= n <= market size, got n={n}, N={market_size}"
-            )
-        return cls(n / market_size)
-
-    def __float__(self) -> float:
-        return self.rho
-
-
 def _as_rho(rho) -> np.ndarray:
     """Correlations as a float array (0-d for a scalar), each in [-1, 1]."""
-    r = np.asarray(rho.rho if isinstance(rho, Correlation) else rho, dtype=float)
+    r = np.asarray(rho, dtype=float)
     if not ((r >= -1.0) & (r <= 1.0)).all():
         raise DomainError(f"correlation must lie in [-1, 1], got {rho!r}")
     return r
@@ -123,7 +96,7 @@ def phi1(z: float) -> float:
     return float(ndtr(z))
 
 
-def binorm_pdf(z1: float, z2: float, rho: "Correlation | float") -> float:
+def binorm_pdf(z1: float, z2: float, rho: float) -> float:
     """Standard bivariate normal density at (z1, z2) with correlation rho."""
     r = float(_as_rho(rho))
     z1, z2 = float(z1), float(z2)
@@ -274,40 +247,6 @@ class CdfGrid:
         v = np.clip(v, 0.0, 1.0)
         return v if v.ndim else float(v)
 
-    def to_csv(self, path: str) -> None:
-        """Cache format: one header line with the GridSpec fields and rho,
-        then the node values row-major, one grid row per line."""
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(
-                f"z_min={self.spec.z_min!r},z_max={self.spec.z_max!r},"
-                f"cells_per_axis={self.spec.cells_per_axis},rho={self.rho!r}\n"
-            )
-            for row in self.node_values:
-                fh.write(",".join(repr(v) for v in row.tolist()) + "\n")
-
-    @classmethod
-    def from_csv(cls, path: str) -> "CdfGrid":
-        with open(path, "r", encoding="ascii") as fh:
-            header = dict(item.split("=") for item in fh.readline().strip().split(","))
-            spec = GridSpec(
-                z_min=float(header["z_min"]),
-                z_max=float(header["z_max"]),
-                cells_per_axis=int(header["cells_per_axis"]),
-            )
-            values = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if values.shape != (spec.cells_per_axis + 1,) * 2:
-            raise ConfigError(
-                f"cache shape {values.shape} does not match {spec.cells_per_axis + 1} nodes"
-            )
-        return _build_grid_object(spec, float(header["rho"]), values)
-
-
-def _build_grid_object(spec: GridSpec, rho: float, values: np.ndarray) -> CdfGrid:
-    nodes = np.linspace(spec.z_min, spec.z_max, spec.cells_per_axis + 1)
-    nodes.setflags(write=False)
-    values.setflags(write=False)
-    return CdfGrid(spec=spec, rho=rho, axis_coordinates=nodes, node_values=values)
-
 
 @lru_cache(maxsize=4)
 def tabulate_cdf_grid(rho: float, spec: GridSpec = DEFAULT_GRID) -> CdfGrid:
@@ -336,10 +275,12 @@ def tabulate_cdf_grid(rho: float, spec: GridSpec = DEFAULT_GRID) -> CdfGrid:
     np.cumsum(volumes, axis=0, out=volumes)
     np.cumsum(volumes, axis=1, out=volumes)
     cdf[1:, 1:] = volumes
-    return _build_grid_object(spec, rho, cdf)
+    nodes.setflags(write=False)
+    cdf.setflags(write=False)
+    return CdfGrid(spec=spec, rho=rho, axis_coordinates=nodes, node_values=cdf)
 
 
-def binorm_cdf_grid(z1, z2, rho: "Correlation | float", spec: GridSpec = DEFAULT_GRID):
+def binorm_cdf_grid(z1, z2, rho: float, spec: GridSpec = DEFAULT_GRID):
     """Phi2 via the grid tabulation of one correlation (abs error <= 1e-3
     at the default spec); array-valued in (z1, z2)."""
     r = float(_as_rho(rho))

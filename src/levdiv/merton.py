@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, StrategyMarketMismatchError
-from .gaussian import Correlation, binorm_cdf, phi1
+from .gaussian import binorm_cdf, phi1
 
 _F_BOUNDARY_TOL = 1e-12
 
@@ -80,40 +80,6 @@ class BankStrategy:
             )
 
 
-@dataclass(frozen=True)
-class BalanceSheet:
-    """assets = debt + equity, with equity derived so the identity is exact."""
-
-    assets: float
-    debt: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.assets) and math.isfinite(self.debt)):
-            raise DomainError("balance sheet entries must be finite")
-        if self.assets <= 0.0 or self.debt <= 0.0:
-            raise DomainError("assets and debt must be positive")
-
-    @property
-    def equity(self) -> float:
-        return self.assets - self.debt
-
-    @property
-    def leverage(self) -> float:
-        return self.debt / self.assets
-
-    @classmethod
-    def from_strategy(cls, initial_assets: float, strategy: BankStrategy) -> "BalanceSheet":
-        return cls(assets=initial_assets, debt=strategy.leverage * initial_assets)
-
-    def revalue(self, new_assets: float) -> "BalanceSheet":
-        """Mark assets to a new value; debt is a fixed promised payment."""
-        return BalanceSheet(assets=new_assets, debt=self.debt)
-
-    @property
-    def in_default(self) -> bool:
-        return self.assets <= self.debt
-
-
 def _check_pair(strategy: BankStrategy, market: MarketParams) -> None:
     if strategy.diversification > market.market_size:
         raise StrategyMarketMismatchError(
@@ -138,7 +104,7 @@ def individual_pd(strategy: BankStrategy, market: MarketParams) -> float:
     return phi1(z_score(strategy, market))
 
 
-def asset_correlation(n: int, market: MarketParams) -> Correlation:
+def asset_correlation(n: int, market: MarketParams) -> float:
     """Portfolio-return correlation n/N between two banks that each hold n
     of the N available projects."""
     if not isinstance(n, int) or n < 1:
@@ -147,7 +113,7 @@ def asset_correlation(n: int, market: MarketParams) -> Correlation:
         raise DomainError(
             f"n={n} exceeds market size {market.market_size}"
         )
-    return Correlation.from_overlap(n, market.market_size)
+    return n / market.market_size
 
 
 def random_overlap_joint_pd(strategy: BankStrategy, market: MarketParams) -> float:

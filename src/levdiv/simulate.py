@@ -181,8 +181,6 @@ class SimResult:
     seed_used: int
     terminal_values: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    CSV_HEADER = "pd1_hat,pd2_hat,joint_pd_hat,se_pd1,se_pd2,se_joint,realized_correlation,paths_used,seed_used"
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -197,21 +195,6 @@ class SimResult:
                 "seed_used": self.seed_used,
             },
             indent=2,
-        )
-
-    def to_csv_line(self) -> str:
-        return ",".join(
-            [
-                repr(self.pd1_hat),
-                repr(self.pd2_hat),
-                repr(self.joint_pd_hat),
-                repr(self.se_pd1),
-                repr(self.se_pd2),
-                repr(self.se_joint),
-                repr(self.realized_correlation),
-                str(self.paths_used),
-                str(self.seed_used),
-            ]
         )
 
 

@@ -15,7 +15,6 @@ from levdiv import (
     GridSpec,
     LeverageScenario,
     MarketParams,
-    Regime,
     critical_diversification,
     default_chi_grid,
     delta_phi2,
@@ -145,36 +144,43 @@ class TestCriticalDiversification:
 
 class TestRegimeSweep:
     def test_cell_count_and_order(self):
-        chis_ = [0.1, 1.0]
-        result = regime_sweep(SCENARIO, [4, 6], chis_)
-        assert len(result.cells) == (4 + 6) * len(chis_)
-        keys = [(c.market_size, c.chi, c.n) for c in result.cells]
-        assert keys == sorted(keys)
+        # unsorted market sizes and descending chi come out sorted too
+        for sizes, chis_ in (([4, 6], [0.1, 1.0]), ([6, 4], [1.0, 0.1])):
+            result = regime_sweep(SCENARIO, sizes, chis_)
+            keys = list(zip(result.market_size.tolist(), result.chi.tolist(), result.n.tolist()))
+            assert len(keys) == (4 + 6) * len(chis_)
+            assert keys == sorted(keys)
+            assert len(set(keys)) == len(keys)
 
     def test_single_cell_consistent_with_delta(self):
         result = regime_sweep(SCENARIO, [10], [1.6], n_values=[3])
-        cell = result.cells[0]
-        assert cell.delta_phi2 == delta_phi2(SCENARIO, 3, M10)
-        assert cell.regime is Regime.RISKY
+        assert result.delta_phi2.tolist() == [delta_phi2(SCENARIO, 3, M10)]
+        assert result.risky.tolist() == [True]
 
     def test_critical_consistent_with_cells(self):
         result = regime_sweep(SCENARIO, [10], [0.05, 0.4, 1.6])
         for (size, chi), n_star in result.critical_n.items():
-            cells = [c for c in result.cells if c.market_size == size and c.chi == chi]
+            at = (result.market_size == size) & (result.chi == chi)
+            n, risky = result.n[at], result.risky[at]
             if n_star is None:
-                assert cells[-1].regime is Regime.RISKY
+                assert risky[-1]
             else:
-                assert all(c.regime is Regime.SAFE for c in cells if c.n >= n_star)
+                assert not risky[n >= n_star].any()
                 if n_star > 1:
-                    assert any(
-                        c.regime is Regime.RISKY for c in cells if c.n == n_star - 1
-                    )
+                    assert risky[n == n_star - 1].any()
 
     def test_deterministic(self):
         a = regime_sweep(SCENARIO, [5, 8], [0.2, 2.0])
         b = regime_sweep(SCENARIO, [5, 8], [0.2, 2.0])
-        assert a == b
+        for column in ("market_size", "n", "chi", "delta_phi2"):
+            assert np.array_equal(getattr(a, column), getattr(b, column))
+        assert a.critical_n == b.critical_n
         assert a.to_csv() == b.to_csv()
+
+    def test_columns_read_only(self):
+        result = regime_sweep(SCENARIO, [4], [0.5])
+        with pytest.raises(ValueError):
+            result.delta_phi2[0] = 1.0
 
     def test_invalid_cells_located(self):
         with pytest.raises(DomainError, match=r"N=4, n=7"):
@@ -189,6 +195,16 @@ class TestRegimeSweep:
             assert row[0] == "4"
             assert row[4] in ("safe", "risky")
             float(row[2]), float(row[3])  # parse cleanly
+        # the bytes csv.writer gives for the same cells
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(rows[0])
+        for size, n, chi, d, risky in zip(
+            result.market_size.tolist(), result.n.tolist(), result.chi.tolist(),
+            result.delta_phi2.tolist(), result.risky.tolist(),
+        ):
+            writer.writerow([size, n, repr(chi), repr(d), "risky" if risky else "safe"])
+        assert result.to_csv() == buf.getvalue()
 
     def test_json_round_trip(self):
         result = regime_sweep(SCENARIO, [4], [0.5])
@@ -201,20 +217,31 @@ class TestRegimeSweep:
         result = regime_sweep(SCENARIO, [10], [0.001])
         assert result.risky_fraction(10) == 0.0
 
-    def test_cell_rejects_materially_negative_delta(self):
-        from levdiv import RegimeCell
+    def test_cell_rejects_materially_negative_delta(self, monkeypatch):
+        import levdiv.analysis
 
-        with pytest.raises(DomainError):
-            RegimeCell(market_size=10, n=3, chi=1.6, delta_phi2=-1e-3, regime=Regime.SAFE)
-        RegimeCell(market_size=10, n=3, chi=1.6, delta_phi2=-1e-9, regime=Regime.SAFE)
+        real = levdiv.analysis.binorm_cdf
+        shift = 0.0
+
+        def shifted(*args, **kwargs):
+            pd = real(*args, **kwargs)
+            pd[-1] -= shift  # levels ascend, so the last is f_abnormal's
+            return pd
+
+        monkeypatch.setattr(levdiv.analysis, "binorm_cdf", shifted)
+        shift = 1e-3
+        with pytest.raises(DomainError, match=r"N=10, n=3, chi=0\.001\)"):
+            regime_sweep(SCENARIO, [10], [0.001], n_values=[3])
+        shift = 1e-9
+        assert regime_sweep(SCENARIO, [10], [0.001], n_values=[3]).delta_phi2[0] >= -1e-6
 
     def test_grid_method_supported(self):
         result = regime_sweep(
             SCENARIO, [4], [0.5], method="grid", grid_spec=SMALL_GRID
         )
         oracle = regime_sweep(SCENARIO, [4], [0.5])
-        for got, want in zip(result.cells, oracle.cells):
-            assert got.delta_phi2 == pytest.approx(want.delta_phi2, abs=2e-3)
+        assert result.n.tolist() == oracle.n.tolist()
+        np.testing.assert_allclose(result.delta_phi2, oracle.delta_phi2, rtol=0, atol=2e-3)
 
 
 class TestCriticalReductions:
@@ -239,7 +266,7 @@ class TestCriticalReductions:
 
     def test_empty_n_values_give_no_level(self):
         result = regime_sweep(SCENARIO, [10], [1.6], n_values=[])
-        assert result.cells == ()
+        assert result.n.size == result.delta_phi2.size == 0
         assert result.critical_n == {(10, 1.6): None}
 
 

@@ -19,9 +19,7 @@ from hypothesis import strategies as st
 from quad_reference import phi2_quad
 
 from levdiv import (
-    CdfGrid,
     ConfigError,
-    Correlation,
     DegenerateCorrelationError,
     DomainError,
     GridSpec,
@@ -110,9 +108,6 @@ class TestBinormPdf:
     def test_degenerate_rho_rejected(self, rho):
         with pytest.raises((DegenerateCorrelationError, DomainError)):
             binorm_pdf(0.0, 0.0, rho)
-
-    def test_accepts_correlation_type(self):
-        assert binorm_pdf(1.0, 2.0, Correlation(0.3)) == binorm_pdf(1.0, 2.0, 0.3)
 
 
 class TestOracle:
@@ -277,34 +272,16 @@ class TestGrid:
         assert tabulate_cdf_grid.cache_info().misses == 2
         assert got.tolist() == [binorm_cdf(a, a, r, method="grid", spec=SMALL_GRID) for a, r in zip(z, rho)]
 
-    def test_csv_cache_round_trip(self, tmp_path):
-        spec = GridSpec(z_min=-4.0, z_max=4.0, cells_per_axis=50)
-        grid = tabulate_cdf_grid(0.25, spec)
-        path = tmp_path / "grid.csv"
-        grid.to_csv(str(path))
-        loaded = CdfGrid.from_csv(str(path))
-        assert loaded.spec == spec
-        assert loaded.rho == 0.25
-        assert np.array_equal(loaded.node_values, grid.node_values)
-        assert loaded.lookup(0.3, -0.7) == grid.lookup(0.3, -0.7)
-
 
 class TestCorrelation:
     def test_bounds_enforced(self):
-        with pytest.raises(DomainError):
-            Correlation(1.5)
-        with pytest.raises(DomainError):
-            Correlation(float("nan"))
-        assert Correlation(1.0).rho == 1.0
-        assert Correlation(-1.0).rho == -1.0
-
-    def test_from_overlap(self):
-        assert Correlation.from_overlap(5, 10).rho == 0.5
-        assert Correlation.from_overlap(10, 10).rho == 1.0
-        with pytest.raises(DomainError):
-            Correlation.from_overlap(0, 10)
-        with pytest.raises(DomainError):
-            Correlation.from_overlap(11, 10)
+        for rho in (1.5, float("nan")):
+            with pytest.raises(DomainError):
+                binorm_cdf_oracle(0.0, 0.0, rho)
+            with pytest.raises(DomainError):
+                binorm_cdf(0.0, 0.0, rho, method="grid", spec=SMALL_GRID)
+        assert binorm_cdf_oracle(0.0, 0.0, 1.0) == 0.5
+        assert binorm_cdf_oracle(0.0, 0.0, -1.0) == 0.0
 
 
 def test_import_leaves_scipy_integrate_unloaded():
