@@ -45,14 +45,12 @@ from .merton import (
 )
 from .simulate import (
     FixedOverlap,
-    PortfolioState,
     RandomSelection,
     SimConfig,
     SimResult,
     estimate_default_probs,
     path_rng,
     select_holdings,
-    simulate_bank,
     simulate_prices,
 )
 
@@ -70,7 +68,6 @@ __all__ = [
     "GridSpec",
     "LeverageScenario",
     "MarketParams",
-    "PortfolioState",
     "RandomSelection",
     "SimConfig",
     "SimResult",
@@ -92,7 +89,6 @@ __all__ = [
     "phi1",
     "regime_sweep",
     "select_holdings",
-    "simulate_bank",
     "simulate_prices",
     "systemic_pd",
     "tabulate_cdf_grid",

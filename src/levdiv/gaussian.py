@@ -32,6 +32,11 @@ different routes:
 
 Both are array-valued: arguments broadcast, the grid tabulates each
 distinct correlation once per call, and scalar arguments give a float.
+A grid call tabulates only the leading block of nodes its queries reach
+(the analysis queries the diagonal at z <= ~2, about a quarter of the
+default square).  The cumulative sums run in prefix order, so the block
+equals that corner of the full table bit for bit and every lookup returns
+what the full table would.
 All functions are pure; ``CdfGrid`` instances are immutable after
 construction and safe to share between threads.
 """
@@ -216,7 +221,9 @@ class CdfGrid:
 
     ``node_values[i, j]`` holds the accumulated volume over the cells below
     and left of node (axis_coordinates[i], axis_coordinates[j]); row 0 and
-    column 0 are zero by construction.
+    column 0 are zero by construction.  The table may cover only the
+    leading square block of the spec's nodes (see ``tabulate_cdf_grid``);
+    a lookup whose cell reaches past the block raises DomainError.
     """
 
     spec: GridSpec
@@ -228,16 +235,15 @@ class CdfGrid:
         """Bilinear interpolation of the tabulation; out-of-range points
         are clamped to the grid boundary and results clipped to [0, 1].
         Array-valued in (z1, z2); scalar coordinates give a float."""
-        s = self.spec
         vals = self.node_values
-
-        def frac_index(z):
-            f = (np.clip(z, s.z_min, s.z_max) - s.z_min) / s.cell_width
-            i = np.minimum(f.astype(np.intp), s.cells_per_axis - 1)
-            return i, f - i
-
-        i, tx = frac_index(np.asarray(z1, dtype=float))
-        j, ty = frac_index(np.asarray(z2, dtype=float))
+        i, tx = _cell_index(self.spec, np.asarray(z1, dtype=float))
+        j, ty = _cell_index(self.spec, np.asarray(z2, dtype=float))
+        extent = _extent(i, j)
+        if extent > vals.shape[0]:
+            raise DomainError(
+                f"lookup reaches node {extent - 1}, past the "
+                f"{vals.shape[0]}-node tabulated block"
+            )
         v = (
             vals[i, j] * (1.0 - tx) * (1.0 - ty)
             + vals[i + 1, j] * tx * (1.0 - ty)
@@ -248,14 +254,33 @@ class CdfGrid:
         return v if v.ndim else float(v)
 
 
-@lru_cache(maxsize=4)
-def tabulate_cdf_grid(rho: float, spec: GridSpec = DEFAULT_GRID) -> CdfGrid:
-    """Build the cumulative tabulation for one correlation.
+def _cell_index(spec: GridSpec, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell index of each (clamped) coordinate and its fraction within the cell."""
+    f = (np.clip(z, spec.z_min, spec.z_max) - spec.z_min) / spec.cell_width
+    i = np.minimum(f.astype(np.intp), spec.cells_per_axis - 1)
+    return i, f - i
 
-    Steps: density at the (cells+1)^2 grid nodes; per-cell mean of the four
-    corner values; volume = mean density times squared cell width; cumulative
+
+def _extent(i: np.ndarray, j: np.ndarray) -> int:
+    """Nodes per axis a lookup of cells (i, j) reads: the corners of the
+    highest cell on either axis, so the block stays square."""
+    return int(max(i.max(initial=0), j.max(initial=0))) + 2
+
+
+@lru_cache(maxsize=4)
+def tabulate_cdf_grid(
+    rho: float, spec: GridSpec = DEFAULT_GRID, extent: int | None = None
+) -> CdfGrid:
+    """Build the cumulative tabulation for one correlation on the first
+    ``extent`` nodes per axis (all cells_per_axis + 1 when None).
+
+    Steps: density at the grid nodes; per-cell mean of the four corner
+    values; volume = mean density times squared cell width; cumulative
     double sum.  The whole pass is a fixed summation order, so repeated
-    builds are bitwise identical.
+    builds are bitwise identical.  A bounded table is bit for bit the
+    leading block of the full one: its nodes are a prefix of the same
+    linspace, density and corner mean are elementwise, and each cumulative
+    sum adds in prefix order.
     """
     rho = float(rho)
     if abs(rho) > 1.0 - DEGENERATE_RHO_TOL:
@@ -263,18 +288,17 @@ def tabulate_cdf_grid(rho: float, spec: GridSpec = DEFAULT_GRID) -> CdfGrid:
             f"grid tabulation unstable for |rho| > {1.0 - DEGENERATE_RHO_TOL}; "
             "use the closed-form degenerate cases"
         )
-    nodes = np.linspace(spec.z_min, spec.z_max, spec.cells_per_axis + 1)
+    nodes = np.linspace(spec.z_min, spec.z_max, spec.cells_per_axis + 1)[:extent]
     omr2 = 1.0 - rho * rho
     z1 = nodes[:, None]
     z2 = nodes[None, :]
     g = np.exp(-(z1 * z1 - 2.0 * rho * z1 * z2 + z2 * z2) / (2.0 * omr2))
     g /= 2.0 * np.pi * np.sqrt(omr2)
     corner_mean = 0.25 * (g[:-1, :-1] + g[1:, :-1] + g[:-1, 1:] + g[1:, 1:])
-    volumes = corner_mean * spec.cell_width**2
-    cdf = np.zeros((spec.cells_per_axis + 1,) * 2)
-    np.cumsum(volumes, axis=0, out=volumes)
+    cdf = np.zeros((nodes.size,) * 2)
+    volumes = cdf[1:, 1:]
+    np.cumsum(corner_mean * spec.cell_width**2, axis=0, out=volumes)
     np.cumsum(volumes, axis=1, out=volumes)
-    cdf[1:, 1:] = volumes
     nodes.setflags(write=False)
     cdf.setflags(write=False)
     return CdfGrid(spec=spec, rho=rho, axis_coordinates=nodes, node_values=cdf)
@@ -282,12 +306,14 @@ def tabulate_cdf_grid(rho: float, spec: GridSpec = DEFAULT_GRID) -> CdfGrid:
 
 def binorm_cdf_grid(z1, z2, rho: float, spec: GridSpec = DEFAULT_GRID):
     """Phi2 via the grid tabulation of one correlation (abs error <= 1e-3
-    at the default spec); array-valued in (z1, z2)."""
+    at the default spec); array-valued in (z1, z2).  Tabulates only the
+    block of nodes the queries reach."""
     r = float(_as_rho(rho))
     z1, z2 = np.asarray(z1, dtype=float), np.asarray(z2, dtype=float)
     if np.isnan(z1).any() or np.isnan(z2).any():
         raise DomainError("binorm_cdf_grid requires non-NaN coordinates")
-    return tabulate_cdf_grid(r, spec).lookup(z1, z2)
+    extent = _extent(_cell_index(spec, z1)[0], _cell_index(spec, z2)[0])
+    return tabulate_cdf_grid(r, spec, extent).lookup(z1, z2)
 
 
 def binorm_cdf(z1, z2, rho, method: str = "oracle", spec: GridSpec = DEFAULT_GRID):

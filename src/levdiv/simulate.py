@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .merton import BankStrategy, MarketParams
 
 # Chunk size is a pure function of the config (never of the environment), so
@@ -111,59 +111,6 @@ def simulate_prices(config: SimConfig, path_index: int) -> np.ndarray:
     np.cumprod(growth, axis=0, out=growth)
     out[1:] = config.initial_price * growth
     return out
-
-
-@dataclass
-class PortfolioState:
-    """Holdings x_il(t) and prices during one bank's path.
-
-    ``advance`` first marks the book to the new prices (which changes the
-    total), then restores equal per-project value without injecting or
-    withdrawing anything.
-    """
-
-    units: np.ndarray
-    prices: np.ndarray
-    holdings: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.holdings = np.flatnonzero(self.units)
-        if self.holdings.size == 0:
-            raise DomainError("portfolio must hold at least one project")
-
-    @classmethod
-    def equal_weight(
-        cls, initial_assets: float, holdings: np.ndarray, prices: np.ndarray
-    ) -> "PortfolioState":
-        holdings = np.asarray(holdings, dtype=int)
-        if holdings.size == 0 or np.unique(holdings).size != holdings.size:
-            raise DomainError("holdings must be a non-empty set of distinct projects")
-        units = np.zeros(prices.shape[0])
-        units[holdings] = (initial_assets / holdings.size) / prices[holdings]
-        return cls(units=units, prices=prices.copy())
-
-    @property
-    def asset_value(self) -> float:
-        return float(self.units[self.holdings] @ self.prices[self.holdings])
-
-    @property
-    def per_project_values(self) -> np.ndarray:
-        return self.units[self.holdings] * self.prices[self.holdings]
-
-    def advance(self, new_prices: np.ndarray) -> None:
-        self.prices = new_prices
-        if self.holdings.size > 1:  # rebalancing one project is the identity
-            total = self.asset_value
-            self.units[self.holdings] = (total / self.holdings.size) / new_prices[self.holdings]
-
-
-def simulate_bank(config: SimConfig, prices: np.ndarray, holdings: np.ndarray) -> float:
-    """Terminal asset value of one bank, stepping the explicit rebalancing
-    rule along the given price trajectories."""
-    state = PortfolioState.equal_weight(config.initial_assets, holdings, prices[0])
-    for t in range(1, prices.shape[0]):
-        state.advance(prices[t])
-    return state.asset_value
 
 
 @dataclass(frozen=True)

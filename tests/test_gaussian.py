@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from quad_reference import phi2_quad
 
 from levdiv import (
+    DEFAULT_GRID,
     ConfigError,
     DegenerateCorrelationError,
     DomainError,
@@ -245,6 +246,37 @@ class TestGrid:
         tabulate_cdf_grid.cache_clear()
         b = tabulate_cdf_grid(0.3, SMALL_GRID)
         assert np.array_equal(a.node_values, b.node_values)
+
+    @pytest.mark.parametrize("spec", [SMALL_GRID, DEFAULT_GRID], ids=["small", "default"])
+    @pytest.mark.parametrize("rho", [-0.4, 0.05, 0.7, 0.95])
+    def test_bounded_tabulation_is_leading_block(self, spec, rho):
+        full = tabulate_cdf_grid(rho, spec).node_values
+        for m in (2, spec.cells_per_axis // 2 + 1, spec.cells_per_axis + 1):
+            block = tabulate_cdf_grid(rho, spec, m)
+            assert block.node_values.shape == (m, m)
+            assert np.array_equal(block.node_values, full[:m, :m])
+        tabulate_cdf_grid.cache_clear()
+
+    @pytest.mark.parametrize("spec", [SMALL_GRID, DEFAULT_GRID], ids=["small", "default"])
+    def test_bounded_lookup_matches_full_grid(self, spec):
+        # diagonal queries as the analysis makes them, then with points
+        # clamped at either end of the grid
+        diagonal = np.linspace(-3.0, 2.1, 50)
+        for rho in (0.1, 0.6):
+            for z in (diagonal, np.append(diagonal, -50.0), np.array([spec.z_max, 9.5, 50.0])):
+                full = tabulate_cdf_grid(rho, spec).lookup(z, z)
+                got = binorm_cdf(z, z, rho, method="grid", spec=spec)
+                assert got.tolist() == full.tolist()
+        tabulate_cdf_grid.cache_clear()
+
+    def test_lookup_past_bounded_block_rejected(self):
+        grid = tabulate_cdf_grid(0.3, SMALL_GRID, 100)
+        inside = SMALL_GRID.z_min + 98.5 * SMALL_GRID.cell_width
+        assert grid.lookup(inside, inside) == tabulate_cdf_grid(0.3, SMALL_GRID).lookup(inside, inside)
+        with pytest.raises(DomainError, match="past the 100-node"):
+            grid.lookup(inside, inside + SMALL_GRID.cell_width)
+        with pytest.raises(DomainError):
+            grid.lookup(np.array([0.0, 50.0]), np.zeros(2))
 
     def test_degenerate_rho_rejected(self):
         with pytest.raises(DegenerateCorrelationError):

@@ -11,16 +11,17 @@ from levdiv import (
     DomainError,
     FixedOverlap,
     MarketParams,
-    PortfolioState,
     RandomSelection,
     SimConfig,
     estimate_default_probs,
     individual_pd,
     path_rng,
     select_holdings,
-    simulate_bank,
     simulate_prices,
 )
+from levdiv.merton import random_overlap_joint_pd
+
+from rebalancing_reference import PortfolioState, simulate_bank
 
 
 def make_config(**overrides):
@@ -294,3 +295,21 @@ class TestEstimates:
         assert res.terminal_values.shape == (64, 2)
         assert np.all(res.terminal_values > 0)
         assert estimate_default_probs(cfg).terminal_values is None
+
+    def test_random_overlap_matches_mixture(self):
+        # random selection makes the overlap K hypergeometric(N, n, n), so
+        # the target is the mixture of Phi2(z, z, k/n), not Phi2 at n/N;
+        # seed continues criterion 4's 211 + i, budget is criterion 4's
+        market = MarketParams.from_chi(8, 1.6)
+        strategy = BankStrategy(0.25, 4)
+        cfg = make_config(
+            market=market,
+            strategies=(strategy, strategy),
+            overlap=RandomSelection(),
+            paths=20_000,
+            steps_per_horizon=250,
+            seed=213,
+        )
+        res = estimate_default_probs(cfg)
+        target = random_overlap_joint_pd(strategy, market)
+        assert abs(res.joint_pd_hat - target) <= max(3.0 * res.se_joint, 0.005)
