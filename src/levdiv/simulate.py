@@ -7,16 +7,23 @@ winners, buy losers, total value unchanged), and records individual and
 joint defaults a_i(T) <= f_i * a_i(0).
 
 Randomness is counter-based: path p of a run with seed s consumes the
-Philox stream keyed (s, p), so every path is reproducible in isolation
-and results do not depend on chunking or evaluation order.  Stream 0
-carries the price shocks in fixed (step, project) order; stream 1 carries
-the random project selection, when enabled.
+Philox stream keyed (s, p), so every path is reproducible in isolation.
+Stream 0 carries the price shocks in fixed (step, project) order; stream 1
+carries the random project selection, when enabled.
+
+The default counts do not depend on how paths are chunked.  The float
+moment sums behind `realized_correlation` are added per chunk, with a
+chunk size fixed by the config.  Each chunk is filled by one worker thread
+per usable CPU, but every count and sum is taken on the calling thread
+over whole chunks, so no output depends on the number of threads.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -145,21 +152,13 @@ class SimResult:
         )
 
 
-def fixed_holdings(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic holdings with exactly k shared projects: bank 1 takes
-    [0, n1), bank 2 takes [n1 - k, n1 - k + n2)."""
-    if not isinstance(config.overlap, FixedOverlap):
-        raise ConfigError("fixed_holdings requires FixedOverlap mode")
-    n1, n2 = (s.diversification for s in config.strategies)
-    k = config.overlap.shared
-    return np.arange(n1), np.arange(n1 - k, n1 - k + n2)
-
-
 def select_holdings(config: SimConfig, path_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path holdings for both banks (sorted project indices)."""
+    """Per-path holdings for both banks (sorted project indices).  Under a
+    fixed overlap of k, bank 1 takes [0, n1) and bank 2 [n1 - k, n1 - k + n2)."""
     n1, n2 = (s.diversification for s in config.strategies)
     if isinstance(config.overlap, FixedOverlap):
-        return fixed_holdings(config)
+        start2 = n1 - config.overlap.shared
+        return np.arange(n1), np.arange(start2, start2 + n2)
     rng = path_rng(config.seed, path_index, stream=1)
     N = config.market.market_size
     h1 = np.sort(rng.permutation(N)[:n1])
@@ -167,12 +166,21 @@ def select_holdings(config: SimConfig, path_index: int) -> tuple[np.ndarray, np.
     return h1, h2
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -> SimResult:
     """Estimate individual and joint default frequencies.
 
     Paths are processed in index order with a chunk size that depends only
-    on the config, and each path's shocks come from its own keyed stream,
-    so identical configs produce bitwise-identical results.
+    on the config, and each path's shocks come from its own keyed stream.
+    Worker threads, one per usable CPU, fill contiguous slices of a chunk
+    with per-(path, step) log returns; the counts and moment sums are then
+    reduced over whole chunks on the calling thread, so identical configs
+    produce bitwise-identical results at any thread count.
     """
     m = config.market
     steps, N = config.steps_per_horizon, m.market_size
@@ -184,8 +192,12 @@ def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -
         math.log(config.strategies[1].leverage),
     )
     random_mode = isinstance(config.overlap, RandomSelection)
+    n1, n2 = (s.diversification for s in config.strategies)
     if not random_mode:
-        h_fixed = fixed_holdings(config)
+        start2 = n1 - config.overlap.shared
+        fixed = (range(n1), range(start2, start2 + n2))
+    # banks holding the same projects have the same returns: compute them once
+    same_books = not random_mode and n1 == n2 == config.overlap.shared
 
     n_def = np.zeros(2, dtype=np.int64)
     n_joint = 0
@@ -196,44 +208,59 @@ def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -
 
     chunk = _chunk_size(steps, N)
     xi = np.empty((chunk, steps, N))
-    for start in range(0, config.paths, chunk):
-        size = min(chunk, config.paths - start)
-        block = xi[:size]
-        for i in range(size):
-            path_rng(config.seed, start + i).standard_normal((steps, N), out=block[i])
-        growth = np.exp(drift_term + vol_term * block)
+    log_ret = np.empty((1 if same_books else 2, chunk, steps))
 
-        if random_mode:
-            idx1 = np.empty((size, config.strategies[0].diversification), dtype=int)
-            idx2 = np.empty((size, config.strategies[1].diversification), dtype=int)
-            for i in range(size):
-                idx1[i], idx2[i] = select_holdings(config, start + i)
-            indices = (idx1, idx2)
-
-        rets = []
-        for bank in (0, 1):
-            if random_mode:
-                held = np.take_along_axis(growth, indices[bank][:, None, :], axis=2)
+    def fill(start: int, held: tuple | None, lo: int, hi: int) -> None:
+        # rows [lo, hi) of the chunk that begins at path `start`
+        block = xi[lo:hi]
+        for i in range(lo, hi):
+            path_rng(config.seed, start + i).standard_normal((steps, N), out=xi[i])
+        block *= vol_term
+        block += drift_term
+        np.exp(block, out=block)
+        for bank in range(log_ret.shape[0]):
+            out = log_ret[bank, lo:hi]
+            if held is None:
+                # fixed books are added column by column, random books
+                # pairwise: the summation orders the estimator always had
+                np.copyto(out, block[:, :, fixed[bank][0]])
+                for col in fixed[bank][1:]:
+                    out += block[:, :, col]
+                out /= len(fixed[bank])
             else:
-                held = growth[:, :, h_fixed[bank]]
-            rets.append(np.log(held.mean(axis=2)))
+                np.take_along_axis(block, held[bank][lo:hi, None, :], axis=2).mean(axis=2, out=out)
+            np.log(out, out=out)
 
-        logfac1 = rets[0].sum(axis=1)
-        logfac2 = rets[1].sum(axis=1)
-        d1 = logfac1 <= log_limits[0]
-        d2 = logfac2 <= log_limits[1]
-        n_def[0] += int(d1.sum())
-        n_def[1] += int(d2.sum())
-        n_joint += int((d1 & d2).sum())
-        s_x += float(rets[0].sum())
-        s_y += float(rets[1].sum())
-        s_xx += float((rets[0] * rets[0]).sum())
-        s_yy += float((rets[1] * rets[1]).sum())
-        s_xy += float((rets[0] * rets[1]).sum())
-        n_obs += size * steps
-        if terminals is not None:
-            terminals[start : start + size, 0] = config.initial_assets * np.exp(logfac1)
-            terminals[start : start + size, 1] = config.initial_assets * np.exp(logfac2)
+    workers = min(_usable_cpus(), chunk)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for start in range(0, config.paths, chunk):
+            size = min(chunk, config.paths - start)
+            held = None
+            if random_mode:
+                held = (np.empty((size, n1), dtype=int), np.empty((size, n2), dtype=int))
+                for i in range(size):
+                    held[0][i], held[1][i] = select_holdings(config, start + i)
+            cuts = [size * w // workers for w in range(workers + 1)]
+            list(pool.map(lambda lo, hi: fill(start, held, lo, hi), cuts[:-1], cuts[1:]))
+
+            # identical books share bank 1's returns
+            rets = (log_ret[0, :size], log_ret[-1, :size])
+            logfac1 = rets[0].sum(axis=1)
+            logfac2 = rets[1].sum(axis=1)
+            d1 = logfac1 <= log_limits[0]
+            d2 = logfac2 <= log_limits[1]
+            n_def[0] += int(d1.sum())
+            n_def[1] += int(d2.sum())
+            n_joint += int((d1 & d2).sum())
+            s_x += float(rets[0].sum())
+            s_y += float(rets[1].sum())
+            s_xx += float((rets[0] * rets[0]).sum())
+            s_yy += float((rets[1] * rets[1]).sum())
+            s_xy += float((rets[0] * rets[1]).sum())
+            n_obs += size * steps
+            if terminals is not None:
+                terminals[start : start + size, 0] = config.initial_assets * np.exp(logfac1)
+                terminals[start : start + size, 1] = config.initial_assets * np.exp(logfac2)
 
     paths = config.paths
     p1, p2, pj = n_def[0] / paths, n_def[1] / paths, n_joint / paths

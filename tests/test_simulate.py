@@ -1,10 +1,14 @@
 """Tests for the Monte Carlo simulator."""
 
+import functools
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
+import levdiv.simulate
 from levdiv import (
     BankStrategy,
     ConfigError,
@@ -22,6 +26,7 @@ from levdiv import (
 from levdiv.merton import random_overlap_joint_pd
 
 from rebalancing_reference import PortfolioState, simulate_bank
+from serial_estimator import serial_estimate
 
 
 def make_config(**overrides):
@@ -313,3 +318,76 @@ class TestEstimates:
         res = estimate_default_probs(cfg)
         target = random_overlap_joint_pd(strategy, market)
         assert abs(res.joint_pd_hat - target) <= max(3.0 * res.se_joint, 0.005)
+
+
+def _bit_identity_config(N, n, shared, f2=0.25, n2=None, steps=50, paths=300):
+    return make_config(
+        market=MarketParams.from_chi(N, 1.6),
+        strategies=(BankStrategy(0.25, n), BankStrategy(f2, n2 or n)),
+        overlap=RandomSelection() if shared is None else FixedOverlap(shared),
+        steps_per_horizon=steps,
+        paths=paths,
+    )
+
+
+BIT_IDENTITY_CONFIGS = {
+    "N4-n4-k4": _bit_identity_config(4, 4, 4),
+    "N8-n4-k2": _bit_identity_config(8, 4, 2),
+    "N16-n4-k1": _bit_identity_config(16, 4, 1),
+    "N8-n4-random": _bit_identity_config(8, 4, None),
+    "N8-n4-k4-f2differs": _bit_identity_config(8, 4, 4, f2=0.1),
+    "N16-n8-k3-n2is5": _bit_identity_config(16, 8, 3, n2=5),
+    # books of 9+ projects, where fixed and random gathers sum differently
+    "N24-n12-k12": _bit_identity_config(24, 12, 12),
+    "N20-n10-random": _bit_identity_config(20, 10, None),
+    # chunk size 500: two full chunks and a ragged one of 234 paths
+    "N16-n4-k1-ragged": _bit_identity_config(16, 4, 1, steps=1000, paths=1234),
+}
+
+
+def _assert_bitwise_equal(result, expected):
+    assert result.to_json() == expected.to_json()
+    assert np.array_equal(result.terminal_values, expected.terminal_values)
+
+
+@functools.lru_cache(maxsize=None)
+def _serial_result(name):
+    return serial_estimate(BIT_IDENTITY_CONFIGS[name], collect_terminals=True)
+
+
+class TestThreadedEstimator:
+    @pytest.mark.parametrize("workers", [None, 1, 3])
+    @pytest.mark.parametrize("name", list(BIT_IDENTITY_CONFIGS))
+    def test_matches_serial_reference_bit_for_bit(self, monkeypatch, name, workers):
+        if workers is not None:
+            monkeypatch.setattr(levdiv.simulate, "_usable_cpus", lambda: workers)
+        expected = _serial_result(name)
+        result = estimate_default_probs(BIT_IDENTITY_CONFIGS[name], collect_terminals=True)
+        _assert_bitwise_equal(result, expected)
+
+    def test_ragged_config_spans_three_chunks(self):
+        cfg = BIT_IDENTITY_CONFIGS["N16-n4-k1-ragged"]
+        chunk = levdiv.simulate._chunk_size(cfg.steps_per_horizon, cfg.market.market_size)
+        assert chunk == 500 and cfg.paths % chunk and cfg.paths > 2 * chunk
+
+    @pytest.mark.parametrize("overlap", [FixedOverlap(2), RandomSelection()])
+    def test_fewer_paths_than_workers(self, monkeypatch, overlap):
+        monkeypatch.setattr(levdiv.simulate, "_usable_cpus", lambda: 3)
+        cfg = make_config(paths=2, overlap=overlap)
+        result = estimate_default_probs(cfg, collect_terminals=True)
+        expected = serial_estimate(cfg, collect_terminals=True)
+        _assert_bitwise_equal(result, expected)
+
+    def test_oversubscribed_workers_with_fast_switching(self, monkeypatch):
+        # more threads than cores, switching every few microseconds: a row
+        # written by two workers or a lost write would change the bits
+        monkeypatch.setattr(levdiv.simulate, "_usable_cpus", lambda: 2 * (os.cpu_count() or 1) + 1)
+        cfg = BIT_IDENTITY_CONFIGS["N8-n4-random"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            result = estimate_default_probs(cfg, collect_terminals=True)
+        finally:
+            sys.setswitchinterval(interval)
+        expected = _serial_result("N8-n4-random")
+        _assert_bitwise_equal(result, expected)
