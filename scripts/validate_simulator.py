@@ -59,8 +59,9 @@ def main() -> None:
             steps_per_horizon=steps,
             seed=args.seed,
         )
-        t0 = time.time()
+        t0 = time.perf_counter()
         res = estimate_default_probs(config)
+        seconds = time.perf_counter() - t0
         z = z_score(strategy, market)
         pd_target = individual_pd(strategy, market)
         joint_target = binorm_cdf_oracle(z, z, k / n)
@@ -73,7 +74,7 @@ def main() -> None:
             f"{res.joint_pd_hat:>8.5f} {joint_target:>8.5f} "
             f"{joint_dev:>8.5f} {joint_se_mult:>7.2f} | "
             f"{res.realized_correlation:>7.4f} {k / n:>5.2f}"
-            f"   [{time.time() - t0:.0f}s]"
+            f"   [{seconds:.1f}s, {paths / seconds:,.0f} paths/s]"
         )
 
 

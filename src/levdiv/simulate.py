@@ -13,9 +13,14 @@ carries the random project selection, when enabled.
 
 The default counts do not depend on how paths are chunked.  The float
 moment sums behind `realized_correlation` are added per chunk, with a
-chunk size fixed by the config.  Each chunk is filled by one worker thread
-per usable CPU, but every count and sum is taken on the calling thread
-over whole chunks, so no output depends on the number of threads.
+chunk size fixed by the config.  Each chunk is split into one slice per
+usable CPU, and one worker thread does all of a slice's work: it re-keys a
+single generator to each path's streams, draws the shocks (and, under
+random selection, the holdings), and reduces them to per-step book returns
+in a small scratch block, a few paths at a time.  Every count and sum is
+taken on the calling thread over whole chunks, and each path's returns are
+computed in the same order whatever block holds them, so neither the
+thread count nor the scratch block size affects any output.
 """
 
 from __future__ import annotations
@@ -32,9 +37,13 @@ import numpy as np
 from .errors import ConfigError
 from .merton import BankStrategy, MarketParams
 
-# Chunk size is a pure function of the config (never of the environment), so
-# the floating-point reduction order is reproducible for identical configs.
-_CHUNK_BUDGET = 8_000_000  # doubles per chunk block, ~64 MB
+# Chunk size is a pure function of the config (never of the environment): it
+# fixes the order in which the moment sums are added, so this value must not
+# change.  It sizes no block of shocks; a chunk holds only its book returns.
+_CHUNK_BUDGET = 8_000_000  # path-steps x projects per chunk
+# Doubles in each worker's scratch block (~1 MB, so it stays in cache while a
+# sub-block is drawn, exponentiated and reduced).  No output depends on it.
+_SCRATCH_BUDGET = 131_072
 
 
 def _chunk_size(steps: int, market_size: int) -> int:
@@ -102,6 +111,20 @@ def path_rng(seed: int, path_index: int, stream: int = 0) -> np.random.Generator
     return np.random.Generator(np.random.Philox(counter=stream << 128, key=key))
 
 
+def _repoint(gen: np.random.Generator, state: dict, path_index: int, stream: int):
+    """Re-key `gen` in place to draw exactly what path_rng(seed, path_index,
+    stream) would, for about an eighth of the cost of building that one.
+
+    `state` is the state of a fresh path_rng(seed, ...) generator, reused from
+    call to call: key word 1 is the path, counter word 2 the stream, and the
+    output buffer stays marked empty.
+    """
+    state["state"]["key"][1] = path_index
+    state["state"]["counter"][2] = stream
+    gen.bit_generator.state = state
+    return gen
+
+
 def simulate_prices(config: SimConfig, path_index: int) -> np.ndarray:
     """Price trajectories, shape (steps + 1, N), via exact log-Euler stepping.
 
@@ -160,10 +183,12 @@ def select_holdings(config: SimConfig, path_index: int) -> tuple[np.ndarray, np.
         start2 = n1 - config.overlap.shared
         return np.arange(n1), np.arange(start2, start2 + n2)
     rng = path_rng(config.seed, path_index, stream=1)
-    N = config.market.market_size
-    h1 = np.sort(rng.permutation(N)[:n1])
-    h2 = np.sort(rng.permutation(N)[:n2])
-    return h1, h2
+    return _draw_holdings(rng, config.market.market_size, n1, n2)
+
+
+def _draw_holdings(rng, N: int, n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    # random selection, from a generator on the path's stream 1
+    return np.sort(rng.permutation(N)[:n1]), np.sort(rng.permutation(N)[:n2])
 
 
 def _usable_cpus() -> int:
@@ -178,9 +203,10 @@ def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -
     Paths are processed in index order with a chunk size that depends only
     on the config, and each path's shocks come from its own keyed stream.
     Worker threads, one per usable CPU, fill contiguous slices of a chunk
-    with per-(path, step) log returns; the counts and moment sums are then
-    reduced over whole chunks on the calling thread, so identical configs
-    produce bitwise-identical results at any thread count.
+    with per-(path, step) log returns, drawing each path's shocks and
+    holdings themselves; the counts and moment sums are then reduced over
+    whole chunks on the calling thread, so identical configs produce
+    bitwise-identical results at any thread count and scratch block size.
     """
     m = config.market
     steps, N = config.steps_per_horizon, m.market_size
@@ -207,41 +233,48 @@ def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -
     terminals = np.empty((config.paths, 2)) if collect_terminals else None
 
     chunk = _chunk_size(steps, N)
-    xi = np.empty((chunk, steps, N))
     log_ret = np.empty((1 if same_books else 2, chunk, steps))
 
-    def fill(start: int, held: tuple | None, lo: int, hi: int) -> None:
-        # rows [lo, hi) of the chunk that begins at path `start`
-        block = xi[lo:hi]
-        for i in range(lo, hi):
-            path_rng(config.seed, start + i).standard_normal((steps, N), out=xi[i])
-        block *= vol_term
-        block += drift_term
-        np.exp(block, out=block)
-        for bank in range(log_ret.shape[0]):
-            out = log_ret[bank, lo:hi]
-            if held is None:
-                # fixed books are added column by column, random books
-                # pairwise: the summation orders the estimator always had
-                np.copyto(out, block[:, :, fixed[bank][0]])
-                for col in fixed[bank][1:]:
-                    out += block[:, :, col]
-                out /= len(fixed[bank])
-            else:
-                np.take_along_axis(block, held[bank][lo:hi, None, :], axis=2).mean(axis=2, out=out)
-            np.log(out, out=out)
+    def fill(start: int, lo: int, hi: int) -> None:
+        # rows [lo, hi) of the chunk that begins at path `start`, a scratch
+        # sub-block of paths at a time, from one generator re-keyed per path
+        gen = path_rng(config.seed, start + lo)
+        state = gen.bit_generator.state
+        sub = min(hi - lo, max(1, _SCRATCH_BUDGET // (steps * N)))
+        scratch = np.empty((sub, steps, N))
+        if random_mode:
+            held = (np.empty((sub, n1), dtype=int), np.empty((sub, n2), dtype=int))
+        for a in range(lo, hi, sub):
+            block = scratch[: min(sub, hi - a)]
+            for j in range(len(block)):
+                _repoint(gen, state, start + a + j, 0).standard_normal((steps, N), out=block[j])
+                if random_mode:
+                    _repoint(gen, state, start + a + j, 1)
+                    held[0][j], held[1][j] = _draw_holdings(gen, N, n1, n2)
+            block *= vol_term
+            block += drift_term
+            np.exp(block, out=block)
+            for bank in range(log_ret.shape[0]):
+                out = log_ret[bank, a : a + len(block)]
+                if not random_mode:
+                    # fixed books are added column by column, random books
+                    # pairwise: the summation orders the estimator always had
+                    np.copyto(out, block[:, :, fixed[bank][0]])
+                    for col in fixed[bank][1:]:
+                        out += block[:, :, col]
+                    out /= len(fixed[bank])
+                else:
+                    books = held[bank][: len(block), None, :]
+                    np.take_along_axis(block, books, axis=2).mean(axis=2, out=out)
+                np.log(out, out=out)
 
     workers = min(_usable_cpus(), chunk)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for start in range(0, config.paths, chunk):
             size = min(chunk, config.paths - start)
-            held = None
-            if random_mode:
-                held = (np.empty((size, n1), dtype=int), np.empty((size, n2), dtype=int))
-                for i in range(size):
-                    held[0][i], held[1][i] = select_holdings(config, start + i)
-            cuts = [size * w // workers for w in range(workers + 1)]
-            list(pool.map(lambda lo, hi: fill(start, held, lo, hi), cuts[:-1], cuts[1:]))
+            parts = min(workers, size)
+            cuts = [size * w // parts for w in range(parts + 1)]
+            list(pool.map(lambda lo, hi: fill(start, lo, hi), cuts[:-1], cuts[1:]))
 
             # identical books share bank 1's returns
             rets = (log_ret[0, :size], log_ret[-1, :size])

@@ -221,6 +221,31 @@ class TestHoldingsSelection:
         )
 
 
+class TestStreamRepointing:
+    """A generator re-keyed in place must be indistinguishable from a fresh
+    path_rng, whatever state the previous key left behind."""
+
+    DRAWS = {
+        "standard_normal": lambda g: g.standard_normal(37),
+        "permutation": lambda g: g.permutation(16),
+        "integers": lambda g: g.integers(0, 1000, size=9),
+    }
+
+    @pytest.mark.parametrize("draw", list(DRAWS))
+    @pytest.mark.parametrize("stream", [0, 1])
+    @pytest.mark.parametrize("seed, path_index", [(123, 7), (2**64 - 2, 2**64 - 1), (0, 2**40 + 3)])
+    def test_repointed_generator_matches_fresh(self, seed, path_index, stream, draw):
+        gen = path_rng(seed, 3)
+        state = gen.bit_generator.state
+        # three 32-bit draws: a half-used 64-bit word and a partly used buffer
+        gen.random(3, dtype=np.float32)
+        left = gen.bit_generator.state
+        assert left["has_uint32"] == 1 and 0 < left["buffer_pos"] < 4
+        levdiv.simulate._repoint(gen, state, path_index, stream)
+        expected = self.DRAWS[draw](path_rng(seed, path_index, stream))
+        assert np.array_equal(self.DRAWS[draw](gen), expected)
+
+
 class TestEstimates:
     def test_bitwise_reproducible(self):
         cfg = make_config(paths=500, overlap=RandomSelection())
@@ -342,6 +367,8 @@ BIT_IDENTITY_CONFIGS = {
     "N20-n10-random": _bit_identity_config(20, 10, None),
     # chunk size 500: two full chunks and a ragged one of 234 paths
     "N16-n4-k1-ragged": _bit_identity_config(16, 4, 1, steps=1000, paths=1234),
+    # one path's shocks exceed the scratch budget: sub-blocks of one path
+    "N16-n10-random-long": _bit_identity_config(16, 10, None, steps=10_000, paths=20),
 }
 
 
@@ -369,6 +396,18 @@ class TestThreadedEstimator:
         cfg = BIT_IDENTITY_CONFIGS["N16-n4-k1-ragged"]
         chunk = levdiv.simulate._chunk_size(cfg.steps_per_horizon, cfg.market.market_size)
         assert chunk == 500 and cfg.paths % chunk and cfg.paths > 2 * chunk
+
+    def test_long_config_has_one_path_sub_blocks(self):
+        cfg = BIT_IDENTITY_CONFIGS["N16-n10-random-long"]
+        assert cfg.steps_per_horizon * cfg.market.market_size > levdiv.simulate._SCRATCH_BUDGET
+
+    # the scratch budget at one path per sub-block, and at a whole chunk or more
+    @pytest.mark.parametrize("budget", [1, levdiv.simulate._CHUNK_BUDGET], ids=["one-path", "whole-chunk"])
+    @pytest.mark.parametrize("name", list(BIT_IDENTITY_CONFIGS))
+    def test_scratch_budget_does_not_change_bits(self, monkeypatch, name, budget):
+        monkeypatch.setattr(levdiv.simulate, "_SCRATCH_BUDGET", budget)
+        result = estimate_default_probs(BIT_IDENTITY_CONFIGS[name], collect_terminals=True)
+        _assert_bitwise_equal(result, _serial_result(name))
 
     @pytest.mark.parametrize("overlap", [FixedOverlap(2), RandomSelection()])
     def test_fewer_paths_than_workers(self, monkeypatch, overlap):
