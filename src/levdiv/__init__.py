@@ -14,7 +14,6 @@ from .analysis import (
     critical_diversification,
     default_chi_grid,
     delta_phi2,
-    effective_critical,
     mu_sensitivity,
     regime_sweep,
     systemic_pd,
@@ -32,7 +31,6 @@ from .gaussian import (
     binorm_cdf,
     binorm_cdf_grid,
     binorm_cdf_oracle,
-    binorm_pdf,
     phi1,
     tabulate_cdf_grid,
 )
@@ -77,11 +75,9 @@ __all__ = [
     "binorm_cdf",
     "binorm_cdf_grid",
     "binorm_cdf_oracle",
-    "binorm_pdf",
     "critical_diversification",
     "default_chi_grid",
     "delta_phi2",
-    "effective_critical",
     "estimate_default_probs",
     "individual_pd",
     "mu_sensitivity",

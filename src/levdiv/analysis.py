@@ -219,12 +219,6 @@ def critical_diversification(
     return mu_sensitivity(scenario, market, [market.drift], method, epsilon_safe, grid_spec)[market.drift]
 
 
-def effective_critical(n_star: int | None, market_size: int) -> int:
-    """Order-comparable encoding of a critical level: "no safe level"
-    sorts above every feasible level as market_size + 1."""
-    return market_size + 1 if n_star is None else n_star
-
-
 def default_chi_grid(points: int = 100, lo: float = 0.001, hi: float = 9.0) -> np.ndarray:
     """Log-spaced chi grid over the standard sweep box."""
     if points < 1 or lo <= 0 or hi <= lo:

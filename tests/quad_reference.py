@@ -1,4 +1,5 @@
-"""Reference Phi2 by adaptive quadrature, for tests only.
+"""Reference Phi2 by adaptive quadrature, and the bivariate density, for
+tests only.
 
 Phi2(a, b, rho) = Phi(a) Phi(b)
     + 1/(2 pi) * int_0^asin(rho) exp(-(a^2 + b^2 - 2 a b sin t) / (2 cos^2 t)) dt
@@ -14,6 +15,8 @@ import math
 
 from scipy.integrate import quad
 from scipy.special import ndtr
+
+from levdiv import DegenerateCorrelationError, DomainError
 
 
 def phi2_quad(z1: float, z2: float, rho: float) -> tuple[float, float]:
@@ -34,3 +37,19 @@ def phi2_quad(z1: float, z2: float, rho: float) -> tuple[float, float]:
     tail, abserr = quad(integrand, 0.0, math.asin(rho), epsabs=1e-13, limit=200)
     val = float(ndtr(z1) * ndtr(z2)) + tail / (2.0 * math.pi)
     return min(1.0, max(0.0, val)), abserr / (2.0 * math.pi)
+
+
+def binorm_pdf(z1: float, z2: float, rho: float) -> float:
+    """Standard bivariate normal density at (z1, z2) with correlation rho."""
+    if not -1.0 <= rho <= 1.0:
+        raise DomainError(f"correlation must lie in [-1, 1], got {rho!r}")
+    if not (math.isfinite(z1) and math.isfinite(z2)):
+        raise DomainError("binorm_pdf requires finite coordinates")
+    if abs(rho) >= 1.0:
+        raise DegenerateCorrelationError(
+            "density is degenerate at |rho| = 1; use the closed-form CDF cases"
+        )
+    omr2 = 1.0 - rho * rho
+    # grouping keeps the value bitwise symmetric under (z1, z2) swap
+    q = (z1 * z1 + z2 * z2) - 2.0 * rho * (z1 * z2)
+    return math.exp(-q / (2.0 * omr2)) / (2.0 * math.pi * math.sqrt(omr2))

@@ -11,6 +11,8 @@ import time
 
 import numpy as np
 
+from critical_order import effective_critical
+
 from levdiv import (
     BankStrategy,
     FixedOverlap,
@@ -23,7 +25,6 @@ from levdiv import (
     critical_diversification,
     default_chi_grid,
     delta_phi2,
-    effective_critical,
     estimate_default_probs,
     individual_pd,
     mu_sensitivity,

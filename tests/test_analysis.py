@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critical_order import effective_critical
+
 from levdiv import (
     BankStrategy,
     DomainError,
@@ -18,7 +20,6 @@ from levdiv import (
     critical_diversification,
     default_chi_grid,
     delta_phi2,
-    effective_critical,
     individual_pd,
     mu_sensitivity,
     phi1,

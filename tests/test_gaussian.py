@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr as scipy_ndtr
 
-from quad_reference import phi2_quad
+from quad_reference import binorm_pdf, phi2_quad
 
 from levdiv import (
     DEFAULT_GRID,
@@ -27,10 +28,10 @@ from levdiv import (
     binorm_cdf,
     binorm_cdf_grid,
     binorm_cdf_oracle,
-    binorm_pdf,
     phi1,
     tabulate_cdf_grid,
 )
+from levdiv.gaussian import _FLOAT_PATH_MAX, _ndtr, _ndtr_float
 
 # small grid keeps module tests fast; the default 2000-cell grid is
 # exercised by the acceptance suite
@@ -90,6 +91,61 @@ class TestPhi1:
     @given(finite_z)
     def test_bounds(self, z):
         assert 0.0 <= phi1(z) <= 1.0
+
+
+def _ndtr_points() -> np.ndarray:
+    """A seeded 10^6-point sample over [-40, 40], the special values, the
+    branch edges a = +/-1, +/-sqrt(2) (|x| = 1) and +/-8 sqrt(2) (|x| = 8)
+    with their neighbours, and both sides of the underflow edge near
+    |a| = 37.7, where exp(-x^2) leaves the double range."""
+    rng = np.random.default_rng(20261018)
+    edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 709.782712893384)]
+    near = [[np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf)] for e in edges]
+    underflow = np.linspace(37.6, 37.8, 2001)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320, -1e-320]
+    pos = np.concatenate([*near, underflow])
+    return np.concatenate([rng.uniform(-40.0, 40.0, 10**6), special, pos, -pos])
+
+
+class TestNdtrPort:
+    """The NumPy port of Cephes ndtr against scipy.special.ndtr, bit for bit."""
+
+    points = _ndtr_points()
+
+    def test_array_path_bitwise(self):
+        ref = scipy_ndtr(self.points)
+        edge = scipy_ndtr(-np.linspace(37.6, 37.8, 2001))
+        assert (edge == 0.0).any() and (edge > 0.0).any()  # both sides sampled
+        assert np.array_equal(_ndtr(self.points), ref, equal_nan=True)
+
+    def test_float_path_bitwise(self):
+        sample = np.concatenate([self.points[:100_000], self.points[10**6 :]])
+        got = np.array([_ndtr_float(a) for a in sample.tolist()])
+        assert np.array_equal(got, scipy_ndtr(sample), equal_nan=True)
+        # small arrays take the float path through _ndtr itself
+        small = sample[: sample.size // _FLOAT_PATH_MAX * _FLOAT_PATH_MAX].reshape(-1, _FLOAT_PATH_MAX)
+        got = np.array([_ndtr(row) for row in small])
+        assert np.array_equal(got, scipy_ndtr(small), equal_nan=True)
+
+    @pytest.mark.parametrize("size", [1, _FLOAT_PATH_MAX, _FLOAT_PATH_MAX + 1, 1000])
+    @pytest.mark.parametrize("shape", ["1d", "2d"])
+    def test_keeps_shape(self, size, shape):
+        a = np.linspace(-9.0, 9.0, 2 * size)
+        a = a.reshape(2, size) if shape == "2d" else a[:size]
+        got = _ndtr(a)
+        assert isinstance(got, np.ndarray) and got.shape == a.shape
+        assert np.array_equal(got, scipy_ndtr(a))
+
+    def test_empty_and_scalar_inputs(self):
+        assert _ndtr(np.array([])).shape == (0,)
+        for a in (0.3, np.float64(-2.5), np.array(1.7), 9.0, -40.0):
+            got = _ndtr(a)
+            assert type(got) is float
+            assert got == float(scipy_ndtr(a))
+
+    def test_phi1_equals_scipy(self):
+        for z in self.points[:20_000].tolist() + [0.0, -0.0, 1.0, -37.0, 37.0, 1e-320]:
+            assert phi1(z) == float(scipy_ndtr(z))
 
 
 class TestBinormPdf:
@@ -179,6 +235,25 @@ class TestOracle:
         single = [binorm_cdf_oracle(a, b, r) for a, b, r in zip(z1, z2, rho)]
         assert isinstance(single[0], float)
         assert batch.tolist() == single
+
+    def test_batch_matches_single_calls_bitwise_on_sweep_cells(self):
+        # a sweep's shape: diagonal cells (z1 == z2) over a few correlations
+        # n/N repeated across more than one pass of the arcsine rule, then
+        # near-degenerate r < 0 cells on both sides of h < k and of h = 0
+        rng = np.random.default_rng(11)
+        rhos = np.array([n / size for size in (10, 20, 40) for n in range(1, size) if n / size < 0.925])
+        z = rng.uniform(-4.0, 3.0, 5000)
+        rho = rng.choice(rhos, z.size)
+        diag = binorm_cdf_oracle(z, z, rho)
+        assert diag.tolist() == [binorm_cdf_oracle(a, a, r) for a, r in zip(z, rho)]
+        z1, z2 = rng.uniform(-4.0, 4.0, (2, 600))
+        z2[:60] = z1[:60]
+        rho = -rng.choice([0.925, 0.95, 0.99, 0.999999], z1.size)
+        # Genz's thresholds for r < 0 are h = -z1, k = z2
+        h, k = -z1, z2
+        assert ((h < k) & (h < 0.0)).any() and ((h < k) & (h >= 0.0)).any() and (h >= k).any()
+        batch = binorm_cdf_oracle(z1, z2, rho)
+        assert batch.tolist() == [binorm_cdf_oracle(a, b, r) for a, b, r in zip(z1, z2, rho)]
 
     def test_broadcasts_and_keeps_shape(self):
         rho = np.array([[0.1], [0.5], [0.97]])
@@ -316,17 +391,32 @@ class TestCorrelation:
         assert binorm_cdf_oracle(0.0, 0.0, -1.0) == 0.0
 
 
-def test_import_leaves_scipy_integrate_unloaded():
+def _run_python(code: str) -> subprocess.CompletedProcess:
     import levdiv
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(levdiv.__file__)))
-    code = "import sys, levdiv.cli; print('scipy.integrate' in sys.modules)"
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=120,
+    )
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # no scipy module at all, scipy.integrate among them
+    proc = _run_python(
+        "import sys, levdiv.cli; print([m for m in sys.modules if m.startswith('scipy')])"
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_runs_with_scipy_unimportable():
+    run = "import sys, levdiv.cli; sys.exit(levdiv.cli.main(['table1']))"
+    normal = _run_python(run)
+    blocked = _run_python("import sys; sys.modules['scipy'] = None; " + run)
+    assert normal.returncode == 0, normal.stderr
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stdout == normal.stdout
