@@ -199,6 +199,8 @@ def _critical(blocks: Blocks, labels: Sequence, deltas: np.ndarray, epsilon_safe
     """{(N, label): n*} for each block and labelled column of a (cell,
     market) delta table: n* is the smallest n of the block whose whole
     suffix is safe, or None, from a reversed cumulative AND over n."""
+    if not (math.isfinite(epsilon_safe) and epsilon_safe >= 0.0):
+        raise DomainError(f"epsilon_safe must be finite and >= 0, got {epsilon_safe!r}")
     out = {}
     ends = np.cumsum([len(ns) for _, ns in blocks])
     for (size, ns), d in zip(blocks, np.split(deltas, ends[:-1])):

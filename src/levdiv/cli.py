@@ -1,10 +1,16 @@
 """Command-line interface.
 
 Subcommands: pd, spd, delta, critical-n, sweep, table1, simulate, mu-scan.
-Parameter precedence: explicit flags > --config JSON file > built-in
-defaults.  Exit codes: 0 success, 2 usage or domain error (including
-unwritable outputs), 3 numerical failure.  "No safe level" is a regular
-in-band result printed as "none".
+Two tables and one runner: ``FLAGS`` declares each flag once (type,
+default, choices, help), and that type converts both command-line text and
+``--config`` values.  ``COMMANDS`` gives each subcommand its function, help
+and the flags it reads; other flags are usage errors.  ``main`` resolves
+each flag (explicit flag > --config JSON file > built-in default) into one
+parameter dict for the command, formats the fields it returns (pretty, csv
+or json) to stdout or --out (sweep and table1 write their own output), and
+maps exceptions to exit codes: 0 success, 2 usage or domain error
+(including malformed config and unwritable outputs), 3 numerical failure.
+"No safe level" is a regular in-band result printed as "none".
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -31,12 +37,7 @@ from .analysis import (
 from .errors import ConfigError, DomainError
 from .gaussian import DEFAULT_GRID, GridSpec, binorm_cdf
 from .merton import BankStrategy, MarketParams, individual_pd, random_overlap_joint_pd, z_score
-from .simulate import (
-    FixedOverlap,
-    RandomSelection,
-    SimConfig,
-    estimate_default_probs,
-)
+from .simulate import FixedOverlap, RandomSelection, SimConfig, estimate_default_probs
 
 TABLE1_MARKET_SIZES = (10, 20, 30, 40)
 TABLE1_CHIS = (1.6, 5.1, 8.9)
@@ -51,89 +52,121 @@ PUBLISHED_CRITICAL_N = {
 
 
 def compute_table1(
-    method: str = "oracle", epsilon_safe: float = EPSILON_SAFE
+    method: str = "oracle", epsilon_safe: float = EPSILON_SAFE, grid_spec: GridSpec = DEFAULT_GRID
 ) -> dict[tuple[float, float], dict[float, list[int | None]]]:
     """Critical diversification on the fixed (N, chi, scenario) box."""
     scenarios = [LeverageScenario(fn, fa) for fn, fa in TABLE1_SCENARIOS]
-    tables = critical_table(
-        scenarios, TABLE1_MARKET_SIZES, TABLE1_CHIS, method=method, epsilon_safe=epsilon_safe
-    )
+    tables = critical_table(scenarios, TABLE1_MARKET_SIZES, TABLE1_CHIS, method, epsilon_safe, grid_spec)
     return {
         pair: {chi: [table[(size, chi)] for size in TABLE1_MARKET_SIZES] for chi in TABLE1_CHIS}
         for pair, table in zip(TABLE1_SCENARIOS, tables)
     }
 
 
+def _list_of(item: Callable[[str], Any]) -> Callable[[Any], list]:
+    def parse(text: Any) -> list:  # a comma list such as --N-values 10,20
+        return [item(part) for part in str(text).split(",")]
+
+    parse.__name__ = f"{item.__name__} list"  # argparse names the type in usage errors
+    return parse
+
+
+class Flag(NamedTuple):
+    type: Callable[[Any], Any]
+    help: str
+    default: Any = None
+    choices: tuple[str, ...] | None = None
+
+
+# One entry per flag, keyed by its dest, which is also its --config key: --f-normal is "f_normal".
+FLAGS: dict[str, Flag] = {
+    "f": Flag(float, "leverage in (0,1)"),
+    "n": Flag(int, "diversification count"),
+    "f_normal": Flag(float, "leverage in normal times, in (0,1)"),
+    "f_abnormal": Flag(float, "excessive leverage, in (f_normal, 1)"),
+    "N": Flag(int, "number of available projects"),
+    "chi": Flag(float, "market risk constant sigma^2 T / 2 (implies T = 1)"),
+    "sigma": Flag(float, "project volatility (alternative to --chi)"),
+    "T": Flag(float, "horizon, default 1.0 (with --sigma)", 1.0),
+    "mu": Flag(float, "drift, default 0", 0.0),
+    "eps_safe": Flag(float, "safety threshold on delta_phi2", EPSILON_SAFE),
+    "N_values": Flag(_list_of(int), "comma list, default 10,20,30,40", (10, 20, 30, 40)),
+    "chi_points": Flag(int, "log-spaced chi count, default 100", 100),
+    "mu_values": Flag(
+        _list_of(float), "comma list of drifts; use --mu-values=-0.05,0,0.05 for negatives", (-0.05, 0.0, 0.05)
+    ),
+    "method": Flag(str, "Phi2 evaluation route", "oracle", ("grid", "oracle")),
+    "grid_cells": Flag(int, "grid cells per axis", DEFAULT_GRID.cells_per_axis),
+    "grid_range": Flag(str, "grid range as zmin:zmax; use --grid-range=-8:8 for negatives"),
+    "paths": Flag(int, "Monte Carlo paths, default 100000", 100_000),
+    "steps": Flag(int, "rebalancing steps per unit horizon, default 250", 250),
+    "seed": Flag(int, "random seed, default 0", 0),
+    "overlap": Flag(str, "'random' or 'fixed:K'", "random"),
+    "dump_terminals": Flag(str, "CSV path for per-path terminal values"),
+    "output": Flag(str, "output format", "pretty", ("csv", "json", "pretty")),
+    "out": Flag(str, "write primary output to this path"),
+    "config": Flag(str, "JSON file with default parameter values"),
+}
+
+MARKET = ("N", "chi", "sigma", "T", "mu")
+METHOD = ("method", "grid_cells", "grid_range")
+SCENARIO = ("f_normal", "f_abnormal")
+OUTPUT = ("output", "out")
+
+
+def _coerce(name: str, value: Any) -> Any:
+    """Convert a --config value with its flag's type and choices."""
+    flag = FLAGS[name]
+    try:
+        converted = flag.type(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config value {name}={value!r} is not a valid {flag.type.__name__}") from exc
+    if flag.choices is not None and converted not in flag.choices:
+        raise ConfigError(f"config value {name}={value!r} is not one of {', '.join(flag.choices)}")
+    return converted
+
+
 def _fmt_n(n: int | None) -> str:
     return "none" if n is None else str(n)
 
 
-def _load_config(path: str | None) -> dict[str, Any]:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ConfigError("config file must contain a JSON object")
-    return cfg
+def _require(p: dict[str, Any], name: str) -> Any:
+    if p[name] is None:
+        raise ConfigError(f"--{name.replace('_', '-')} is required")
+    return p[name]
 
 
-def _resolve(args: argparse.Namespace, cfg: dict[str, Any], name: str, default: Any) -> Any:
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in cfg:
-        return cfg[name]
-    return default
-
-
-def _market(args: argparse.Namespace, cfg: dict[str, Any]) -> MarketParams:
-    size = _resolve(args, cfg, "N", None)
-    if size is None:
+def _market(p: dict[str, Any]) -> MarketParams:
+    if p["N"] is None:
         raise ConfigError("market size --N is required")
-    mu = float(_resolve(args, cfg, "mu", 0.0))
-    chi = _resolve(args, cfg, "chi", None)
-    sigma = _resolve(args, cfg, "sigma", None)
-    horizon = float(_resolve(args, cfg, "T", 1.0))
-    if chi is not None and sigma is not None:
+    if p["chi"] is not None and p["sigma"] is not None:
         raise ConfigError("give either --chi or --sigma/--T, not both")
-    if chi is not None:
-        if horizon != 1.0:
+    if p["chi"] is not None:
+        if p["T"] != 1.0:
             raise ConfigError("--T only applies with --sigma; chi fixes T = 1")
-        return MarketParams.from_chi(int(size), float(chi), drift=mu)
-    if sigma is not None:
-        return MarketParams(int(size), float(sigma), horizon=horizon, drift=mu)
+        return MarketParams.from_chi(p["N"], p["chi"], drift=p["mu"])
+    if p["sigma"] is not None:
+        return MarketParams(p["N"], p["sigma"], horizon=p["T"], drift=p["mu"])
     raise ConfigError("one of --chi or --sigma is required")
 
 
-def _grid_spec(args: argparse.Namespace, cfg: dict[str, Any]) -> GridSpec:
-    cells = _resolve(args, cfg, "grid_cells", None)
-    rng = _resolve(args, cfg, "grid_range", None)
-    if cells is None and rng is None:
-        return DEFAULT_GRID
+def _grid_spec(p: dict[str, Any]) -> GridSpec:
     z_min, z_max = DEFAULT_GRID.z_min, DEFAULT_GRID.z_max
-    if rng is not None:
+    if p["grid_range"] is not None:
         try:
-            lo, hi = (float(part) for part in str(rng).split(":"))
+            z_min, z_max = (float(part) for part in p["grid_range"].split(":"))
         except ValueError as exc:
-            raise ConfigError(f"--grid-range must look like '-8:8', got {rng!r}") from exc
-        z_min, z_max = lo, hi
-    return GridSpec(
-        z_min=z_min,
-        z_max=z_max,
-        cells_per_axis=int(cells) if cells is not None else DEFAULT_GRID.cells_per_axis,
-    )
+            raise ConfigError(f"--grid-range must look like '-8:8', got {p['grid_range']!r}") from exc
+    return GridSpec(z_min=z_min, z_max=z_max, cells_per_axis=p["grid_cells"])
 
 
-def _scenario(args: argparse.Namespace, cfg: dict[str, Any]) -> LeverageScenario:
-    fn = _resolve(args, cfg, "f_normal", None)
-    fa = _resolve(args, cfg, "f_abnormal", None)
-    if fn is None or fa is None:
+def _scenario(p: dict[str, Any]) -> LeverageScenario:
+    if p["f_normal"] is None or p["f_abnormal"] is None:
         raise ConfigError("--f-normal and --f-abnormal are required")
-    return LeverageScenario(float(fn), float(fa))
+    return LeverageScenario(p["f_normal"], p["f_abnormal"])
 
 
-def _overlap(spec: str, n1: int, n2: int):
+def _overlap(spec: str):
     if spec == "random":
         return RandomSelection()
     if spec.startswith("fixed:"):
@@ -145,40 +178,23 @@ def _overlap(spec: str, n1: int, n2: int):
     raise ConfigError(f"--overlap must be 'random' or 'fixed:K', got {spec!r}")
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-
-
-def _format_scalar(args: argparse.Namespace, fields: dict[str, Any]) -> str:
-    mode = getattr(args, "output", None) or "pretty"
+def _format(mode: str, fields: dict[str, Any]) -> str:
     if mode == "json":
         return json.dumps(fields, indent=2) + "\n"
+    text = {k: repr(v) if isinstance(v, float) else str(v) for k, v in fields.items()}
     if mode == "csv":
-        head = ",".join(fields)
-        row = ",".join(repr(v) if isinstance(v, float) else str(v) for v in fields.values())
-        return f"{head}\r\n{row}\r\n"
-    width = max(len(k) for k in fields)
-    lines = []
-    for k, v in fields.items():
-        rendered = repr(v) if isinstance(v, float) else v
-        lines.append(f"{k.ljust(width)}  {rendered}\n")
-    return "".join(lines)
+        return f"{','.join(text)}\r\n{','.join(text.values())}\r\n"
+    width = max(len(k) for k in text)
+    return "".join(f"{k.ljust(width)}  {v}\n" for k, v in text.items())
 
 
 # ----------------------------------------------------------------- commands
 
 
-def _cmd_pd(args, cfg) -> int:
-    market = _market(args, cfg)
-    strat = BankStrategy(float(_require(args, cfg, "f")), int(_require(args, cfg, "n")))
-    fields = {
+def _pd(p: dict[str, Any]) -> dict[str, Any]:
+    market = _market(p)
+    strat = BankStrategy(_require(p, "f"), _require(p, "n"))
+    return {
         "f": strat.leverage,
         "n": strat.diversification,
         "N": market.market_size,
@@ -187,34 +203,28 @@ def _cmd_pd(args, cfg) -> int:
         "z": z_score(strat, market),
         "pd": individual_pd(strat, market),
     }
-    _emit(args, _format_scalar(args, fields))
-    return 0
 
 
-def _cmd_spd(args, cfg) -> int:
-    market = _market(args, cfg)
-    strat = BankStrategy(float(_require(args, cfg, "f")), int(_require(args, cfg, "n")))
-    method = _resolve(args, cfg, "method", "oracle")
-    fields = {
+def _spd(p: dict[str, Any]) -> dict[str, Any]:
+    market = _market(p)
+    strat = BankStrategy(_require(p, "f"), _require(p, "n"))
+    return {
         "f": strat.leverage,
         "n": strat.diversification,
         "N": market.market_size,
         "chi": market.chi,
         "mu": market.drift,
         "rho": strat.diversification / market.market_size,
-        "method": method,
-        "systemic_pd": systemic_pd(strat, market, method=method, grid_spec=_grid_spec(args, cfg)),
+        "method": p["method"],
+        "systemic_pd": systemic_pd(strat, market, method=p["method"], grid_spec=_grid_spec(p)),
     }
-    _emit(args, _format_scalar(args, fields))
-    return 0
 
 
-def _cmd_delta(args, cfg) -> int:
-    market = _market(args, cfg)
-    scenario = _scenario(args, cfg)
-    n = int(_require(args, cfg, "n"))
-    method = _resolve(args, cfg, "method", "oracle")
-    fields = {
+def _delta(p: dict[str, Any]) -> dict[str, Any]:
+    market = _market(p)
+    scenario = _scenario(p)
+    n = _require(p, "n")
+    return {
         "f_normal": scenario.f_normal,
         "f_abnormal": scenario.f_abnormal,
         "delta_f": scenario.delta_f,
@@ -222,151 +232,104 @@ def _cmd_delta(args, cfg) -> int:
         "N": market.market_size,
         "chi": market.chi,
         "mu": market.drift,
-        "method": method,
-        "delta_phi2": delta_phi2(scenario, n, market, method=method, grid_spec=_grid_spec(args, cfg)),
+        "method": p["method"],
+        "delta_phi2": delta_phi2(scenario, n, market, method=p["method"], grid_spec=_grid_spec(p)),
     }
-    _emit(args, _format_scalar(args, fields))
-    return 0
 
 
-def _cmd_critical_n(args, cfg) -> int:
-    market = _market(args, cfg)
-    scenario = _scenario(args, cfg)
-    method = _resolve(args, cfg, "method", "oracle")
-    eps = float(_resolve(args, cfg, "eps_safe", EPSILON_SAFE))
-    n_star = critical_diversification(
-        scenario, market, method=method, epsilon_safe=eps, grid_spec=_grid_spec(args, cfg)
-    )
-    fields = {
+def _critical_n(p: dict[str, Any]) -> dict[str, Any]:
+    market = _market(p)
+    scenario = _scenario(p)
+    n_star = critical_diversification(scenario, market, p["method"], p["eps_safe"], _grid_spec(p))
+    return {
         "f_normal": scenario.f_normal,
         "f_abnormal": scenario.f_abnormal,
         "N": market.market_size,
         "chi": market.chi,
         "mu": market.drift,
-        "epsilon_safe": eps,
-        "method": method,
+        "epsilon_safe": p["eps_safe"],
+        "method": p["method"],
         "critical_n": _fmt_n(n_star),
     }
-    _emit(args, _format_scalar(args, fields))
-    return 0
 
 
-def _cmd_sweep(args, cfg) -> int:
-    scenario = _scenario(args, cfg)
-    sizes = [int(v) for v in str(_resolve(args, cfg, "N_values", "10,20,30,40")).split(",")]
-    chi_points = int(_resolve(args, cfg, "chi_points", 100))
-    chis = default_chi_grid(points=chi_points)
-    method = _resolve(args, cfg, "method", "oracle")
-    eps = float(_resolve(args, cfg, "eps_safe", EPSILON_SAFE))
-    mu = float(_resolve(args, cfg, "mu", 0.0))
-    out = getattr(args, "out", None)
+def _sweep(p: dict[str, Any]) -> None:
+    scenario = _scenario(p)
+    chis = default_chi_grid(points=p["chi_points"])
+    out = p["out"]
     if not out:
         raise ConfigError("sweep requires --out PATH")
     result = regime_sweep(
         scenario,
-        sizes,
+        p["N_values"],
         chis,
-        mu=mu,
-        method=method,
-        epsilon_safe=eps,
-        grid_spec=_grid_spec(args, cfg),
+        mu=p["mu"],
+        method=p["method"],
+        epsilon_safe=p["eps_safe"],
+        grid_spec=_grid_spec(p),
     )
-    mode = getattr(args, "output", None) or "csv"
-    if mode == "pretty":
-        mode = "csv"
-    payload = result.to_csv() if mode == "csv" else result.to_json()
+    payload = result.to_json() if p["output"] == "json" else result.to_csv()
     with open(out, "w", encoding="utf-8", newline="") as fh:
         fh.write(payload)
     for size in result.market_sizes():
         print(f"N={size}: risky fraction {result.risky_fraction(size)!r}")
     print(f"wrote {out}")
-    return 0
 
 
-def _cmd_table1(args, cfg) -> int:
-    method = _resolve(args, cfg, "method", "oracle")
-    eps = float(_resolve(args, cfg, "eps_safe", EPSILON_SAFE))
-    computed = compute_table1(method=method, epsilon_safe=eps)
-    lines = []
-    header = "scenario        chi    " + "".join(f"N={size:<8}" for size in TABLE1_MARKET_SIZES)
-    lines.append(header)
-    for (fn, fa), by_chi in computed.items():
-        for chi, values in by_chi.items():
-            ref = PUBLISHED_CRITICAL_N[(fn, fa)][chi]
-            cells = []
-            for got, want in zip(values, ref):
-                diff = "n/a" if got is None else f"{got - want:+d}"
-                cells.append(f"{_fmt_n(got)}({diff})")
-            lines.append(
-                f"{{{fn},{fa}}}".ljust(16)
-                + f"{chi:<7}"
-                + "".join(c.ljust(10) for c in cells)
-            )
-    lines.append("cell format: computed(diff vs reference); 'none' = no safe level")
-    print("\n".join(lines))
-    out = getattr(args, "out", None)
-    if out:
-        # wide layout mirroring the printed table: one row per N, one value
-        # column and one diff column per (scenario, chi) pair
-        cols = [
-            (fn, fa, chi)
-            for fn, fa in TABLE1_SCENARIOS
-            for chi in TABLE1_CHIS
-        ]
-        head = ["N"]
-        head += [f"fn{fn}_fa{fa}_chi{chi}" for fn, fa, chi in cols]
-        head += [f"fn{fn}_fa{fa}_chi{chi}_diff" for fn, fa, chi in cols]
-        rows = [head]
+def _table1(p: dict[str, Any]) -> None:
+    computed = compute_table1(p["method"], p["eps_safe"], _grid_spec(p))
+    # per (scenario, chi): one printed row, and a value and a diff column in
+    # the --out CSV, which has one row per N
+    cols = [(fn, fa, chi) for fn, fa in TABLE1_SCENARIOS for chi in TABLE1_CHIS]
+    got = [computed[(fn, fa)][chi] for fn, fa, chi in cols]
+    diffs = [
+        ["n/a" if g is None else f"{g - w:+d}" for g, w in zip(values, PUBLISHED_CRITICAL_N[(fn, fa)][chi])]
+        for values, (fn, fa, chi) in zip(got, cols)
+    ]
+    print("scenario        chi    " + "".join(f"N={size:<8}" for size in TABLE1_MARKET_SIZES))
+    for (fn, fa, chi), values, diff in zip(cols, got, diffs):
+        cells = "".join(f"{_fmt_n(g)}({d})".ljust(10) for g, d in zip(values, diff))
+        print(f"{{{fn},{fa}}}".ljust(16) + f"{chi:<7}" + cells)
+    print("cell format: computed(diff vs reference); 'none' = no safe level")
+    if p["out"]:
+        names = [f"fn{fn}_fa{fa}_chi{chi}" for fn, fa, chi in cols]
+        rows = [["N", *names, *(f"{name}_diff" for name in names)]]
         for i, size in enumerate(TABLE1_MARKET_SIZES):
-            got_cells = [computed[(fn, fa)][chi][i] for fn, fa, chi in cols]
-            refs = [PUBLISHED_CRITICAL_N[(fn, fa)][chi][i] for fn, fa, chi in cols]
-            row = [str(size)]
-            row += [_fmt_n(g) for g in got_cells]
-            row += ["n/a" if g is None else f"{g - w:+d}" for g, w in zip(got_cells, refs)]
-            rows.append(row)
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+            rows.append([str(size)] + [_fmt_n(values[i]) for values in got] + [diff[i] for diff in diffs])
+        with open(p["out"], "w", encoding="utf-8", newline="") as fh:
             fh.write("\r\n".join(",".join(r) for r in rows) + "\r\n")
-        print(f"wrote {out}")
-    return 0
+        print(f"wrote {p['out']}")
 
 
-def _cmd_simulate(args, cfg) -> int:
-    market = _market(args, cfg)
-    f = _resolve(args, cfg, "f", None)
-    n = _resolve(args, cfg, "n", None)
-    if f is None or n is None:
-        raise ConfigError("simulate requires --f and --n (homogeneous banks)")
-    strat = BankStrategy(float(f), int(n))
-    overlap = _overlap(str(_resolve(args, cfg, "overlap", "random")), int(n), int(n))
+def _simulate(p: dict[str, Any]) -> dict[str, Any]:
+    market = _market(p)
+    strat = BankStrategy(_require(p, "f"), _require(p, "n"))  # both banks hold n projects
+    overlap = _overlap(p["overlap"])
     config = SimConfig(
         market=market,
         strategies=(strat, strat),
         overlap=overlap,
-        paths=int(_resolve(args, cfg, "paths", 100_000)),
-        steps_per_horizon=int(_resolve(args, cfg, "steps", 250)),
-        seed=int(_resolve(args, cfg, "seed", 0)),
+        paths=p["paths"],
+        steps_per_horizon=p["steps"],
+        seed=p["seed"],
     )
-    collect = getattr(args, "dump_terminals", None) is not None
-    result = estimate_default_probs(config, collect_terminals=collect)
-    if collect:
-        path = args.dump_terminals
-        with open(path, "w", encoding="ascii", newline="") as fh:
+    dump = p["dump_terminals"]
+    result = estimate_default_probs(config, collect_terminals=dump is not None)
+    if dump is not None:
+        with open(dump, "w", encoding="ascii", newline="") as fh:
             fh.write("path,terminal_assets_bank1,terminal_assets_bank2\r\n")
             for i, (a1, a2) in enumerate(result.terminal_values):
                 fh.write(f"{i},{float(a1)!r},{float(a2)!r}\r\n")
-        print(f"wrote {path}")
-
+        print(f"wrote {dump}")
     pd_target = individual_pd(strat, market)
     z = z_score(strat, market)
-    if isinstance(overlap, FixedOverlap):
-        rho_target = overlap.shared / strat.diversification
-        joint_target = mixture_target = binorm_cdf(z, z, rho_target)
-    else:
-        # the paper's mean-correlation value, and the model's exact joint PD
-        rho_target = strat.diversification / market.market_size
-        joint_target = binorm_cdf(z, z, rho_target)
-        mixture_target = random_overlap_joint_pd(strat, market)
-    fields = {
+    # a fixed overlap k has correlation k/n; a random one has the paper's mean
+    # correlation n/N, and the model's exact joint PD is the mixture over K
+    fixed = isinstance(overlap, FixedOverlap)
+    rho_target = overlap.shared / p["n"] if fixed else p["n"] / market.market_size
+    joint_target = binorm_cdf(z, z, rho_target)
+    mixture_target = joint_target if fixed else random_overlap_joint_pd(strat, market)
+    return {
         "pd1_hat": result.pd1_hat,
         "pd2_hat": result.pd2_hat,
         "joint_pd_hat": result.joint_pd_hat,
@@ -388,63 +351,66 @@ def _cmd_simulate(args, cfg) -> int:
         "paths_used": result.paths_used,
         "seed_used": result.seed_used,
     }
-    _emit(args, _format_scalar(args, fields))
-    return 0
 
 
 def _se_multiple(est: float, target: float, se: float) -> float:
     return abs(est - target) / se if se > 0 else math.inf
 
 
-def _cmd_mu_scan(args, cfg) -> int:
-    market = _market(args, cfg)
-    scenario = _scenario(args, cfg)
-    method = _resolve(args, cfg, "method", "oracle")
-    eps = float(_resolve(args, cfg, "eps_safe", EPSILON_SAFE))
-    mus = [float(v) for v in str(_resolve(args, cfg, "mu_values", "-0.05,0,0.05")).split(",")]
-    scan = mu_sensitivity(scenario, market, mus, method=method, epsilon_safe=eps)
-    fields = {f"critical_n[mu={mu!r}]": _fmt_n(n_star) for mu, n_star in scan.items()}
-    fields.update(
-        {
-            "f_normal": scenario.f_normal,
-            "f_abnormal": scenario.f_abnormal,
-            "N": market.market_size,
-            "chi": market.chi,
-        }
-    )
-    _emit(args, _format_scalar(args, fields))
-    return 0
+def _mu_scan(p: dict[str, Any]) -> dict[str, Any]:
+    market = _market(p)
+    scenario = _scenario(p)
+    scan = mu_sensitivity(scenario, market, p["mu_values"], p["method"], p["eps_safe"], _grid_spec(p))
+    return {
+        **{f"critical_n[mu={mu!r}]": _fmt_n(n_star) for mu, n_star in scan.items()},
+        "f_normal": scenario.f_normal,
+        "f_abnormal": scenario.f_abnormal,
+        "N": market.market_size,
+        "chi": market.chi,
+    }
 
 
-def _require(args, cfg, name: str) -> Any:
-    value = _resolve(args, cfg, name, None)
-    if value is None:
-        raise ConfigError(f"--{name.replace('_', '-')} is required")
-    return value
+# ------------------------------------------------------------------- runner
 
 
-# ------------------------------------------------------------------- parser
+class Command(NamedTuple):
+    run: Callable[[dict[str, Any]], dict[str, Any] | None]
+    help: str
+    flags: tuple[str, ...]  # every command also takes --config
 
 
-def _add_market_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--N", type=int, help="number of available projects")
-    p.add_argument("--chi", type=float, help="market risk constant sigma^2 T / 2 (implies T = 1)")
-    p.add_argument("--sigma", type=float, help="project volatility (alternative to --chi)")
-    p.add_argument("--T", type=float, help="horizon, default 1.0 (with --sigma)")
-    p.add_argument("--mu", type=float, help="drift, default 0")
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=("grid", "oracle"), help="Phi2 evaluation route")
-    p.add_argument("--grid-cells", dest="grid_cells", type=int, help="grid cells per axis")
-    p.add_argument(
-        "--grid-range",
-        dest="grid_range",
-        help="grid range as zmin:zmax; use --grid-range=-8:8 for negatives",
-    )
-    p.add_argument("--output", choices=("csv", "json", "pretty"), help="output format")
-    p.add_argument("--out", help="write primary output to this path")
-    p.add_argument("--config", help="JSON file with default parameter values")
+COMMANDS: dict[str, Command] = {
+    "pd": Command(_pd, "individual default probability Phi1(z)", ("f", "n", *MARKET, *OUTPUT)),
+    "spd": Command(
+        _spd, "systemic (joint) default probability Phi2(z, z, n/N)", ("f", "n", *MARKET, *METHOD, *OUTPUT)
+    ),
+    "delta": Command(
+        _delta, "systemic risk increase from excessive leverage", (*SCENARIO, "n", *MARKET, *METHOD, *OUTPUT)
+    ),
+    "critical-n": Command(
+        _critical_n,
+        "minimum diversification with a safe suffix",
+        (*SCENARIO, "eps_safe", *MARKET, *METHOD, *OUTPUT),
+    ),
+    "sweep": Command(
+        _sweep,
+        "regime map over (N, n, chi)",
+        (*SCENARIO, "N_values", "chi_points", "eps_safe", "mu", *METHOD, *OUTPUT),
+    ),
+    "table1": Command(
+        _table1, "critical diversification on the reference box, with diffs", ("eps_safe", *METHOD, "out")
+    ),
+    "simulate": Command(
+        _simulate,
+        "Monte Carlo default frequencies vs analytic values",
+        ("f", "n", "paths", "steps", "seed", "overlap", "dump_terminals", *MARKET, *OUTPUT),
+    ),
+    "mu-scan": Command(
+        _mu_scan,
+        "critical diversification as a function of drift",
+        (*SCENARIO, "mu_values", "eps_safe", *MARKET, *METHOD, *OUTPUT),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,86 +419,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Leverage, diversification and joint bank default probabilities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pd", help="individual default probability Phi1(z)")
-    p.add_argument("--f", type=float, help="leverage in (0,1)")
-    p.add_argument("--n", type=int, help="diversification count")
-    _add_market_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_pd)
-
-    p = sub.add_parser("spd", help="systemic (joint) default probability Phi2(z, z, n/N)")
-    p.add_argument("--f", type=float)
-    p.add_argument("--n", type=int)
-    _add_market_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_spd)
-
-    p = sub.add_parser("delta", help="systemic risk increase from excessive leverage")
-    p.add_argument("--f-normal", dest="f_normal", type=float)
-    p.add_argument("--f-abnormal", dest="f_abnormal", type=float)
-    p.add_argument("--n", type=int)
-    _add_market_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_delta)
-
-    p = sub.add_parser("critical-n", help="minimum diversification with a safe suffix")
-    p.add_argument("--f-normal", dest="f_normal", type=float)
-    p.add_argument("--f-abnormal", dest="f_abnormal", type=float)
-    p.add_argument("--eps-safe", dest="eps_safe", type=float)
-    _add_market_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_critical_n)
-
-    p = sub.add_parser("sweep", help="regime map over (N, n, chi)")
-    p.add_argument("--f-normal", dest="f_normal", type=float)
-    p.add_argument("--f-abnormal", dest="f_abnormal", type=float)
-    p.add_argument("--N-values", dest="N_values", help="comma list, default 10,20,30,40")
-    p.add_argument("--chi-points", dest="chi_points", type=int, help="log-spaced chi count, default 100")
-    p.add_argument("--eps-safe", dest="eps_safe", type=float)
-    p.add_argument("--mu", type=float)
-    _add_common(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("table1", help="critical diversification on the reference box, with diffs")
-    p.add_argument("--eps-safe", dest="eps_safe", type=float)
-    _add_common(p)
-    p.set_defaults(func=_cmd_table1)
-
-    p = sub.add_parser("simulate", help="Monte Carlo default frequencies vs analytic values")
-    p.add_argument("--f", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--paths", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--overlap", help="'random' or 'fixed:K'")
-    p.add_argument("--dump-terminals", dest="dump_terminals", help="CSV path for per-path terminal values")
-    _add_market_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("mu-scan", help="critical diversification as a function of drift")
-    p.add_argument("--f-normal", dest="f_normal", type=float)
-    p.add_argument("--f-abnormal", dest="f_abnormal", type=float)
-    p.add_argument(
-        "--mu-values",
-        dest="mu_values",
-        help="comma list of drifts; use --mu-values=-0.05,0,0.05 for negatives",
-    )
-    p.add_argument("--eps-safe", dest="eps_safe", type=float)
-    _add_market_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_mu_scan)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in (*command.flags, "config"):
+            spec = FLAGS[flag]
+            p.add_argument("--" + flag.replace("_", "-"), type=spec.type, choices=spec.choices, help=spec.help)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        cfg = _load_config(getattr(args, "config", None))
-        return args.func(args, cfg)
+        config = {}
+        if args.config is not None:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                try:
+                    config = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
+            if not isinstance(config, dict):
+                raise ConfigError("config file must contain a JSON object")
+        params = {}
+        for name in command.flags:
+            value = getattr(args, name)
+            if value is None and config.get(name) is not None:
+                value = _coerce(name, config[name])
+            params[name] = FLAGS[name].default if value is None else value
+        fields = command.run(params)
+        if fields is not None:
+            text = _format(params["output"], fields)
+            if params["out"]:
+                with open(params["out"], "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
+        return 0
     except (DomainError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -138,6 +138,24 @@ class TestCriticalDiversification:
         # at a loose threshold the whole suffix becomes safe down to n = 1
         assert critical_diversification(SCENARIO, M10, epsilon_safe=0.5) == 1
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0, -1e-300])
+    def test_non_finite_or_negative_epsilon_rejected(self, eps):
+        # every reduction to critical levels checks the threshold
+        with pytest.raises(DomainError, match="epsilon_safe"):
+            critical_diversification(SCENARIO, M10, epsilon_safe=eps)
+        with pytest.raises(DomainError, match="epsilon_safe"):
+            regime_sweep(SCENARIO, [4], [1.6], epsilon_safe=eps)
+        with pytest.raises(DomainError, match="epsilon_safe"):
+            critical_table([SCENARIO], [4], [1.6], epsilon_safe=eps)
+        with pytest.raises(DomainError, match="epsilon_safe"):
+            mu_sensitivity(SCENARIO, M10, [0.0], epsilon_safe=eps)
+
+    def test_zero_epsilon_is_valid(self):
+        # zero demands delta_phi2 <= 0: met where both default probabilities
+        # underflow to 0, never at chi = 1.6
+        assert critical_diversification(SCENARIO, MarketParams.from_chi(10, 0.001), epsilon_safe=0.0) == 1
+        assert critical_diversification(SCENARIO, M10, epsilon_safe=0.0) is None
+
     def test_effective_encoding(self):
         assert effective_critical(None, 40) == 41
         assert effective_critical(7, 40) == 7

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from levdiv.cli import PUBLISHED_CRITICAL_N, compute_table1, main
+from levdiv.cli import COMMANDS, PUBLISHED_CRITICAL_N, compute_table1, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+PD_ARGS = ("--f", "0.25", "--n", "5", "--N", "10", "--chi", "1.6")
 
 
 def run(capsys, *argv):
@@ -133,6 +138,113 @@ class TestErrors:
         )
         assert code != 0
         assert "error" in err
+
+
+class TestMalformedInput:
+    def test_invalid_json_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"f": 0.25,')
+        code, _, err = run(capsys, "pd", *PD_ARGS, "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error:") and "not valid JSON" in err
+
+    def test_config_value_of_wrong_type_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"f": 0.25, "n": 5, "N": "ten", "chi": 1.6}))
+        code, _, err = run(capsys, "pd", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error:") and "'ten'" in err
+
+    def test_malformed_int_list_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sweep", "--f-normal", "0.1", "--f-abnormal", "0.25",
+                "--N-values", "10,abc", "--out", "unused.csv",
+            ])
+        assert exc.value.code == 2
+        assert "--N-values" in capsys.readouterr().err
+
+    def test_malformed_float_list_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "mu-scan", "--f-normal", "0.1", "--f-abnormal", "0.25",
+                "--N", "10", "--chi", "0.4", "--mu-values=a,b",
+            ])
+        assert exc.value.code == 2
+        assert "--mu-values" in capsys.readouterr().err
+
+    def test_config_value_outside_choices_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"method": "exact"}))
+        code, _, err = run(capsys, "spd", *PD_ARGS, "--config", str(cfg))
+        assert code == 2
+        assert "method" in err
+
+    @pytest.mark.parametrize("eps", ["nan", "-1"])
+    def test_non_finite_or_negative_eps_safe_exits_2(self, capsys, eps):
+        code, _, err = run(
+            capsys, "critical-n", "--f-normal", "0.1", "--f-abnormal", "0.25",
+            "--N", "10", "--chi", "0.4", "--eps-safe", eps,
+        )
+        assert code == 2
+        assert "epsilon_safe" in err
+
+
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pd", *PD_ARGS, "--method", "grid"),
+            ("pd", *PD_ARGS, "--grid-cells", "400"),
+            ("simulate", *PD_ARGS, "--grid-range=-6:6"),
+            ("simulate", *PD_ARGS, "--method", "oracle"),
+            ("table1", "--output", "csv"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+
+    def test_config_sets_output_and_out(self, capsys, tmp_path):
+        out_path = tmp_path / "pd.json"
+        cfg = tmp_path / "run.json"
+        # "paths" is not a pd flag: unknown keys are ignored, so one file
+        # can serve several commands
+        cfg.write_text(json.dumps({"output": "json", "out": str(out_path), "paths": 10}))
+        code, out, _ = run(capsys, "pd", *PD_ARGS, "--config", str(cfg))
+        assert code == 0
+        assert out == ""
+        assert json.loads(out_path.read_text())["pd"] == pytest.approx(0.0912875707, abs=1e-9)
+
+    def test_config_sets_dump_terminals(self, capsys, tmp_path):
+        dump = tmp_path / "terminals.csv"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"dump_terminals": str(dump), "paths": 5, "steps": 2}))
+        code, out, _ = run(capsys, "simulate", *PD_ARGS, "--overlap", "fixed:1", "--config", str(cfg))
+        assert code == 0
+        assert f"wrote {dump}" in out
+        assert len(dump.read_text().splitlines()) == 1 + 5
+
+
+class TestGridSpecReachesEveryGridCommand:
+    COARSE = ("--method", "grid", "--grid-cells", "2", "--grid-range=-1:1", "--eps-safe", "0.001")
+    MARKET = ("--f-normal", "0.1", "--f-abnormal", "0.25", "--N", "10", "--chi", "0.4", "--output", "json")
+
+    def test_mu_scan_at_zero_drift_matches_critical_n(self, capsys):
+        code, out, _ = run(capsys, "critical-n", *self.MARKET, *self.COARSE)
+        assert code == 0
+        n_star = json.loads(out)["critical_n"]
+        code, out, _ = run(capsys, "mu-scan", *self.MARKET, "--mu-values=0", *self.COARSE)
+        assert code == 0
+        assert json.loads(out)["critical_n[mu=0.0]"] == n_star
+
+    def test_table1_coarse_grid_differs_from_default_grid(self, capsys):
+        code, coarse, _ = run(capsys, "table1", *self.COARSE)
+        assert code == 0
+        code, default, _ = run(capsys, "table1", "--method", "grid", "--eps-safe", "0.001")
+        assert code == 0
+        assert coarse != default
 
 
 class TestConfigPrecedence:
@@ -270,3 +382,14 @@ class TestSimulateCommand:
         assert rows[0] == ["path", "terminal_assets_bank1", "terminal_assets_bank2"]
         assert len(rows) == 1 + 400
         assert float(rows[1][1]) > 0
+
+
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    """Every command of README's "Command line" block exits 0."""
+    block = README.read_text().split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("levdiv ")]
+    assert {argv[0] for argv in commands} == set(COMMANDS)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
