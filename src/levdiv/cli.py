@@ -63,11 +63,24 @@ def compute_table1(
     }
 
 
-def _list_of(item: Callable[[str], Any]) -> Callable[[Any], list]:
-    def parse(text: Any) -> list:  # a comma list such as --N-values 10,20
-        return [item(part) for part in str(text).split(",")]
+def _number(kind: type) -> Callable[[Any], Any]:
+    def parse(value: Any) -> Any:  # a flag's string, or any JSON value from --config
+        if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+            raise ValueError(repr(value))
+        return kind(value)
 
-    parse.__name__ = f"{item.__name__} list"  # argparse names the type in usage errors
+    parse.__name__ = kind.__name__  # argparse names the type in usage errors
+    return parse
+
+
+_int, _float = _number(int), _number(float)
+
+
+def _list_of(item: Callable[[Any], Any]) -> Callable[[Any], list]:
+    def parse(value: Any) -> list:  # a comma list such as --N-values 10,20, or a JSON array
+        return [item(part) for part in (value if isinstance(value, list) else str(value).split(","))]
+
+    parse.__name__ = f"{item.__name__} list"
     return parse
 
 
@@ -80,27 +93,27 @@ class Flag(NamedTuple):
 
 # One entry per flag, keyed by its dest, which is also its --config key: --f-normal is "f_normal".
 FLAGS: dict[str, Flag] = {
-    "f": Flag(float, "leverage in (0,1)"),
-    "n": Flag(int, "diversification count"),
-    "f_normal": Flag(float, "leverage in normal times, in (0,1)"),
-    "f_abnormal": Flag(float, "excessive leverage, in (f_normal, 1)"),
-    "N": Flag(int, "number of available projects"),
-    "chi": Flag(float, "market risk constant sigma^2 T / 2 (implies T = 1)"),
-    "sigma": Flag(float, "project volatility (alternative to --chi)"),
-    "T": Flag(float, "horizon, default 1.0 (with --sigma)", 1.0),
-    "mu": Flag(float, "drift, default 0", 0.0),
-    "eps_safe": Flag(float, "safety threshold on delta_phi2", EPSILON_SAFE),
-    "N_values": Flag(_list_of(int), "comma list, default 10,20,30,40", (10, 20, 30, 40)),
-    "chi_points": Flag(int, "log-spaced chi count, default 100", 100),
+    "f": Flag(_float, "leverage in (0,1)"),
+    "n": Flag(_int, "diversification count"),
+    "f_normal": Flag(_float, "leverage in normal times, in (0,1)"),
+    "f_abnormal": Flag(_float, "excessive leverage, in (f_normal, 1)"),
+    "N": Flag(_int, "number of available projects"),
+    "chi": Flag(_float, "market risk constant sigma^2 T / 2 (implies T = 1)"),
+    "sigma": Flag(_float, "project volatility (alternative to --chi)"),
+    "T": Flag(_float, "horizon, default 1.0 (with --sigma)", 1.0),
+    "mu": Flag(_float, "drift, default 0", 0.0),
+    "eps_safe": Flag(_float, "safety threshold on delta_phi2", EPSILON_SAFE),
+    "N_values": Flag(_list_of(_int), "comma list, default 10,20,30,40", (10, 20, 30, 40)),
+    "chi_points": Flag(_int, "log-spaced chi count, default 100", 100),
     "mu_values": Flag(
-        _list_of(float), "comma list of drifts; use --mu-values=-0.05,0,0.05 for negatives", (-0.05, 0.0, 0.05)
+        _list_of(_float), "comma list of drifts; use --mu-values=-0.05,0,0.05 for negatives", (-0.05, 0.0, 0.05)
     ),
     "method": Flag(str, "Phi2 evaluation route", "oracle", ("grid", "oracle")),
-    "grid_cells": Flag(int, "grid cells per axis", DEFAULT_GRID.cells_per_axis),
+    "grid_cells": Flag(_int, "grid cells per axis", DEFAULT_GRID.cells_per_axis),
     "grid_range": Flag(str, "grid range as zmin:zmax; use --grid-range=-8:8 for negatives"),
-    "paths": Flag(int, "Monte Carlo paths, default 100000", 100_000),
-    "steps": Flag(int, "rebalancing steps per unit horizon, default 250", 250),
-    "seed": Flag(int, "random seed, default 0", 0),
+    "paths": Flag(_int, "Monte Carlo paths, default 100000", 100_000),
+    "steps": Flag(_int, "rebalancing steps per unit horizon, default 250", 250),
+    "seed": Flag(_int, "random seed, default 0", 0),
     "overlap": Flag(str, "'random' or 'fixed:K'", "random"),
     "dump_terminals": Flag(str, "CSV path for per-path terminal values"),
     "output": Flag(str, "output format", "pretty", ("csv", "json", "pretty")),

@@ -35,9 +35,14 @@ Both are array-valued: arguments broadcast, the grid tabulates each
 distinct correlation once per call, and scalar arguments give a float.
 A grid call tabulates only the leading block of nodes its queries reach
 (the analysis queries the diagonal at z <= ~2, about a quarter of the
-default square).  The cumulative sums run in prefix order, so the block
-equals that corner of the full table bit for bit and every lookup returns
-what the full table would.
+default square).  The table is filled a cache-sized block of rows at a
+time, with the axis-0 running sum carried from one block to the next, so
+the only full-size array is the table itself.  That fill is bit for bit
+the whole-array pass: density, corner mean and volume are elementwise with
+the same operations in the same order, and both cumulative sums add
+strictly in prefix order.  For the same reason a bounded block equals that
+corner of the full table bit for bit, and every lookup returns what the
+full table would.
 Phi is Cephes ``ndtr`` (Moshier 1989, *Methods and Programs for
 Mathematical Functions*), the algorithm ``scipy.special.ndtr`` runs, ported
 to NumPy and ``math`` so levdiv needs numpy only; tests check it equals
@@ -383,6 +388,12 @@ def _extent(i: np.ndarray, j: np.ndarray) -> int:
     return int(max(i.max(initial=0), j.max(initial=0))) + 2
 
 
+# Doubles in each scratch block of a tabulation (~0.5 MB, so a block of
+# density rows stays in cache while its corner means and sums are formed).
+# No output depends on it.
+_SCRATCH_BUDGET = 65_536
+
+
 @lru_cache(maxsize=4)
 def tabulate_cdf_grid(
     rho: float, spec: GridSpec = DEFAULT_GRID, extent: int | None = None
@@ -392,11 +403,15 @@ def tabulate_cdf_grid(
 
     Steps: density at the grid nodes; per-cell mean of the four corner
     values; volume = mean density times squared cell width; cumulative
-    double sum.  The whole pass is a fixed summation order, so repeated
-    builds are bitwise identical.  A bounded table is bit for bit the
-    leading block of the full one: its nodes are a prefix of the same
-    linspace, density and corner mean are elementwise, and each cumulative
-    sum adds in prefix order.
+    double sum.  The table is filled a block of rows at a time: each block
+    evaluates its density rows (the previous block's last row carried
+    over), forms its volumes, continues the axis-0 running sum from the
+    previous block's last sum row and writes its axis-1 sums straight into
+    the table.  That is bit for bit the whole-array pass: density, corner
+    mean and volume are elementwise with the same operations in the same
+    order, and both cumulative sums add strictly in prefix order, so
+    neither the block size nor the extent changes any element.  A bounded
+    table is therefore the leading block of the full one.
     """
     rho = float(rho)
     if abs(rho) > 1.0 - DEGENERATE_RHO_TOL:
@@ -404,17 +419,51 @@ def tabulate_cdf_grid(
             f"grid tabulation unstable for |rho| > {1.0 - DEGENERATE_RHO_TOL}; "
             "use the closed-form degenerate cases"
         )
+    if extent is not None and (
+        isinstance(extent, bool) or not isinstance(extent, int) or not 2 <= extent <= spec.cells_per_axis + 1
+    ):
+        raise ConfigError(
+            f"extent must be None or an integer in [2, {spec.cells_per_axis + 1}], got {extent!r}"
+        )
     nodes = np.linspace(spec.z_min, spec.z_max, spec.cells_per_axis + 1)[:extent]
+    m = nodes.size
     omr2 = 1.0 - rho * rho
-    z1 = nodes[:, None]
     z2 = nodes[None, :]
-    g = np.exp(-(z1 * z1 - 2.0 * rho * z1 * z2 + z2 * z2) / (2.0 * omr2))
-    g /= 2.0 * np.pi * np.sqrt(omr2)
-    corner_mean = 0.25 * (g[:-1, :-1] + g[1:, :-1] + g[:-1, 1:] + g[1:, 1:])
-    cdf = np.zeros((nodes.size,) * 2)
-    volumes = cdf[1:, 1:]
-    np.cumsum(corner_mean * spec.cell_width**2, axis=0, out=volumes)
-    np.cumsum(volumes, axis=1, out=volumes)
+    z2_sq = z2 * z2
+    norm = 2.0 * np.pi * np.sqrt(omr2)
+    area = spec.cell_width**2
+
+    def density(lo: int, out: np.ndarray) -> None:
+        # rows [lo, lo + len(out)) of exp(-(z1^2 - 2 rho z1 z2 + z2^2) / (2 omr2)) / norm
+        z1 = nodes[lo : lo + len(out), None]
+        np.multiply(2.0 * rho * z1, z2, out=out)
+        np.subtract(z1 * z1, out, out=out)
+        np.add(out, z2_sq, out=out)
+        np.negative(out, out=out)
+        np.divide(out, 2.0 * omr2, out=out)
+        np.exp(out, out=out)
+        np.divide(out, norm, out=out)
+
+    rows = min(m - 1, max(1, _SCRATCH_BUDGET // m))  # cells per block
+    g = np.empty((rows + 1, m))  # row 0 carries the previous block's last density row
+    sums = np.empty((rows + 1, m - 1))  # row 0 carries the previous block's last running sum
+    cdf = np.zeros((m, m))
+    density(0, g[:1])
+    for lo in range(0, m - 1, rows):
+        k = min(rows, m - 1 - lo)
+        density(lo + 1, g[1 : k + 1])
+        vol = sums[1 : k + 1]
+        np.add(g[:k, :-1], g[1 : k + 1, :-1], out=vol)
+        np.add(vol, g[:k, 1:], out=vol)
+        np.add(vol, g[1 : k + 1, 1:], out=vol)
+        np.multiply(0.25, vol, out=vol)
+        np.multiply(vol, area, out=vol)
+        # the first running sum row is the first volume row itself
+        for r in range(2 if lo == 0 else 1, k + 1):
+            np.add(sums[r - 1], sums[r], out=sums[r])
+        np.cumsum(vol, axis=1, out=cdf[lo + 1 : lo + 1 + k, 1:])
+        g[0] = g[k]
+        sums[0] = sums[k]
     nodes.setflags(write=False)
     cdf.setflags(write=False)
     return CdfGrid(spec=spec, rho=rho, axis_coordinates=nodes, node_values=cdf)

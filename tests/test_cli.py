@@ -260,6 +260,47 @@ class TestConfigPrecedence:
         assert code == 0
         assert json.loads(out)["f"] == 0.5
 
+    def test_json_array_list_matches_comma_flag(self, capsys, tmp_path):
+        cfg, from_config, from_flag = tmp_path / "run.json", tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg.write_text(json.dumps({"N_values": [20, 5, 10], "out": str(from_config)}))
+        sweep = ("sweep", "--f-normal", "0.1", "--f-abnormal", "0.25", "--chi-points", "3")
+        code, config_stdout, _ = run(capsys, *sweep, "--config", str(cfg))
+        assert code == 0
+        code, flag_stdout, _ = run(capsys, *sweep, "--N-values", "20,5,10", "--out", str(from_flag))
+        assert code == 0
+        assert from_config.read_bytes() == from_flag.read_bytes()
+        assert config_stdout.replace(str(from_config), "") == flag_stdout.replace(str(from_flag), "")
+
+    def test_integral_float_is_an_int(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"f": 0.25, "n": 5.0, "N": 1e1, "chi": 1.6}')
+        code, out, _ = run(capsys, "pd", "--config", str(cfg), "--output", "json")
+        assert code == 0
+        assert json.loads(out)["pd"] == pytest.approx(0.0912875707, abs=1e-9)
+
+    MARKET = ("--f-normal", "0.1", "--f-abnormal", "0.25")
+
+    @pytest.mark.parametrize(
+        "argv, values",
+        [
+            (("pd", "--f", "0.25", "--n", "5", "--chi", "1.6"), {"N": 10.9}),
+            (("pd", "--f", "0.25", "--n", "5", "--chi", "1.6"), {"N": True}),
+            (("pd", "--f", "0.25", "--N", "10", "--chi", "1.6"), {"n": -0.5}),
+            (("pd", "--n", "5", "--N", "10", "--chi", "1.6"), {"f": False}),
+            (("sweep", *MARKET, "--out", "unused.csv"), {"N_values": [10, True]}),
+            (("sweep", *MARKET, "--out", "unused.csv"), {"N_values": [10.5]}),
+            (("mu-scan", *MARKET, "--N", "10", "--chi", "0.4"), {"mu_values": [0.0, True]}),
+        ],
+        ids=["fraction", "bool", "negative-fraction", "bool-float", "bool-in-list", "fraction-in-list", "bool-in-float-list"],
+    )
+    def test_non_number_config_value_exits_2(self, capsys, tmp_path, argv, values):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: config value ")
+
 
 class TestSweepCommand:
     def test_csv_row_count_and_summary(self, capsys, tmp_path):

@@ -13,10 +13,13 @@ import sys
 
 import numpy as np
 import pytest
+
+import levdiv.gaussian
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr as scipy_ndtr
 
+from grid_reference import reference_tabulation
 from quad_reference import binorm_pdf, phi2_quad
 
 from levdiv import (
@@ -343,6 +346,36 @@ class TestGrid:
                 got = binorm_cdf(z, z, rho, method="grid", spec=spec)
                 assert got.tolist() == full.tolist()
         tabulate_cdf_grid.cache_clear()
+
+    # the scratch budget at its default, at one row per block, and above the
+    # whole table; at the default, extents around isqrt(budget) give one
+    # block, one full block, and a full block plus a ragged one
+    @pytest.mark.parametrize("budget", ["default", "one-row", "whole-table"])
+    @pytest.mark.parametrize(
+        "spec",
+        [SMALL_GRID, DEFAULT_GRID, GridSpec(cells_per_axis=2), GridSpec(-6.0, 6.0, 999)],
+        ids=["small", "default", "two-cells", "odd"],
+    )
+    def test_blocked_tabulation_is_bit_identical(self, monkeypatch, spec, budget):
+        nodes = spec.cells_per_axis + 1
+        rows = math.isqrt(levdiv.gaussian._SCRATCH_BUDGET)
+        if budget != "default":
+            monkeypatch.setattr(levdiv.gaussian, "_SCRATCH_BUDGET", 1 if budget == "one-row" else nodes * nodes)
+        extents = [m for m in (2, 3, rows - 1, rows, rows + 1, rows + 2) if m < nodes] + [None]
+        for rho in (-0.99, -0.3, 0.0, 0.05, 0.5, 0.9, 1.0 - 2e-9):
+            for extent in extents:
+                tabulate_cdf_grid.cache_clear()
+                got = tabulate_cdf_grid(rho, spec, extent)
+                want = reference_tabulation(rho, spec, extent)
+                assert np.array_equal(got.node_values, want.node_values), (rho, extent)
+                assert np.array_equal(got.axis_coordinates, want.axis_coordinates)
+                assert not (got.node_values.flags.writeable or got.axis_coordinates.flags.writeable)
+        tabulate_cdf_grid.cache_clear()
+
+    @pytest.mark.parametrize("extent", [-1, 0, -20, 1, True, False, 12, 5000, 5.0, "5"])
+    def test_extent_out_of_range_rejected(self, extent):
+        with pytest.raises(ConfigError, match="extent"):
+            tabulate_cdf_grid(0.3, GridSpec(cells_per_axis=10), extent)
 
     def test_lookup_past_bounded_block_rejected(self):
         grid = tabulate_cdf_grid(0.3, SMALL_GRID, 100)
