@@ -3,13 +3,17 @@
 standard box (N in {10,20,30,40}, n in [1, N], 100 log-spaced chi in
 [0.001, 9]) and print per-N risky fractions.
 
-Writes results/regime_map_{scenario}.csv in long format
-(N, n, chi, delta_phi2, regime); any plotting tool can render the maps
-from these files.
+Writes results/regime_map_{scenario}.csv (oracle Phi2) and
+results/regime_map_{scenario}_grid.csv (grid Phi2) in long format
+(N, n, chi, delta_phi2, regime), and prints how far the grid map is from
+the oracle one: the largest |delta_phi2| gap and the number of cells whose
+label differs.  Any plotting tool can render the maps from these files.
 """
 
 import pathlib
 import time
+
+import numpy as np
 
 from levdiv import LeverageScenario, default_chi_grid, regime_sweep
 
@@ -23,13 +27,19 @@ def main() -> None:
     out_dir = pathlib.Path(__file__).resolve().parent.parent / "results"
     out_dir.mkdir(exist_ok=True)
     for tag, scenario in SCENARIOS.items():
-        t0 = time.time()
-        sweep = regime_sweep(scenario, [10, 20, 30, 40], default_chi_grid())
-        path = out_dir / f"regime_map_{tag}.csv"
-        path.write_text(sweep.to_csv())
-        print(f"{tag}: wrote {path} ({sweep.n.size} cells, {time.time() - t0:.1f}s)")
-        for size in sweep.market_sizes():
-            print(f"  N={size}: risky fraction {sweep.risky_fraction(size):.4f}")
+        sweeps = {}
+        for method, suffix in (("oracle", ""), ("grid", "_grid")):
+            t0 = time.time()
+            sweep = sweeps[method] = regime_sweep(scenario, [10, 20, 30, 40], default_chi_grid(), method=method)
+            path = out_dir / f"regime_map_{tag}{suffix}.csv"
+            path.write_text(sweep.to_csv())
+            print(f"{tag} {method}: wrote {path} ({sweep.n.size} cells, {time.time() - t0:.1f}s)")
+            for size in sweep.market_sizes():
+                print(f"  N={size}: risky fraction {sweep.risky_fraction(size):.4f}")
+        oracle, grid = sweeps["oracle"], sweeps["grid"]
+        gap = float(np.max(np.abs(oracle.delta_phi2 - grid.delta_phi2)))
+        flips = int(np.count_nonzero(oracle.risky != grid.risky))
+        print(f"{tag} oracle vs grid: max |delta_phi2 gap| {gap:.3e}, {flips} of {oracle.n.size} labels differ")
 
 
 if __name__ == "__main__":

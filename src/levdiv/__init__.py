@@ -49,7 +49,6 @@ from .simulate import (
     estimate_default_probs,
     path_rng,
     select_holdings,
-    simulate_prices,
 )
 
 __version__ = "0.1.0"
@@ -85,7 +84,6 @@ __all__ = [
     "phi1",
     "regime_sweep",
     "select_holdings",
-    "simulate_prices",
     "systemic_pd",
     "tabulate_cdf_grid",
     "z_score",

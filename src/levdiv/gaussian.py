@@ -394,7 +394,7 @@ def _extent(i: np.ndarray, j: np.ndarray) -> int:
 _SCRATCH_BUDGET = 65_536
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=4, typed=True)  # typed: 2.0 == 2, but only 2 is a valid extent
 def tabulate_cdf_grid(
     rho: float, spec: GridSpec = DEFAULT_GRID, extent: int | None = None
 ) -> CdfGrid:

@@ -125,24 +125,6 @@ def _repoint(gen: np.random.Generator, state: dict, path_index: int, stream: int
     return gen
 
 
-def simulate_prices(config: SimConfig, path_index: int) -> np.ndarray:
-    """Price trajectories, shape (steps + 1, N), via exact log-Euler stepping.
-
-    Deterministic given (config.seed, path_index).
-    """
-    m = config.market
-    dt = config.dt
-    xi = path_rng(config.seed, path_index).standard_normal(
-        (config.steps_per_horizon, m.market_size)
-    )
-    growth = np.exp((m.drift - 0.5 * m.sigma**2) * dt + m.sigma * math.sqrt(dt) * xi)
-    out = np.empty((config.steps_per_horizon + 1, m.market_size))
-    out[0] = config.initial_price
-    np.cumprod(growth, axis=0, out=growth)
-    out[1:] = config.initial_price * growth
-    return out
-
-
 @dataclass(frozen=True)
 class SimResult:
     """Estimated default frequencies with binomial standard errors."""

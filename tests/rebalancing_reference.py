@@ -1,6 +1,7 @@
 """Explicit-rebalancing reference for the Monte Carlo estimator, for tests only.
 
-``simulate_bank`` steps one bank's book along a price path: mark to the new
+``simulate_prices`` rebuilds one path's price trajectories from its Philox
+stream, and ``simulate_bank`` steps one bank's book along them: mark to the new
 prices, then restore equal per-project value without injecting or
 withdrawing anything.  The library's estimator reaches the same terminal
 value in closed form (the book's per-step gross return is the mean of the
@@ -9,11 +10,30 @@ held projects' gross returns), so this slow route checks it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from levdiv import DomainError, SimConfig
+from levdiv import DomainError, SimConfig, path_rng
+
+
+def simulate_prices(config: SimConfig, path_index: int) -> np.ndarray:
+    """Price trajectories, shape (steps + 1, N), via exact log-Euler stepping.
+
+    Deterministic given (config.seed, path_index).
+    """
+    m = config.market
+    dt = config.dt
+    xi = path_rng(config.seed, path_index).standard_normal(
+        (config.steps_per_horizon, m.market_size)
+    )
+    growth = np.exp((m.drift - 0.5 * m.sigma**2) * dt + m.sigma * math.sqrt(dt) * xi)
+    out = np.empty((config.steps_per_horizon + 1, m.market_size))
+    out[0] = config.initial_price
+    np.cumprod(growth, axis=0, out=growth)
+    out[1:] = config.initial_price * growth
+    return out
 
 
 @dataclass

@@ -33,6 +33,17 @@ M10 = MarketParams.from_chi(10, 1.6)
 SCENARIO = LeverageScenario(0.10, 0.25)
 SMALL_GRID = GridSpec(cells_per_axis=400)
 
+# sweeps whose CSV must be csv.writer's bytes: exact-zero and exponent-form
+# deltas (the standard box), descending and repeated chi with unsorted
+# market sizes, a nonzero drift, explicit n values and the grid method
+CSV_SWEEPS = {
+    "standard-box": lambda: regime_sweep(SCENARIO, [10, 20], default_chi_grid(points=30)),
+    "descending-repeated-chi": lambda: regime_sweep(SCENARIO, [12, 3, 7], [5.1, 0.2, 0.2, 0.003]),
+    "drift": lambda: regime_sweep(LeverageScenario(0.25, 0.5), [7], [0.3, 1.6], mu=0.05),
+    "explicit-n": lambda: regime_sweep(SCENARIO, [20, 10], [0.1, 1.6, 8.9], n_values=[9, 2, 5]),
+    "grid": lambda: regime_sweep(SCENARIO, [6], [0.01, 0.5, 3.0], method="grid", grid_spec=SMALL_GRID),
+}
+
 leverages = st.floats(min_value=0.02, max_value=0.98, allow_nan=False)
 chis = st.floats(min_value=0.05, max_value=9.0, allow_nan=False)
 
@@ -214,16 +225,24 @@ class TestRegimeSweep:
             assert row[0] == "4"
             assert row[4] in ("safe", "risky")
             float(row[2]), float(row[3])  # parse cleanly
-        # the bytes csv.writer gives for the same cells
+
+    @pytest.mark.parametrize("name", sorted(CSV_SWEEPS))
+    def test_csv_is_csv_writer_bytes(self, name):
+        result = CSV_SWEEPS[name]()
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(rows[0])
+        writer = csv.writer(buf, lineterminator="\r\n")
+        writer.writerow(["N", "n", "chi", "delta_phi2", "regime"])
         for size, n, chi, d, risky in zip(
             result.market_size.tolist(), result.n.tolist(), result.chi.tolist(),
             result.delta_phi2.tolist(), result.risky.tolist(),
         ):
             writer.writerow([size, n, repr(chi), repr(d), "risky" if risky else "safe"])
         assert result.to_csv() == buf.getvalue()
+
+    def test_csv_sweeps_cover_zero_and_exponent_deltas(self):
+        deltas = np.concatenate([build().delta_phi2 for build in CSV_SWEEPS.values()])
+        assert (deltas == 0.0).any()
+        assert any("e-" in repr(d) for d in deltas[(deltas > 0.0) & (deltas < 1e-4)].tolist())
 
     def test_json_round_trip(self):
         result = regime_sweep(SCENARIO, [4], [0.5])

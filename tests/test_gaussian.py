@@ -377,6 +377,21 @@ class TestGrid:
         with pytest.raises(ConfigError, match="extent"):
             tabulate_cdf_grid(0.3, GridSpec(cells_per_axis=10), extent)
 
+    @pytest.mark.parametrize("valid_first", [True, False])
+    def test_float_extent_rejected_whatever_is_cached(self, valid_first):
+        # 2.0 == 2 and both hash alike, so an untyped cache would hand back
+        # the table cached for extent 2
+        spec = GridSpec(cells_per_axis=10)
+        tabulate_cdf_grid.cache_clear()
+        if valid_first:
+            tabulate_cdf_grid(0.3, spec, 2)
+        with pytest.raises(ConfigError, match="extent"):
+            tabulate_cdf_grid(0.3, spec, 2.0)
+        assert tabulate_cdf_grid(0.3, spec, 2).node_values.shape == (2, 2)
+        with pytest.raises(ConfigError, match="extent"):
+            tabulate_cdf_grid(0.3, spec, 2.0)
+        tabulate_cdf_grid.cache_clear()
+
     def test_lookup_past_bounded_block_rejected(self):
         grid = tabulate_cdf_grid(0.3, SMALL_GRID, 100)
         inside = SMALL_GRID.z_min + 98.5 * SMALL_GRID.cell_width

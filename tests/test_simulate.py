@@ -21,11 +21,10 @@ from levdiv import (
     individual_pd,
     path_rng,
     select_holdings,
-    simulate_prices,
 )
 from levdiv.merton import random_overlap_joint_pd
 
-from rebalancing_reference import PortfolioState, simulate_bank
+from rebalancing_reference import PortfolioState, simulate_bank, simulate_prices
 from serial_estimator import serial_estimate
 
 
