@@ -106,18 +106,15 @@ class SweepResult:
         """The cells as csv.writer's bytes (no field ever needs quoting).
 
         The text is built per column, with one shortest-round-trip ``repr``
-        per float: each distinct chi and each (N, n) prefix is formatted
-        once and reused, the two regime labels are constants, and only
-        delta_phi2 takes a ``repr`` per cell.  One join interleaves them.
+        per float: each distinct chi is formatted once and reused, the two
+        regime labels are constants, and delta_phi2 takes a ``repr`` per
+        cell.  One join interleaves the columns.
         """
         chis, chi_at = np.unique(self.chi, return_inverse=True)
-        key = self.market_size * (int(self.n.max(initial=0)) + 1) + self.n
-        _, first, key_at = np.unique(key, return_index=True, return_inverse=True)
-        prefixes = [f"{size},{n}," for size, n in zip(self.market_size[first].tolist(), self.n[first].tolist())]
         chi_text = [f"{chi!r}," for chi in chis.tolist()]
         labels = (",safe\r\n", ",risky\r\n")
         parts = [""] * (4 * self.n.size)
-        parts[0::4] = map(prefixes.__getitem__, key_at.tolist())
+        parts[0::4] = [f"{size},{n}," for size, n in zip(self.market_size.tolist(), self.n.tolist())]
         parts[1::4] = map(chi_text.__getitem__, chi_at.tolist())
         parts[2::4] = map(repr, self.delta_phi2.tolist())
         parts[3::4] = map(labels.__getitem__, self.risky.tolist())

@@ -16,7 +16,6 @@ maps exceptions to exit codes: 0 success, 2 usage or domain error
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -427,11 +426,7 @@ COMMANDS: dict[str, Command] = {
 }
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The levdiv parser, built on the first call (the first ``main()``) and
-    shared for the rest of the process; parsing never mutates it, and
-    callers must not either."""
     parser = argparse.ArgumentParser(
         prog="levdiv",
         description="Leverage, diversification and joint bank default probabilities.",

@@ -1,18 +1,13 @@
 """End-to-end tests of the command-line surface."""
 
-import argparse
 import csv
 import json
-import os
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import levdiv
-from levdiv.cli import COMMANDS, PUBLISHED_CRITICAL_N, build_parser, compute_table1, main
+from levdiv.cli import COMMANDS, PUBLISHED_CRITICAL_N, compute_table1, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PD_ARGS = ("--f", "0.25", "--n", "5", "--N", "10", "--chi", "1.6")
@@ -339,82 +334,6 @@ class TestSweepCommand:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
-
-
-def _parser_state(parser: argparse.ArgumentParser) -> list[str]:
-    """What parsing could touch, for the parser and every subcommand's
-    parser: help text, defaults and each action's attributes."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return [
-        repr((p.format_help(), p._defaults, [vars(a) for a in p._actions]))
-        for p in (parser, *sub.choices.values())
-    ]
-
-
-class TestCachedParser:
-    """main() builds the parser once per process and reuses it."""
-
-    SWEEP = ("sweep", "--f-normal", "0.1", "--f-abnormal", "0.25", "--N-values", "4,6", "--chi-points", "5")
-    USAGE_ERRORS = (
-        ("sweep", "--f-normal", "x"),
-        ("pd", "--paths", "5"),
-        ("spd", "--method", "simpson"),
-        ("no-such-command",),
-    )
-
-    def outputs(self, capsys, path):
-        code, out, err = run(capsys, *self.SWEEP, "--out", str(path))
-        assert (code, err) == (0, "")
-        code, pd_out, _ = run(capsys, "pd", *PD_ARGS, "--output", "csv")
-        assert code == 0
-        return out, path.read_bytes(), pd_out
-
-    def test_two_runs_give_identical_bytes(self, capsys, tmp_path):
-        first = self.outputs(capsys, tmp_path / "sweep.csv")
-        assert self.outputs(capsys, tmp_path / "sweep.csv") == first
-
-    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda argv: argv[0])
-    def test_usage_error_between_runs_changes_nothing(self, capsys, tmp_path, argv):
-        before = self.outputs(capsys, tmp_path / "sweep.csv")
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        assert exc.value.code == 2
-        capsys.readouterr()
-        assert self.outputs(capsys, tmp_path / "sweep.csv") == before
-
-    def test_parsing_leaves_parser_unchanged(self, capsys, tmp_path):
-        parser = build_parser()
-        before = _parser_state(parser)
-        self.outputs(capsys, tmp_path / "sweep.csv")
-        for argv in (*self.USAGE_ERRORS, ("--help",), ("sweep", "--help")):
-            with pytest.raises(SystemExit):
-                main(list(argv))
-        capsys.readouterr()
-        assert build_parser() is parser
-        assert _parser_state(parser) == before
-
-    @pytest.mark.parametrize("argv", [(), ("sweep",), ("simulate",)], ids=["top", "sweep", "simulate"])
-    def test_help_text_unchanged(self, capsys, argv):
-        fresh = build_parser.__wrapped__()
-        if argv:
-            fresh = next(a for a in fresh._actions if isinstance(a, argparse._SubParsersAction)).choices[argv[0]]
-        for _ in range(2):
-            with pytest.raises(SystemExit) as exc:
-                main([*argv, "--help"])
-            assert exc.value.code == 0
-            assert capsys.readouterr().out == fresh.format_help()
-
-    def test_import_builds_no_parser(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(levdiv.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import levdiv.cli; print(levdiv.cli.build_parser.cache_info().currsize)"],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "0"
 
 
 class TestTable1Command:
