@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, is_int
 from .gaussian import DEFAULT_GRID, GridSpec, binorm_cdf
 from .merton import BankStrategy, MarketParams, asset_correlation, z_score
 
@@ -34,30 +34,19 @@ EPSILON_SAFE = 1e-6
 
 @dataclass(frozen=True)
 class LeverageScenario:
-    """A normal/abnormal leverage pair; f_abnormal > f_normal strictly.
-
-    The degenerate equal pair (used for trivial zero-difference checks) is
-    only constructible through :meth:`trivial`.
-    """
+    """A normal/abnormal leverage pair; f_abnormal > f_normal strictly."""
 
     f_normal: float
     f_abnormal: float
-    _allow_equal: InitVar[bool] = False
 
-    def __post_init__(self, _allow_equal: bool) -> None:
+    def __post_init__(self) -> None:
         for name, f in (("f_normal", self.f_normal), ("f_abnormal", self.f_abnormal)):
             if not math.isfinite(f) or not 0.0 < f < 1.0:
                 raise DomainError(f"{name} must lie in (0, 1), got {f!r}")
-        if self.f_abnormal < self.f_normal or (
-            self.f_abnormal == self.f_normal and not _allow_equal
-        ):
+        if self.f_abnormal <= self.f_normal:
             raise DomainError(
                 f"need f_abnormal > f_normal, got {self.f_abnormal} <= {self.f_normal}"
             )
-
-    @classmethod
-    def trivial(cls, f: float) -> "LeverageScenario":
-        return cls(f, f, _allow_equal=True)
 
     @property
     def delta_f(self) -> float:
@@ -189,11 +178,11 @@ def _delta_tables(
         raise ConfigError("market_sizes must be non-empty")
     blocks = []
     for size in market_sizes:
-        if not isinstance(size, int) or size < 1:
+        if not is_int(size) or size < 1:
             raise ConfigError(f"market sizes must be integers >= 1, got {size!r}")
         ns = sorted(n_values) if n_values is not None else list(range(1, size + 1))
         for n in ns:
-            if not isinstance(n, int) or not 1 <= n <= size:
+            if not is_int(n) or not 1 <= n <= size:
                 raise DomainError(f"invalid cell (N={size}, n={n!r}): need 1 <= n <= N")
         blocks.append((size, ns))
     chi = np.array([m.chi for m in markets])
@@ -234,11 +223,11 @@ def critical_diversification(
     return mu_sensitivity(scenario, market, [market.drift], method, epsilon_safe, grid_spec)[market.drift]
 
 
-def default_chi_grid(points: int = 100, lo: float = 0.001, hi: float = 9.0) -> np.ndarray:
-    """Log-spaced chi grid over the standard sweep box."""
-    if points < 1 or lo <= 0 or hi <= lo:
-        raise ConfigError("need points >= 1 and 0 < lo < hi")
-    return np.logspace(math.log10(lo), math.log10(hi), points)
+def default_chi_grid(points: int = 100) -> np.ndarray:
+    """Log-spaced chi grid over the standard sweep box, chi in [0.001, 9]."""
+    if not is_int(points) or points < 1:
+        raise ConfigError(f"points must be an integer >= 1, got {points!r}")
+    return np.logspace(math.log10(0.001), math.log10(9.0), points)
 
 
 def critical_table(

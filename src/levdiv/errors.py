@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer-count check shared across the package."""
 
 
 class DomainError(ValueError):
@@ -15,3 +15,8 @@ class StrategyMarketMismatchError(DomainError):
 
 class ConfigError(ValueError):
     """Invalid discretization or run configuration."""
+
+
+def is_int(value) -> bool:
+    """True for a Python int that is not a bool (True would count as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)

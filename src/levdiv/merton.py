@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, StrategyMarketMismatchError
+from .errors import DomainError, StrategyMarketMismatchError, is_int
 from .gaussian import binorm_cdf, phi1
 
 _F_BOUNDARY_TOL = 1e-12
@@ -32,7 +32,7 @@ class MarketParams:
     drift: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.market_size, int) or self.market_size < 1:
+        if not is_int(self.market_size) or self.market_size < 1:
             raise DomainError(f"market_size must be an integer >= 1, got {self.market_size!r}")
         for name in ("sigma", "horizon", "drift"):
             if not math.isfinite(getattr(self, name)):
@@ -74,7 +74,7 @@ class BankStrategy:
             raise DomainError(
                 f"leverage must lie strictly inside (0, 1), got {f!r}"
             )
-        if not isinstance(self.diversification, int) or self.diversification < 1:
+        if not is_int(self.diversification) or self.diversification < 1:
             raise DomainError(
                 f"diversification must be an integer >= 1, got {self.diversification!r}"
             )
@@ -107,7 +107,7 @@ def individual_pd(strategy: BankStrategy, market: MarketParams) -> float:
 def asset_correlation(n: int, market: MarketParams) -> float:
     """Portfolio-return correlation n/N between two banks that each hold n
     of the N available projects."""
-    if not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         raise DomainError(f"n must be an integer >= 1, got {n!r}")
     if n > market.market_size:
         raise DomainError(

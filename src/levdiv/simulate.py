@@ -34,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 from .merton import BankStrategy, MarketParams
 
 # Chunk size is a pure function of the config (never of the environment): it
@@ -73,8 +73,6 @@ class SimConfig:
     paths: int = 100_000
     steps_per_horizon: int = 250
     seed: int = 0
-    initial_price: float = 1.0
-    initial_assets: float = 1.0
 
     def __post_init__(self) -> None:
         n1, n2 = (s.diversification for s in self.strategies)
@@ -84,21 +82,19 @@ class SimConfig:
         if isinstance(self.overlap, FixedOverlap):
             k = self.overlap.shared
             lo, hi = max(0, n1 + n2 - N), min(n1, n2)
-            if not isinstance(k, int) or not lo <= k <= hi:
+            if not is_int(k) or not lo <= k <= hi:
                 raise ConfigError(
                     f"shared project count {k!r} must lie in [{lo}, {hi}] "
                     f"for n1={n1}, n2={n2}, N={N}"
                 )
         elif not isinstance(self.overlap, RandomSelection):
             raise ConfigError(f"unknown overlap mode {self.overlap!r}")
-        if not isinstance(self.paths, int) or self.paths < 1:
+        if not is_int(self.paths) or self.paths < 1:
             raise ConfigError(f"paths must be an integer >= 1, got {self.paths!r}")
-        if not isinstance(self.steps_per_horizon, int) or self.steps_per_horizon < 1:
-            raise ConfigError(f"steps_per_horizon must be >= 1, got {self.steps_per_horizon!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not is_int(self.steps_per_horizon) or self.steps_per_horizon < 1:
+            raise ConfigError(f"steps_per_horizon must be an integer >= 1, got {self.steps_per_horizon!r}")
+        if not is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        if self.initial_price <= 0.0 or self.initial_assets <= 0.0:
-            raise ConfigError("initial price and assets must be positive")
 
     @property
     def dt(self) -> float:
@@ -274,8 +270,8 @@ def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -
             s_xy += float((rets[0] * rets[1]).sum())
             n_obs += size * steps
             if terminals is not None:
-                terminals[start : start + size, 0] = config.initial_assets * np.exp(logfac1)
-                terminals[start : start + size, 1] = config.initial_assets * np.exp(logfac2)
+                terminals[start : start + size, 0] = np.exp(logfac1)
+                terminals[start : start + size, 1] = np.exp(logfac2)
 
     paths = config.paths
     p1, p2, pj = n_def[0] / paths, n_def[1] / paths, n_joint / paths

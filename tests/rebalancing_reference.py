@@ -18,8 +18,9 @@ import numpy as np
 from levdiv import DomainError, SimConfig, path_rng
 
 
-def simulate_prices(config: SimConfig, path_index: int) -> np.ndarray:
-    """Price trajectories, shape (steps + 1, N), via exact log-Euler stepping.
+def simulate_prices(config: SimConfig, path_index: int, initial_price: float = 1.0) -> np.ndarray:
+    """Price trajectories, shape (steps + 1, N), via exact log-Euler stepping
+    from ``initial_price``.
 
     Deterministic given (config.seed, path_index).
     """
@@ -30,9 +31,9 @@ def simulate_prices(config: SimConfig, path_index: int) -> np.ndarray:
     )
     growth = np.exp((m.drift - 0.5 * m.sigma**2) * dt + m.sigma * math.sqrt(dt) * xi)
     out = np.empty((config.steps_per_horizon + 1, m.market_size))
-    out[0] = config.initial_price
+    out[0] = initial_price
     np.cumprod(growth, axis=0, out=growth)
-    out[1:] = config.initial_price * growth
+    out[1:] = initial_price * growth
     return out
 
 
@@ -80,10 +81,10 @@ class PortfolioState:
             self.units[self.holdings] = (total / self.holdings.size) / new_prices[self.holdings]
 
 
-def simulate_bank(config: SimConfig, prices: np.ndarray, holdings: np.ndarray) -> float:
-    """Terminal asset value of one bank, stepping the explicit rebalancing
-    rule along the given price trajectories."""
-    state = PortfolioState.equal_weight(config.initial_assets, holdings, prices[0])
+def simulate_bank(prices: np.ndarray, holdings: np.ndarray) -> float:
+    """Terminal asset value of one bank with unit initial assets, stepping
+    the explicit rebalancing rule along the given price trajectories."""
+    state = PortfolioState.equal_weight(1.0, holdings, prices[0])
     for t in range(1, prices.shape[0]):
         state.advance(prices[t])
     return state.asset_value

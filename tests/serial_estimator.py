@@ -85,8 +85,8 @@ def serial_estimate(config: SimConfig, collect_terminals: bool = False) -> SimRe
         s_xy += float((rets[0] * rets[1]).sum())
         n_obs += size * steps
         if terminals is not None:
-            terminals[start : start + size, 0] = config.initial_assets * np.exp(logfac1)
-            terminals[start : start + size, 1] = config.initial_assets * np.exp(logfac2)
+            terminals[start : start + size, 0] = np.exp(logfac1)
+            terminals[start : start + size, 1] = np.exp(logfac2)
 
     paths = config.paths
     p1, p2, pj = n_def[0] / paths, n_def[1] / paths, n_joint / paths

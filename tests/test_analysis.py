@@ -13,10 +13,14 @@ from critical_order import effective_critical
 
 from levdiv import (
     BankStrategy,
+    ConfigError,
     DomainError,
+    FixedOverlap,
     GridSpec,
     LeverageScenario,
     MarketParams,
+    SimConfig,
+    asset_correlation,
     critical_diversification,
     default_chi_grid,
     delta_phi2,
@@ -58,10 +62,6 @@ class TestLeverageScenario:
         with pytest.raises(DomainError):
             LeverageScenario(0.25, 0.25)
 
-    def test_trivial_constructor_allows_equality(self):
-        sc = LeverageScenario.trivial(0.3)
-        assert sc.delta_f == 0.0
-
     def test_domain(self):
         with pytest.raises(DomainError):
             LeverageScenario(0.0, 0.5)
@@ -102,9 +102,6 @@ class TestSystemicPd:
 
 
 class TestDeltaPhi2:
-    def test_trivial_scenario_is_exactly_zero(self):
-        assert delta_phi2(LeverageScenario.trivial(0.25), 5, M10) == 0.0
-
     def test_known_value_from_independent_oracle(self):
         # mpmath reference for n=3, N=10, chi=1.6, scenario {0.1, 0.25}
         assert delta_phi2(SCENARIO, 3, M10) == pytest.approx(0.06286104646, abs=1e-9)
@@ -206,6 +203,13 @@ class TestRegimeSweep:
             assert np.array_equal(getattr(a, column), getattr(b, column))
         assert a.critical_n == b.critical_n
         assert a.to_csv() == b.to_csv()
+
+    def test_grid_sweep_repeats_byte_identical(self):
+        # every grid sweep tabulates afresh: no state carries between them
+        def sweep():
+            return regime_sweep(SCENARIO, [5, 8], [0.2, 2.0], method="grid", grid_spec=SMALL_GRID)
+
+        assert sweep().to_csv().encode() == sweep().to_csv().encode()
 
     def test_columns_read_only(self):
         result = regime_sweep(SCENARIO, [4], [0.5])
@@ -332,3 +336,32 @@ def test_default_chi_grid_covers_box():
     assert grid[0] == pytest.approx(0.001)
     assert grid[-1] == pytest.approx(9.0)
     assert np.all(np.diff(grid) > 0)
+
+
+M4 = MarketParams.from_chi(4, 1.6)
+PAIR = (BankStrategy(0.25, 2), BankStrategy(0.25, 2))
+
+
+# True == 1 and is an int, so each of these was once taken as a count of 1
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MarketParams(True, 1.0),
+        lambda: BankStrategy(0.25, True),
+        lambda: asset_correlation(True, M10),
+        lambda: SimConfig(M4, PAIR, paths=True),
+        lambda: SimConfig(M4, PAIR, steps_per_horizon=True),
+        lambda: SimConfig(M4, PAIR, seed=True),
+        lambda: SimConfig(M4, PAIR, overlap=FixedOverlap(True)),
+        lambda: delta_phi2(SCENARIO, True, M10),
+        lambda: regime_sweep(SCENARIO, [True], [1.6]),
+        lambda: default_chi_grid(points=True),
+    ],
+    ids=[
+        "market-size", "diversification", "asset-correlation", "paths", "steps", "seed",
+        "shared", "delta-n", "sweep-market-size", "chi-points",
+    ],
+)
+def test_bool_counts_rejected(build):
+    with pytest.raises((ConfigError, DomainError), match="True"):
+        build()

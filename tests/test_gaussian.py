@@ -321,8 +321,8 @@ class TestGrid:
 
     def test_tabulation_deterministic(self):
         a = tabulate_cdf_grid(0.3, SMALL_GRID)
-        tabulate_cdf_grid.cache_clear()
         b = tabulate_cdf_grid(0.3, SMALL_GRID)
+        assert a is not b  # no table is kept between calls
         assert np.array_equal(a.node_values, b.node_values)
 
     @pytest.mark.parametrize("spec", [SMALL_GRID, DEFAULT_GRID], ids=["small", "default"])
@@ -333,7 +333,6 @@ class TestGrid:
             block = tabulate_cdf_grid(rho, spec, m)
             assert block.node_values.shape == (m, m)
             assert np.array_equal(block.node_values, full[:m, :m])
-        tabulate_cdf_grid.cache_clear()
 
     @pytest.mark.parametrize("spec", [SMALL_GRID, DEFAULT_GRID], ids=["small", "default"])
     def test_bounded_lookup_matches_full_grid(self, spec):
@@ -345,7 +344,6 @@ class TestGrid:
                 full = tabulate_cdf_grid(rho, spec).lookup(z, z)
                 got = binorm_cdf(z, z, rho, method="grid", spec=spec)
                 assert got.tolist() == full.tolist()
-        tabulate_cdf_grid.cache_clear()
 
     # the scratch budget at its default, at one row per block, and above the
     # whole table; at the default, extents around isqrt(budget) give one
@@ -364,33 +362,16 @@ class TestGrid:
         extents = [m for m in (2, 3, rows - 1, rows, rows + 1, rows + 2) if m < nodes] + [None]
         for rho in (-0.99, -0.3, 0.0, 0.05, 0.5, 0.9, 1.0 - 2e-9):
             for extent in extents:
-                tabulate_cdf_grid.cache_clear()
                 got = tabulate_cdf_grid(rho, spec, extent)
                 want = reference_tabulation(rho, spec, extent)
                 assert np.array_equal(got.node_values, want.node_values), (rho, extent)
                 assert np.array_equal(got.axis_coordinates, want.axis_coordinates)
                 assert not (got.node_values.flags.writeable or got.axis_coordinates.flags.writeable)
-        tabulate_cdf_grid.cache_clear()
 
-    @pytest.mark.parametrize("extent", [-1, 0, -20, 1, True, False, 12, 5000, 5.0, "5"])
+    @pytest.mark.parametrize("extent", [-1, 0, -20, 1, True, False, 12, 5000, 5.0, 2.0, "5"])
     def test_extent_out_of_range_rejected(self, extent):
         with pytest.raises(ConfigError, match="extent"):
             tabulate_cdf_grid(0.3, GridSpec(cells_per_axis=10), extent)
-
-    @pytest.mark.parametrize("valid_first", [True, False])
-    def test_float_extent_rejected_whatever_is_cached(self, valid_first):
-        # 2.0 == 2 and both hash alike, so an untyped cache would hand back
-        # the table cached for extent 2
-        spec = GridSpec(cells_per_axis=10)
-        tabulate_cdf_grid.cache_clear()
-        if valid_first:
-            tabulate_cdf_grid(0.3, spec, 2)
-        with pytest.raises(ConfigError, match="extent"):
-            tabulate_cdf_grid(0.3, spec, 2.0)
-        assert tabulate_cdf_grid(0.3, spec, 2).node_values.shape == (2, 2)
-        with pytest.raises(ConfigError, match="extent"):
-            tabulate_cdf_grid(0.3, spec, 2.0)
-        tabulate_cdf_grid.cache_clear()
 
     def test_lookup_past_bounded_block_rejected(self):
         grid = tabulate_cdf_grid(0.3, SMALL_GRID, 100)
@@ -400,6 +381,21 @@ class TestGrid:
             grid.lookup(inside, inside + SMALL_GRID.cell_width)
         with pytest.raises(DomainError):
             grid.lookup(np.array([0.0, 50.0]), np.zeros(2))
+
+    @pytest.mark.parametrize("rho", [float("nan"), 1.5, -1.5])
+    def test_tabulation_rejects_correlation_outside_domain(self, rho):
+        with pytest.raises(DomainError, match="correlation must lie in"):
+            tabulate_cdf_grid(rho, SMALL_GRID)
+
+    def test_nan_coordinates_rejected(self):
+        # the lookup and the dispatcher share one check, before any NaN
+        # reaches the integer cell index
+        grid = tabulate_cdf_grid(0.3, SMALL_GRID)
+        for z1, z2 in [(float("nan"), 0.0), (0.0, float("nan")), ([0.0, float("nan")], [0.0, 0.0])]:
+            with pytest.raises(DomainError, match="non-NaN"):
+                grid.lookup(z1, z2)
+            with pytest.raises(DomainError, match="non-NaN"):
+                binorm_cdf(z1, z2, 0.3, method="grid", spec=SMALL_GRID)
 
     def test_degenerate_rho_rejected(self):
         with pytest.raises(DegenerateCorrelationError):
@@ -420,11 +416,14 @@ class TestGrid:
             binorm_cdf(0.0, 0.0, 0.3, method="simpson")
 
     def test_dispatcher_groups_by_correlation(self):
-        tabulate_cdf_grid.cache_clear()
+        # one tabulation per distinct correlation below 1, and none kept
         z = np.linspace(-2.0, 1.0, 6)
         rho = np.array([0.25, 0.5, 1.0, 0.25, 0.5, 0.25])
+        before = tabulate_cdf_grid.cache_info().misses
         got = binorm_cdf(z, z, rho, method="grid", spec=SMALL_GRID)
-        assert tabulate_cdf_grid.cache_info().misses == 2
+        after = tabulate_cdf_grid.cache_info()
+        assert after.misses - before == 2
+        assert after.currsize == 0
         assert got.tolist() == [binorm_cdf(a, a, r, method="grid", spec=SMALL_GRID) for a, r in zip(z, rho)]
 
 

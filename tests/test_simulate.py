@@ -62,8 +62,6 @@ class TestSimConfig:
             make_config(steps_per_horizon=0)
         with pytest.raises(ConfigError):
             make_config(seed=-1)
-        with pytest.raises(ConfigError):
-            make_config(initial_price=0.0)
 
 
 class TestSimulatePrices:
@@ -73,8 +71,8 @@ class TestSimulatePrices:
         assert not np.array_equal(simulate_prices(cfg, 5), simulate_prices(cfg, 6))
 
     def test_shape_and_start(self):
-        cfg = make_config(initial_price=2.0)
-        prices = simulate_prices(cfg, 0)
+        cfg = make_config()
+        prices = simulate_prices(cfg, 0, initial_price=2.0)
         assert prices.shape == (51, 8)
         assert np.all(prices[0] == 2.0)
         assert np.all(prices > 0)
@@ -121,7 +119,7 @@ class TestPortfolio:
             overlap=FixedOverlap(1),
         )
         prices = simulate_prices(cfg, 0)
-        assert simulate_bank(cfg, prices, np.array([1])) == prices[-1, 1]
+        assert simulate_bank(prices, np.array([1])) == prices[-1, 1]
 
     def test_self_financing_at_every_rebalance(self):
         cfg = make_config()
@@ -173,9 +171,9 @@ class TestPortfolio:
         cfg = make_config()
         prices = simulate_prices(cfg, 0)
         with pytest.raises(DomainError):
-            simulate_bank(cfg, prices, np.array([], dtype=int))
+            simulate_bank(prices, np.array([], dtype=int))
         with pytest.raises(DomainError):
-            simulate_bank(cfg, prices, np.array([2, 2]))
+            simulate_bank(prices, np.array([2, 2]))
 
     def test_explicit_and_batched_routes_agree(self):
         cfg = make_config(paths=32)
@@ -183,10 +181,10 @@ class TestPortfolio:
         for p in range(cfg.paths):
             prices = simulate_prices(cfg, p)
             h1, h2 = select_holdings(cfg, p)
-            assert simulate_bank(cfg, prices, h1) == pytest.approx(
+            assert simulate_bank(prices, h1) == pytest.approx(
                 result.terminal_values[p, 0], rel=1e-12
             )
-            assert simulate_bank(cfg, prices, h2) == pytest.approx(
+            assert simulate_bank(prices, h2) == pytest.approx(
                 result.terminal_values[p, 1], rel=1e-12
             )
 
