@@ -85,12 +85,6 @@ class SweepResult:
     def market_sizes(self) -> list[int]:
         return np.unique(self.market_size).tolist()
 
-    def _rows(self):
-        """(N, n, chi, delta_phi2, regime label) of each cell as Python values."""
-        labels = np.where(self.risky, "risky", "safe").tolist()
-        columns = (self.market_size, self.n, self.chi, self.delta_phi2)
-        return zip(*(col.tolist() for col in columns), labels)
-
     def to_csv(self) -> str:
         """The cells as csv.writer's bytes (no field ever needs quoting).
 
@@ -110,18 +104,31 @@ class SweepResult:
         return "N,n,chi,delta_phi2,regime\r\n" + "".join(parts)
 
     def to_json(self) -> str:
-        cells: dict[int, list] = {size: [] for size in self.market_sizes()}
-        for size, n, chi, d, label in self._rows():
-            cells[size].append({"n": n, "chi": chi, "delta_phi2": d, "regime": label})
-        by_n = {
-            str(size): {
-                "cells": rows,
-                "critical_n_by_chi": {
-                    repr(chi): self.critical_n[(n_, chi)] for (n_, chi) in sorted(self.critical_n) if n_ == size
-                },
-            }
-            for size, rows in cells.items()
-        }
+        """The sweep as ``json.dumps(doc, indent=2)`` of its nested document.
+
+        The cell lists, nearly all of the bytes, are built per column as in
+        ``to_csv``: one ``repr`` per distinct chi, one f-string per cell
+        with a ``repr`` of its delta_phi2, constant labels.  The rest of the
+        document goes through ``json.dumps`` with a marker in place of each
+        market's list, which the built text replaces.
+        """
+        sizes = self.market_sizes()
+        chis, chi_at = np.unique(self.chi, return_inverse=True)
+        chi_text = [repr(chi) for chi in chis.tolist()]
+        labels = ("safe", "risky")
+        indent = "\n" + " " * 10
+        cells = [
+            f'        {{{indent}"n": {n},{indent}"chi": {chi_text[c]},{indent}"delta_phi2": {d!r},'
+            f'{indent}"regime": "{labels[risky]}"\n        }}'
+            for n, c, d, risky in zip(
+                self.n.tolist(), chi_at.tolist(), self.delta_phi2.tolist(), self.risky.tolist()
+            )
+        ]
+        ends = np.searchsorted(self.market_size, sizes, side="right").tolist()
+        lists = [
+            "[\n" + ",\n".join(cells[lo:hi]) + "\n      ]" for lo, hi in zip([0, *ends], ends)
+        ]
+        marker = "\0cells"
         doc = {
             "scenario": {
                 "f_normal": self.scenario.f_normal,
@@ -129,9 +136,18 @@ class SweepResult:
             },
             "mu": self.mu,
             "epsilon_safe": self.epsilon_safe,
-            "markets": by_n,
+            "markets": {
+                str(size): {
+                    "cells": marker,
+                    "critical_n_by_chi": {
+                        repr(chi): self.critical_n[(n_, chi)] for (n_, chi) in sorted(self.critical_n) if n_ == size
+                    },
+                }
+                for size in sizes
+            },
         }
-        return json.dumps(doc, indent=2)
+        head, *rest = json.dumps(doc, indent=2).split(json.dumps(marker))
+        return head + "".join(text + tail for text, tail in zip(lists, rest))
 
 
 def systemic_pd(

@@ -38,14 +38,17 @@ times keeps the ``CdfGrid`` that ``tabulate_cdf_grid`` returns and calls
 its ``lookup``.
 A grid call tabulates only the leading block of nodes its queries reach
 (the analysis queries the diagonal at z <= ~2, about a quarter of the
-default square).  The table is filled a cache-sized block of rows at a
-time, with the axis-0 running sum carried from one block to the next, so
-the only full-size array is the table itself.  That fill is bit for bit
-the whole-array pass: density, corner mean and volume are elementwise with
-the same operations in the same order, and both cumulative sums add
-strictly in prefix order.  For the same reason a bounded block equals that
-corner of the full table bit for bit, and every lookup returns what the
-full table would.
+default square), and of that block only the rows its bilinear lookups
+read: rows i and i + 1 of each query's cell (a sweep reads about a quarter
+of them, table1 about 3%).  The table is filled a cache-sized block of
+rows at a time, with the axis-0 running sum carried from one block to the
+next through every row; only the axis-1 sums are restricted to the kept
+rows, and the only large array is the table of kept rows itself.  That
+fill is bit for bit the whole-array pass: density, corner mean and volume
+are elementwise with the same operations in the same order, and both
+cumulative sums add strictly in prefix order.  For the same reason a
+bounded table equals those rows of that corner of the full table bit for
+bit, and every lookup returns what the full table would.
 Phi is Cephes ``ndtr`` (Moshier 1989, *Methods and Programs for
 Mathematical Functions*), the algorithm ``scipy.special.ndtr`` runs, ported
 to NumPy and ``math`` so levdiv needs numpy only; tests check it equals
@@ -343,17 +346,20 @@ def binorm_cdf_oracle(z1, z2, rho):
 class CdfGrid:
     """Tabulated cumulative volumes of the bivariate density on a GridSpec.
 
-    ``node_values[i, j]`` holds the accumulated volume over the cells below
-    and left of node (axis_coordinates[i], axis_coordinates[j]); row 0 and
-    column 0 are zero by construction.  The table may cover only the
-    leading square block of the spec's nodes (see ``tabulate_cdf_grid``);
-    a lookup whose cell reaches past the block raises DomainError.
+    ``node_values[r, j]`` holds the accumulated volume over the cells below
+    and left of node (axis_coordinates[rows[r]], axis_coordinates[j]);
+    ``rows`` is None when the table holds every row, so row r is node r.
+    Node row 0 and column 0 are zero by construction.  The table may cover
+    only the leading square block of the spec's nodes, and of that block
+    only the rows in ``rows`` (see ``tabulate_cdf_grid``); a lookup whose
+    cell reaches past the block or needs a row not held raises DomainError.
     """
 
     spec: GridSpec
     rho: float
     axis_coordinates: np.ndarray
     node_values: np.ndarray
+    rows: np.ndarray | None = None
 
     def lookup(self, z1, z2):
         """Bilinear interpolation of the tabulation; out-of-range points
@@ -363,11 +369,19 @@ class CdfGrid:
         i, tx = _cell_index(self.spec, np.asarray(z1, dtype=float))
         j, ty = _cell_index(self.spec, np.asarray(z2, dtype=float))
         extent = _extent(i, j)
-        if extent > vals.shape[0]:
+        nodes = self.axis_coordinates.size
+        if extent > nodes:
             raise DomainError(
                 f"lookup reaches node {extent - 1}, past the "
-                f"{vals.shape[0]}-node tabulated block"
+                f"{nodes}-node tabulated block"
             )
+        if self.rows is not None:
+            held = np.zeros(nodes, dtype=bool)
+            held[self.rows] = True
+            if not (held[i] & held[i + 1]).all():
+                raise DomainError("lookup needs a node row that was not tabulated")
+            # rows is strictly increasing, so node row i + 1 sits right after node row i
+            i = np.searchsorted(self.rows, i)
         v = (
             vals[i, j] * (1.0 - tx) * (1.0 - ty)
             + vals[i + 1, j] * tx * (1.0 - ty)
@@ -403,22 +417,26 @@ _SCRATCH_BUDGET = 65_536
 # calls cache_clear() and counts tabulations from cache_info().misses.
 @lru_cache(maxsize=0)
 def tabulate_cdf_grid(
-    rho: float, spec: GridSpec = DEFAULT_GRID, extent: int | None = None
+    rho: float, spec: GridSpec = DEFAULT_GRID, extent: int | None = None, rows=None
 ) -> CdfGrid:
     """Build the cumulative tabulation for one correlation on the first
-    ``extent`` nodes per axis (all cells_per_axis + 1 when None).
+    ``extent`` nodes per axis (all cells_per_axis + 1 when None), keeping
+    only the node rows in ``rows``: strictly increasing indices below the
+    extent, or None for every row.
 
     Steps: density at the grid nodes; per-cell mean of the four corner
     values; volume = mean density times squared cell width; cumulative
     double sum.  The table is filled a block of rows at a time: each block
     evaluates its density rows (the previous block's last row carried
-    over), forms its volumes, continues the axis-0 running sum from the
-    previous block's last sum row and writes its axis-1 sums straight into
-    the table.  That is bit for bit the whole-array pass: density, corner
-    mean and volume are elementwise with the same operations in the same
-    order, and both cumulative sums add strictly in prefix order, so
-    neither the block size nor the extent changes any element.  A bounded
-    table is therefore the leading block of the full one.
+    over), forms its volumes and continues the axis-0 running sum from the
+    previous block's last sum row; the axis-1 sums run only on the block's
+    kept rows, written straight into the table.  The fill stops at the
+    last kept row.  That is bit for bit the whole-array pass: density,
+    corner mean and volume are elementwise with the same operations in the
+    same order, and both cumulative sums add strictly in prefix order, so
+    neither the block size, the extent nor the kept rows change any
+    element.  A table is therefore those rows of the leading block of the
+    full one.
 
     Every call tabulates afresh; no table is kept.  To query one
     correlation many times, keep the returned ``CdfGrid`` and call its
@@ -436,6 +454,17 @@ def tabulate_cdf_grid(
         )
     nodes = np.linspace(spec.z_min, spec.z_max, spec.cells_per_axis + 1)[:extent]
     m = nodes.size
+    keep = np.arange(m) if rows is None else np.array(rows)
+    if not (
+        keep.ndim == 1
+        and keep.dtype.kind in "iu"
+        and (np.diff(keep) > 0).all()
+        and 0 <= keep.min(initial=0)
+        and keep.max(initial=0) < m
+    ):
+        raise ConfigError(
+            f"rows must be None or strictly increasing node indices in [0, {m - 1}], got {rows!r}"
+        )
     omr2 = 1.0 - rho * rho
     z2 = nodes[None, :]
     z2_sq = z2 * z2
@@ -453,13 +482,14 @@ def tabulate_cdf_grid(
         np.exp(out, out=out)
         np.divide(out, norm, out=out)
 
-    rows = min(m - 1, max(1, _SCRATCH_BUDGET // m))  # cells per block
-    g = np.empty((rows + 1, m))  # row 0 carries the previous block's last density row
-    sums = np.empty((rows + 1, m - 1))  # row 0 carries the previous block's last running sum
-    cdf = np.zeros((m, m))
+    block = min(m - 1, max(1, _SCRATCH_BUDGET // m))  # cells per block
+    g = np.empty((block + 1, m))  # row 0 carries the previous block's last density row
+    sums = np.empty((block + 1, m - 1))  # row 0 carries the previous block's last running sum
+    cdf = np.zeros((keep.size, m))
+    top = int(keep.max(initial=0))  # no row past the last kept one is needed
     density(0, g[:1])
-    for lo in range(0, m - 1, rows):
-        k = min(rows, m - 1 - lo)
+    for lo in range(0, top, block):
+        k = min(block, top - lo)
         density(lo + 1, g[1 : k + 1])
         vol = sums[1 : k + 1]
         np.add(g[:k, :-1], g[1 : k + 1, :-1], out=vol)
@@ -470,21 +500,30 @@ def tabulate_cdf_grid(
         # the first running sum row is the first volume row itself
         for r in range(2 if lo == 0 else 1, k + 1):
             np.add(sums[r - 1], sums[r], out=sums[r])
-        np.cumsum(vol, axis=1, out=cdf[lo + 1 : lo + 1 + k, 1:])
+        # the block's table rows lo + 1 .. lo + k sit at keep[a:b]
+        a, b = np.searchsorted(keep, (lo + 1, lo + k + 1))
+        np.cumsum(sums[keep[a:b] - lo], axis=1, out=cdf[a:b, 1:])
         g[0] = g[k]
         sums[0] = sums[k]
-    nodes.setflags(write=False)
-    cdf.setflags(write=False)
-    return CdfGrid(spec=spec, rho=rho, axis_coordinates=nodes, node_values=cdf)
+    for arr in (nodes, cdf, keep):
+        arr.setflags(write=False)
+    return CdfGrid(
+        spec=spec,
+        rho=rho,
+        axis_coordinates=nodes,
+        node_values=cdf,
+        rows=None if rows is None else keep,
+    )
 
 
 def binorm_cdf_grid(z1, z2, rho: float, spec: GridSpec = DEFAULT_GRID):
     """Phi2 via the grid tabulation of one correlation (abs error <= 1e-3
     at the default spec); array-valued in (z1, z2).  Tabulates only the
-    block of nodes the queries reach."""
+    block of nodes the queries reach, and of it only the rows their cells
+    read."""
     z1, z2 = np.asarray(z1, dtype=float), np.asarray(z2, dtype=float)
-    extent = _extent(_cell_index(spec, z1)[0], _cell_index(spec, z2)[0])
-    return tabulate_cdf_grid(rho, spec, extent).lookup(z1, z2)
+    i, j = _cell_index(spec, z1)[0], _cell_index(spec, z2)[0]
+    return tabulate_cdf_grid(rho, spec, _extent(i, j), np.union1d(i, i + 1)).lookup(z1, z2)
 
 
 def binorm_cdf(z1, z2, rho, method: str = "oracle", spec: GridSpec = DEFAULT_GRID):

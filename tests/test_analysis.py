@@ -48,6 +48,15 @@ CSV_SWEEPS = {
     "grid": lambda: regime_sweep(SCENARIO, [6], [0.01, 0.5, 3.0], method="grid", grid_spec=SMALL_GRID),
 }
 
+# sweeps whose JSON must be json.dumps(doc, indent=2) of the nested
+# document: the CSV sweeps plus the whole standard box (N in 10, 20, 30, 40
+# at 100 chi), which has exact-zero and exponent-form deltas and None
+# critical levels
+JSON_SWEEPS = {
+    **CSV_SWEEPS,
+    "full-standard-box": lambda: regime_sweep(SCENARIO, [10, 20, 30, 40], default_chi_grid()),
+}
+
 leverages = st.floats(min_value=0.02, max_value=0.98, allow_nan=False)
 chis = st.floats(min_value=0.05, max_value=9.0, allow_nan=False)
 
@@ -246,6 +255,36 @@ class TestRegimeSweep:
             deltas = result.delta_phi2
             assert (deltas == 0.0).any()
             assert any("e-" in repr(d) for d in deltas[(deltas > 0.0) & (deltas < 1e-4)].tolist())
+
+    @pytest.mark.parametrize("name", sorted(JSON_SWEEPS))
+    def test_json_is_json_dumps_bytes(self, name):
+        result = JSON_SWEEPS[name]()
+        cells = {size: [] for size in result.market_sizes()}
+        for size, n, chi, d, risky in zip(
+            result.market_size.tolist(), result.n.tolist(), result.chi.tolist(),
+            result.delta_phi2.tolist(), result.risky.tolist(),
+        ):
+            cells[size].append({"n": n, "chi": chi, "delta_phi2": d, "regime": "risky" if risky else "safe"})
+        doc = {
+            "scenario": {"f_normal": result.scenario.f_normal, "f_abnormal": result.scenario.f_abnormal},
+            "mu": result.mu,
+            "epsilon_safe": result.epsilon_safe,
+            "markets": {
+                str(size): {
+                    "cells": rows,
+                    "critical_n_by_chi": {
+                        repr(chi): level for (n_, chi), level in sorted(result.critical_n.items()) if n_ == size
+                    },
+                }
+                for size, rows in cells.items()
+            },
+        }
+        assert result.to_json() == json.dumps(doc, indent=2)
+        if name == "full-standard-box":
+            deltas = result.delta_phi2
+            assert (deltas == 0.0).any()
+            assert any("e-" in repr(d) for d in deltas[(deltas > 0.0) & (deltas < 1e-4)].tolist())
+            assert None in result.critical_n.values()
 
     def test_json_round_trip(self):
         result = regime_sweep(SCENARIO, [4], [0.5])

@@ -368,6 +368,55 @@ class TestGrid:
                 assert np.array_equal(got.axis_coordinates, want.axis_coordinates)
                 assert not (got.node_values.flags.writeable or got.axis_coordinates.flags.writeable)
 
+    @pytest.mark.parametrize(
+        "spec", [DEFAULT_GRID, SMALL_GRID, GridSpec(cells_per_axis=2)], ids=["default", "small", "two-cells"]
+    )
+    @pytest.mark.parametrize("rho", [-0.6, 0.3, 0.999])
+    def test_kept_rows_are_reference_rows(self, spec, rho):
+        nodes = spec.cells_per_axis + 1
+        for extent in (None, nodes // 2 + 1):
+            m = nodes if extent is None else extent
+            want = reference_tabulation(rho, spec, extent).node_values
+            scattered = sorted({1, m // 3, m // 3 + 1, m // 2, m - 2})
+            for rows in ([0], [m - 1], scattered, list(range(m))):
+                got = tabulate_cdf_grid(rho, spec, extent, rows)
+                assert np.array_equal(got.node_values, want[rows]), (extent, rows)
+                assert got.rows.tolist() == rows
+                assert not (got.node_values.flags.writeable or got.rows.flags.writeable)
+
+    def test_lookup_needs_kept_rows(self):
+        full = tabulate_cdf_grid(0.3, SMALL_GRID)
+        grid = tabulate_cdf_grid(0.3, SMALL_GRID, None, [150, 151, 300])
+        z = SMALL_GRID.z_min + 150.5 * SMALL_GRID.cell_width  # in cell 150: rows 150 and 151
+        got = grid.lookup(z, np.linspace(-3.0, 8.0, 9))
+        assert got.tolist() == full.lookup(z, np.linspace(-3.0, 8.0, 9)).tolist()
+        for value in (grid.lookup(z, 0.4), grid.lookup(np.array(z), np.array(0.4))):
+            assert type(value) is float and value == full.lookup(z, 0.4)
+        for row in (149.5, 151.5, 299.5, 300.5):  # cells whose rows are not both kept
+            with pytest.raises(DomainError, match="not tabulated"):
+                grid.lookup(SMALL_GRID.z_min + row * SMALL_GRID.cell_width, 0.0)
+        with pytest.raises(DomainError, match="not tabulated"):
+            grid.lookup(np.array([z, 50.0]), np.zeros(2))
+
+    def test_grid_call_tabulates_rows_its_cells_read(self, monkeypatch):
+        tables = []
+
+        def spy(*args):
+            tables.append(tabulate_cdf_grid(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(levdiv.gaussian, "tabulate_cdf_grid", spy)
+        z1 = SMALL_GRID.z_min + np.array([10.5, 10.25, 40.5, 399.5]) * SMALL_GRID.cell_width
+        binorm_cdf_grid(z1, np.zeros(4), 0.3, SMALL_GRID)
+        assert tables[-1].rows.tolist() == [10, 11, 40, 41, 399, 400]
+        assert binorm_cdf_grid([], [], 0.3, SMALL_GRID).shape == (0,)
+        assert tables[-1].node_values.shape == (0, 2)
+
+    @pytest.mark.parametrize("rows", [[3, 1], [2, 2], [-1, 4], [0, 10], [[1, 2]], [1.0], [True], "1"])
+    def test_rows_out_of_range_rejected(self, rows):
+        with pytest.raises(ConfigError, match="rows"):
+            tabulate_cdf_grid(0.3, GridSpec(cells_per_axis=20), 10, rows)
+
     @pytest.mark.parametrize("extent", [-1, 0, -20, 1, True, False, 12, 5000, 5.0, 2.0, "5"])
     def test_extent_out_of_range_rejected(self, extent):
         with pytest.raises(ConfigError, match="extent"):
