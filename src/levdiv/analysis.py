@@ -8,9 +8,9 @@ leverage from a normal level f_n to an abnormal level f_a raises it by
 
 A cell (N, n, chi) is "safe" when that increase is at most epsilon_safe,
 and the critical diversification n* is the smallest n whose whole suffix
-[n, N] is safe (a cumulative AND from n = N downward, so minimality of
-the boundary is established by construction).  There may be no such n;
-that outcome is reported as None, not an error.
+[n, N] is safe, or None (not an error) when n = N is risky.  A sweep takes
+it as a cumulative AND from n = N down its table; critical levels alone
+scan down from n = N and stop at the first risky cell, with the same n*.
 
 A regime sweep is held as columns: ``SweepResult`` keeps read-only arrays
 ``market_size``, ``n``, ``chi`` and ``delta_phi2`` with one entry per cell,
@@ -172,24 +172,16 @@ def delta_phi2(
 ) -> float:
     """Increase in systemic default probability caused by moving from the
     normal to the abnormal leverage; nonnegative up to method tolerance."""
-    _, deltas = _delta_tables([scenario], [market.market_size], [n], [market], method, grid_spec)
-    return float(deltas[0, 0, 0])
+    _blocks([market.market_size], [n], [market])
+    return float(_delta_tables([scenario], [market], 0, market.market_size, n, 0, method, grid_spec))
 
 
 Blocks = list[tuple[int, list[int]]]  # (N, ascending n values) per market size
 
 
-def _delta_tables(
-    scenarios: Sequence[LeverageScenario],
-    market_sizes: Sequence[int],
-    n_values: Sequence[int] | None,
-    markets: Sequence[MarketParams],
-    method: str,
-    grid_spec: GridSpec,
-) -> tuple[Blocks, np.ndarray]:
-    """Check the box up front; return its blocks and delta_phi2 of shape
-    (scenario, cell, market) from one Phi2 call, for every sweep, critical
-    level and drift scan.  Markets give chi, drift and horizon; cells give N."""
+def _blocks(market_sizes: Sequence[int], n_values, markets: Sequence, epsilon_safe: float = 0.0) -> Blocks:
+    """Check a box up front, in this order: its market sizes and n values,
+    the markets' chi, epsilon_safe; return its blocks."""
     if not market_sizes:
         raise ConfigError("market_sizes must be non-empty")
     blocks = []
@@ -201,30 +193,67 @@ def _delta_tables(
             if not is_int(n) or not 1 <= n <= size:
                 raise DomainError(f"invalid cell (N={size}, n={n!r}): need 1 <= n <= N")
         blocks.append((size, ns))
-    chi = np.array([m.chi for m in markets])
-    if not (chi > 0.0).all():
+    if not all(m.chi > 0.0 for m in markets):
         raise DomainError("delta_phi2 requires chi > 0 (sigma > 0 and T > 0)")
-    levels = sorted({f for s in scenarios for f in (s.f_normal, s.f_abnormal)})
-    offset = [[math.log(1.0 / f) + m.drift * m.horizon for m in markets] for f in levels]
-    n = np.array([n for _, ns in blocks for n in ns], dtype=float)[:, None]
-    size = np.array([size for size, ns in blocks for _ in ns], dtype=float)[:, None]
-    z = -(np.array(offset)[:, None, :] - chi / n) / np.sqrt(2.0 * chi / n)
-    pd = dict(zip(levels, binorm_cdf(z, z, n / size, method=method, spec=grid_spec)))
-    return blocks, np.stack([pd[s.f_abnormal] - pd[s.f_normal] for s in scenarios])
+    if not (math.isfinite(epsilon_safe) and epsilon_safe >= 0.0):
+        raise DomainError(f"epsilon_safe must be finite and >= 0, got {epsilon_safe!r}")
+    return blocks
+
+
+def _delta_tables(scenarios: Sequence, markets: Sequence, s, size, n, m, method: str, grid_spec) -> np.ndarray:
+    """delta_phi2 from one Phi2 call, for every sweep, critical level and
+    drift scan, at the cells (scenario s, N, n, market m) given as arrays
+    that broadcast: a sweep passes the full product, a scan a flat list.
+    s and m index the scenarios and the markets (chi, drift, horizon)."""
+    # libm's log of each scenario's normal and abnormal leverage, as in z_score
+    logs = np.array([[math.log(1.0 / sc.f_normal), math.log(1.0 / sc.f_abnormal)] for sc in scenarios])
+    shift = np.array([mk.drift * mk.horizon for mk in markets])[m]
+    chi, n = np.array([mk.chi for mk in markets])[m], np.asarray(n, dtype=float)
+    z = np.stack([-(logs[s, level] + shift - chi / n) / np.sqrt(2.0 * chi / n) for level in (0, 1)])
+    pd = binorm_cdf(z, z, n / size, method=method, spec=grid_spec)
+    return pd[1] - pd[0]
 
 
 def _critical(blocks: Blocks, labels: Sequence, deltas: np.ndarray, epsilon_safe: float) -> dict:
     """{(N, label): n*} for each block and labelled column of a (cell,
     market) delta table: n* is the smallest n of the block whose whole
     suffix is safe, or None, from a reversed cumulative AND over n."""
-    if not (math.isfinite(epsilon_safe) and epsilon_safe >= 0.0):
-        raise DomainError(f"epsilon_safe must be finite and >= 0, got {epsilon_safe!r}")
     out = {}
     ends = np.cumsum([len(ns) for _, ns in blocks])
     for (size, ns), d in zip(blocks, np.split(deltas, ends[:-1])):
         safe_run = np.logical_and.accumulate((d <= epsilon_safe)[::-1], axis=0).sum(axis=0)
         out.update({(size, x): ns[-c] if c else None for x, c in zip(labels, safe_run.tolist())})
     return out
+
+
+def _scan(
+    scenarios: Sequence[LeverageScenario], market_sizes: Sequence[int], labels: Sequence,
+    markets: Sequence[MarketParams], method: str, epsilon_safe: float, grid_spec: GridSpec,
+) -> list[dict]:
+    """Per scenario, {(N, label): n*} for each market size and labelled
+    market, as ``_critical`` gives it, from a scan down from n = N that
+    stops at each column's first risky cell.  Round b holds the cells of
+    band ((N - 1) // n).bit_length() == b: n = N, then 2^-b <= n/N < 2^(1-b).
+    The band depends on n/N alone, so each correlation falls in one round,
+    one Phi2 call over the columns still open."""
+    _blocks(market_sizes, None, markets, epsilon_safe)
+    cols = [(s, size, m) for s in range(len(scenarios)) for size in market_sizes for m in range(len(markets))]
+    s, size, m = np.array(cols, dtype=int).reshape(-1, 3).T
+    c = np.repeat(np.arange(len(cols)), size)  # each cell's column, whose n run from N down to 1
+    n = size[c] - np.arange(c.size) + (np.cumsum(size) - size)[c]
+    band = np.frexp((size[c] - 1) // n)[1]  # the exponent frexp gives is int.bit_length()
+    star = np.ones(len(cols), dtype=int)  # n* per column (N + 1 for None), 1 until a cell is risky
+    for b in range(band.max(initial=-1) + 1):
+        at = np.flatnonzero((band == b) & (star[c] == 1))
+        if at.size:
+            deltas = _delta_tables(scenarios, markets, s[c[at]], size[c[at]], n[at], m[c[at]], method, grid_spec)
+            risky = at[~(deltas <= epsilon_safe)]
+            hit, first = np.unique(c[risky], return_index=True)
+            star[hit] = n[risky[first]] + 1
+    levels = [{} for _ in scenarios]
+    for (s, size, m), k in zip(cols, star.tolist()):
+        levels[s][(size, labels[m])] = None if k > size else k
+    return levels
 
 
 def critical_diversification(
@@ -255,11 +284,11 @@ def critical_table(
     grid_spec: GridSpec = DEFAULT_GRID,
 ) -> list[dict[tuple[int, float], int | None]]:
     """Critical diversification at every (N, chi), per scenario, from one
-    batch, so the grid method tabulates each correlation n/N once."""
+    downward scan, so the grid method tabulates each correlation n/N at
+    most once."""
     chis = [float(c) for c in chi_values]
     markets = [MarketParams.from_chi(1, chi) for chi in chis]
-    blocks, tables = _delta_tables(scenarios, market_sizes, None, markets, method, grid_spec)
-    return [_critical(blocks, chis, deltas, epsilon_safe) for deltas in tables]
+    return _scan(scenarios, market_sizes, chis, markets, method, epsilon_safe, grid_spec)
 
 
 def regime_sweep(
@@ -282,10 +311,13 @@ def regime_sweep(
     if not chis:
         raise ConfigError("chi_values must be non-empty")
     markets = [MarketParams.from_chi(1, chi, drift=mu) for chi in chis]
-    blocks, (deltas,) = _delta_tables([scenario], market_sizes, n_values, markets, method, grid_spec)
+    blocks = _blocks(market_sizes, n_values, markets, epsilon_safe)
     # one row of deltas per (N, n) in block order, one column per chi
     row_size = np.repeat([size for size, _ in blocks], [len(ns) for _, ns in blocks])
     row_n = np.array([n for _, ns in blocks for n in ns], dtype=int)
+    deltas = _delta_tables(
+        [scenario], markets, 0, row_size[:, None], row_n[:, None], np.arange(len(chis)), method, grid_spec
+    )
     size, n = np.repeat(row_size, len(chis)), np.repeat(row_n, len(chis))
     chi, delta = np.tile(chis, len(row_n)), deltas.ravel()
     bad = np.flatnonzero(~(delta >= -_DELTA_SLACK))
@@ -313,6 +345,5 @@ def mu_sensitivity(
     """Critical diversification as a function of the drift mu."""
     mus = [float(mu) for mu in mu_values]
     markets = [market.with_drift(mu) for mu in mus]
-    blocks, (deltas,) = _delta_tables([scenario], [market.market_size], None, markets, method, grid_spec)
-    critical = _critical(blocks, mus, deltas, epsilon_safe)
-    return {mu: critical[(market.market_size, mu)] for mu in mus}
+    (level,) = _scan([scenario], [market.market_size], mus, markets, method, epsilon_safe, grid_spec)
+    return {mu: level[(market.market_size, mu)] for mu in mus}

@@ -472,19 +472,18 @@ def tabulate_cdf_grid(
     area = spec.cell_width**2
 
     def density(lo: int, out: np.ndarray) -> None:
-        # rows [lo, lo + len(out)) of exp(-(z1^2 - 2 rho z1 z2 + z2^2) / (2 omr2)) / norm
+        # rows [lo, lo + len(out)) of exp(((2 rho z1 z2 - z1^2) - z2^2) / (2 omr2)) / norm
         z1 = nodes[lo : lo + len(out), None]
         np.multiply(2.0 * rho * z1, z2, out=out)
-        np.subtract(z1 * z1, out, out=out)
-        np.add(out, z2_sq, out=out)
-        np.negative(out, out=out)
+        np.subtract(out, z1 * z1, out=out)
+        np.subtract(out, z2_sq, out=out)
         np.divide(out, 2.0 * omr2, out=out)
         np.exp(out, out=out)
         np.divide(out, norm, out=out)
 
     block = min(m - 1, max(1, _SCRATCH_BUDGET // m))  # cells per block
     g = np.empty((block + 1, m))  # row 0 carries the previous block's last density row
-    sums = np.empty((block + 1, m - 1))  # row 0 carries the previous block's last running sum
+    sums = np.zeros((block + 1, m - 1))  # row 0 carries the previous block's last running sum
     cdf = np.zeros((keep.size, m))
     top = int(keep.max(initial=0))  # no row past the last kept one is needed
     density(0, g[:1])
@@ -497,9 +496,9 @@ def tabulate_cdf_grid(
         np.add(vol, g[1 : k + 1, 1:], out=vol)
         np.multiply(0.25, vol, out=vol)
         np.multiply(vol, area, out=vol)
-        # the first running sum row is the first volume row itself
-        for r in range(2 if lo == 0 else 1, k + 1):
-            np.add(sums[r - 1], sums[r], out=sums[r])
+        # the axis-0 running sum over row views (the first block's carried row is zero)
+        for prev, row in zip(sums[:k], sums[1 : k + 1]):
+            np.add(prev, row, out=row)
         # the block's table rows lo + 1 .. lo + k sit at keep[a:b]
         a, b = np.searchsorted(keep, (lo + 1, lo + k + 1))
         np.cumsum(sums[keep[a:b] - lo], axis=1, out=cdf[a:b, 1:])

@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critical_order import effective_critical
+from critical_reference import full_box_critical
 
 from levdiv import (
     BankStrategy,
@@ -32,6 +35,7 @@ from levdiv import (
     z_score,
 )
 from levdiv.analysis import critical_table
+from levdiv.cli import compute_table1
 
 M10 = MarketParams.from_chi(10, 1.6)
 SCENARIO = LeverageScenario(0.10, 0.25)
@@ -56,6 +60,12 @@ JSON_SWEEPS = {
     **CSV_SWEEPS,
     "full-standard-box": lambda: regime_sweep(SCENARIO, [10, 20, 30, 40], default_chi_grid()),
 }
+
+# the scan's test box: N = 1, 2 and 3 span one, two and three bands, 17 and
+# 40 span six and seven; the chi reach n* = None, 1 and interior levels
+SCAN_SIZES = [1, 2, 3, 17, 40]
+SCAN_CHIS = [0.001, 0.05, 0.4, 1.6, 5.1, 8.9]
+SCAN_DRIFTS = [-0.2, 0.0, 0.2]
 
 leverages = st.floats(min_value=0.02, max_value=0.98, allow_nan=False)
 chis = st.floats(min_value=0.05, max_value=9.0, allow_nan=False)
@@ -166,6 +176,44 @@ class TestCriticalDiversification:
             critical_table([SCENARIO], [4], [1.6], epsilon_safe=eps)
         with pytest.raises(DomainError, match="epsilon_safe"):
             mu_sensitivity(SCENARIO, M10, [0.0], epsilon_safe=eps)
+
+    # bad market sizes come first, then chi <= 0 (as from --sigma 0), then a
+    # NaN or negative epsilon_safe; each entry point raises the first one
+    @pytest.mark.parametrize(
+        "sizes, chi, eps, error, message",
+        [
+            ([0], 1.6, 1e-6, ConfigError, "market sizes must be integers >= 1, got 0"),
+            ([True], 1.6, 1e-6, ConfigError, "market sizes must be integers >= 1, got True"),
+            ([2.5], 1.6, 1e-6, ConfigError, "market sizes must be integers >= 1, got 2.5"),
+            ([], 1.6, 1e-6, ConfigError, "market_sizes must be non-empty"),
+            ([4], 0.0, 1e-6, DomainError, "delta_phi2 requires chi > 0 (sigma > 0 and T > 0)"),
+            ([4], 1.6, float("nan"), DomainError, "epsilon_safe must be finite and >= 0, got nan"),
+            ([4], 1.6, -1.0, DomainError, "epsilon_safe must be finite and >= 0, got -1.0"),
+            ([4, 0], 0.0, float("nan"), ConfigError, "market sizes must be integers >= 1, got 0"),
+            ([], 0.0, -1.0, ConfigError, "market_sizes must be non-empty"),
+            ([4], 0.0, float("nan"), DomainError, "delta_phi2 requires chi > 0 (sigma > 0 and T > 0)"),
+        ],
+        ids=[
+            "size-0", "size-true", "size-float", "no-sizes", "chi-0", "eps-nan", "eps-negative",
+            "size-before-chi-and-eps", "no-sizes-before-chi-and-eps", "chi-before-eps",
+        ],
+    )
+    def test_bad_inputs_rejected_in_order(self, sizes, chi, eps, error, message):
+        calls = [
+            lambda: critical_table([SCENARIO], sizes, [chi], epsilon_safe=eps),
+            lambda: critical_table([SCENARIO], sizes, [chi], "grid", eps, SMALL_GRID),
+            lambda: regime_sweep(SCENARIO, sizes, [chi], epsilon_safe=eps),
+        ]
+        if sizes == [4]:  # a market's own size is always valid
+            market = MarketParams(4, sigma=math.sqrt(2.0 * chi))
+            calls += [
+                lambda: critical_diversification(SCENARIO, market, "grid", eps, SMALL_GRID),
+                lambda: mu_sensitivity(SCENARIO, market, [-0.2, 0.0], epsilon_safe=eps),
+            ]
+        for call in calls:
+            with pytest.raises(error, match="^" + re.escape(message) + "$") as info:
+                call()
+            assert info.type is error
 
     def test_zero_epsilon_is_valid(self):
         # zero demands delta_phi2 <= 0: met where both default probabilities
@@ -338,6 +386,38 @@ class TestCriticalReductions:
         assert scalar == result.critical_n
         assert critical_table([scenario], sizes, default_chi_grid()) == [result.critical_n]
 
+    @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-2, 0.2, 1.0])
+    @pytest.mark.parametrize("method", ["oracle", "grid"])
+    def test_scan_matches_full_box(self, method, eps):
+        scenarios = [SCENARIO, LeverageScenario(0.25, 0.5)]
+        tables = critical_table(scenarios, SCAN_SIZES, SCAN_CHIS, method, eps, SMALL_GRID)
+        for scenario, table in zip(scenarios, tables):
+            full = {
+                (size, chi): full_box_critical(scenario, MarketParams.from_chi(size, chi), method, eps, SMALL_GRID)
+                for size in SCAN_SIZES
+                for chi in SCAN_CHIS
+            }
+            assert table == full
+            assert list(table) == list(full)
+            sweep = regime_sweep(scenario, SCAN_SIZES, SCAN_CHIS, method=method, epsilon_safe=eps, grid_spec=SMALL_GRID)
+            assert table == sweep.critical_n
+        for size in SCAN_SIZES:
+            market = MarketParams.from_chi(size, 0.4)
+            scan = mu_sensitivity(SCENARIO, market, SCAN_DRIFTS, method, eps, SMALL_GRID)
+            assert scan == {
+                mu: full_box_critical(SCENARIO, market.with_drift(mu), method, eps, SMALL_GRID) for mu in SCAN_DRIFTS
+            }
+
+    def test_scan_cases_reach_none_one_and_interior_levels(self):
+        levels = {
+            n_star
+            for eps in (0.0, 1e-6, 1e-2, 0.2, 1.0)
+            for table in critical_table([SCENARIO, LeverageScenario(0.25, 0.5)], SCAN_SIZES, SCAN_CHIS, epsilon_safe=eps)
+            for n_star in table.values()
+        }
+        assert None in levels and 1 in levels
+        assert any(n_star is not None and n_star > 1 for n_star in levels)
+
     def test_table_batches_scenarios(self):
         scenarios = [SCENARIO, LeverageScenario(0.25, 0.5)]
         chis_ = [0.4, 1.6, 5.1]
@@ -348,6 +428,46 @@ class TestCriticalReductions:
         result = regime_sweep(SCENARIO, [10], [1.6], n_values=[])
         assert result.n.size == result.delta_phi2.size == 0
         assert result.critical_n == {(10, 1.6): None}
+
+
+class TestScanWork:
+    """The critical-level scan evaluates only what n* depends on."""
+
+    def test_table1_grid_tabulates_each_correlation_at_most_once(self, monkeypatch):
+        import levdiv.analysis
+        import levdiv.gaussian
+
+        real_tabulate, real_phi2 = levdiv.gaussian.tabulate_cdf_grid, levdiv.analysis.binorm_cdf
+        rhos, rounds = [], []
+
+        def tabulate(rho, *args, **kwargs):
+            rhos.append(rho)
+            return real_tabulate(rho, *args, **kwargs)
+
+        def phi2(*args, **kwargs):
+            rounds.append(args[2])
+            return real_phi2(*args, **kwargs)
+
+        monkeypatch.setattr(levdiv.gaussian, "tabulate_cdf_grid", tabulate)
+        monkeypatch.setattr(levdiv.analysis, "binorm_cdf", phi2)
+        compute_table1("grid", 0.01)
+        assert len(set(rhos)) == len(rhos) < 59  # the full box tabulates 59
+        assert 1.0 not in rhos
+        # one Phi2 call per round; round b holds the correlations 2^-b <= n/N < 2^(1-b)
+        bands = [{math.ceil(-math.log2(rho)) for rho in np.ravel(rho_)} for rho_ in rounds]
+        assert bands == [{b} for b in range(len(rounds))]
+        assert 1 < len(rounds) <= (40 - 1).bit_length() + 1
+
+    @pytest.mark.parametrize("method", ["oracle", "grid"])
+    def test_no_columns_start_no_round(self, monkeypatch, method):
+        import levdiv.analysis
+
+        def phi2(*args, **kwargs):
+            raise AssertionError("a round was started")
+
+        monkeypatch.setattr(levdiv.analysis, "binorm_cdf", phi2)
+        assert critical_table([SCENARIO, LeverageScenario(0.25, 0.5)], [10, 40], [], method) == [{}, {}]
+        assert mu_sensitivity(SCENARIO, M10, [], method) == {}
 
 
 class TestMuSensitivity:

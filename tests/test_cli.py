@@ -189,6 +189,16 @@ class TestMalformedInput:
         assert code == 2
         assert "epsilon_safe" in err
 
+    @pytest.mark.parametrize("command", ["critical-n", "mu-scan"])
+    @pytest.mark.parametrize("eps", ["1e-6", "nan"])
+    def test_zero_sigma_exits_2_before_eps_is_read(self, capsys, command, eps):
+        code, out, err = run(
+            capsys, command, "--f-normal", "0.1", "--f-abnormal", "0.25",
+            "--N", "10", "--sigma", "0", "--T", "1", "--eps-safe", eps,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: delta_phi2 requires chi > 0 (sigma > 0 and T > 0)\n"
+
 
 class TestFlagsPerCommand:
     @pytest.mark.parametrize(
