@@ -29,11 +29,12 @@ def main() -> None:
     for tag, scenario in SCENARIOS.items():
         sweeps = {}
         for method, suffix in (("oracle", ""), ("grid", "_grid")):
-            t0 = time.time()
+            t0 = time.perf_counter()
             sweep = sweeps[method] = regime_sweep(scenario, [10, 20, 30, 40], default_chi_grid(), method=method)
             path = out_dir / f"regime_map_{tag}{suffix}.csv"
-            path.write_text(sweep.to_csv())
-            print(f"{tag} {method}: wrote {path} ({sweep.n.size} cells, {time.time() - t0:.1f}s)")
+            # newline="": the text's \r\n line ends are written as they are on every OS
+            path.write_text(sweep.to_csv(), encoding="utf-8", newline="")
+            print(f"{tag} {method}: wrote {path} ({sweep.n.size} cells, {time.perf_counter() - t0:.1f}s)")
             for size in sweep.market_sizes():
                 print(f"  N={size}: risky fraction {sweep.risky_fraction(size):.4f}")
         oracle, grid = sweeps["oracle"], sweeps["grid"]

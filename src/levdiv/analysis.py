@@ -89,15 +89,18 @@ class SweepResult:
         """The cells as csv.writer's bytes (no field ever needs quoting).
 
         The text is built per column, with one shortest-round-trip ``repr``
-        per float: each distinct chi is formatted once and reused, the two
-        regime labels are constants, and delta_phi2 takes a ``repr`` per
-        cell.  One join interleaves the columns.
+        per float: each distinct chi and (N, n) prefix is formatted once and
+        reused, the two regime labels are constants, and delta_phi2 takes a
+        ``repr`` per cell.  One join interleaves the columns.
         """
         chis, chi_at = np.unique(self.chi, return_inverse=True)
         chi_text = [f"{chi!r}," for chi in chis.tolist()]
+        span = self.n.max(initial=0) + 1  # 0 <= n < span: N * span + n keys each (N, n)
+        keys, key_at = np.unique(self.market_size * span + self.n, return_inverse=True)
+        prefix_text = [f"{key // span},{key % span}," for key in keys.tolist()]
         labels = (",safe\r\n", ",risky\r\n")
         parts = [""] * (4 * self.n.size)
-        parts[0::4] = [f"{size},{n}," for size, n in zip(self.market_size.tolist(), self.n.tolist())]
+        parts[0::4] = map(prefix_text.__getitem__, key_at.tolist())
         parts[1::4] = map(chi_text.__getitem__, chi_at.tolist())
         parts[2::4] = map(repr, self.delta_phi2.tolist())
         parts[3::4] = map(labels.__getitem__, self.risky.tolist())

@@ -4,7 +4,8 @@ Subcommands: pd, spd, delta, critical-n, sweep, table1, simulate, mu-scan.
 Two tables and one runner: ``FLAGS`` declares each flag once (type,
 default, choices, help), and that type converts both command-line text and
 ``--config`` values.  ``COMMANDS`` gives each subcommand its function, help
-and the flags it reads; other flags are usage errors.  ``main`` resolves
+and the flags it reads; other flags are usage errors, and only a command
+named in argv gets them registered.  ``main`` resolves
 each flag (explicit flag > --config JSON file > built-in default) into one
 parameter dict for the command, formats the fields it returns (pretty, csv
 or json) to stdout or --out (sweep and table1 write their own output), and
@@ -426,7 +427,8 @@ COMMANDS: dict[str, Command] = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """Every subcommand; given argv, flags only for those named in it."""
     parser = argparse.ArgumentParser(
         prog="levdiv",
         description="Leverage, diversification and joint bank default probabilities.",
@@ -434,14 +436,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        for flag in (*command.flags, "config"):
-            spec = FLAGS[flag]
-            p.add_argument("--" + flag.replace("_", "-"), type=spec.type, choices=spec.choices, help=spec.help)
+        if argv is None or name in argv:
+            for flag in (*command.flags, "config"):
+                spec = FLAGS[flag]
+                p.add_argument("--" + flag.replace("_", "-"), type=spec.type, choices=spec.choices, help=spec.help)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     command = COMMANDS[args.command]
     try:
         config = {}

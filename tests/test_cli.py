@@ -3,11 +3,12 @@
 import csv
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
-from levdiv.cli import COMMANDS, PUBLISHED_CRITICAL_N, compute_table1, main
+from levdiv.cli import COMMANDS, FLAGS, PUBLISHED_CRITICAL_N, build_parser, compute_table1, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PD_ARGS = ("--f", "0.25", "--n", "5", "--N", "10", "--chi", "1.6")
@@ -198,6 +199,64 @@ class TestMalformedInput:
         )
         assert (code, out) == (2, "")
         assert err == "error: delta_phi2 requires chi > 0 (sigma > 0 and T > 0)\n"
+
+
+def _parse(capsys, parse, argv):
+    """Exit code, stdout and stderr of parsing argv, and the parsed flags
+    when it parses."""
+    try:
+        flags = vars(parse(argv))
+    except SystemExit as exc:
+        code, flags = exc.code, None
+    else:
+        code = 0
+    out = capsys.readouterr()
+    return code, out.out, out.err, flags
+
+
+def _typed_flag(name):
+    return next(flag for flag in COMMANDS[name].flags if FLAGS[flag].type is not str)
+
+
+PARSER_CASES = [
+    *((name, "-h") for name in COMMANDS),
+    *((name, "--bogus", "1") for name in COMMANDS),
+    *((name, "--" + _typed_flag(name).replace("_", "-"), "x") for name in COMMANDS),
+    ("-h",),
+    (),
+    ("nosuch",),
+    ("swe",),
+    ("table1", "--out", "sweep"),
+    ("pd", *PD_ARGS, "sweep"),
+]
+
+
+class TestParserOfTheNamedCommand:
+    """A parser built for its argv registers only the named commands'
+    flags; every help text, usage error and parse equals the full parser's."""
+
+    @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+    def test_same_text_and_exit_as_full_parser(self, capsys, argv):
+        argv = list(argv)
+        full = _parse(capsys, build_parser().parse_args, argv)
+        assert _parse(capsys, build_parser(argv).parse_args, argv) == full
+        assert full[1] or full[2] or full[3]  # help, an error or a parse
+
+    @pytest.mark.parametrize("argv", [("sweep", "-h"), ("spd", "--bogus", "1"), ("-h",), (), ("nosuch",)])
+    def test_main_reads_sys_argv(self, capsys, monkeypatch, argv):
+        full = _parse(capsys, build_parser().parse_args, list(argv))
+        monkeypatch.setattr(sys, "argv", ["levdiv", *argv])
+        assert _parse(capsys, lambda _: main(), None) == full
+
+    def test_only_named_commands_get_flags(self):
+        def flags(parser):
+            sub = next(a for a in parser._actions if a.dest == "command")
+            return {name: len(p._actions) for name, p in sub.choices.items()}
+
+        full = flags(build_parser())
+        assert flags(build_parser(["table1", "--out", "sweep"])) == {
+            name: full[name] if name in ("table1", "sweep") else 1 for name in COMMANDS
+        }
 
 
 class TestFlagsPerCommand:

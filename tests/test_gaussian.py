@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr as scipy_ndtr
 
+import oracle_reference
 from grid_reference import reference_tabulation
 from quad_reference import binorm_pdf, phi2_quad
 
@@ -28,13 +29,16 @@ from levdiv import (
     DegenerateCorrelationError,
     DomainError,
     GridSpec,
+    LeverageScenario,
     binorm_cdf,
     binorm_cdf_grid,
     binorm_cdf_oracle,
+    default_chi_grid,
     phi1,
+    regime_sweep,
     tabulate_cdf_grid,
 )
-from levdiv.gaussian import _FLOAT_PATH_MAX, _ndtr, _ndtr_float
+from levdiv.gaussian import _CHUNK, _FLOAT_PATH_MAX, _GENZ_SPLIT, _ndtr, _ndtr_float
 
 # small grid keeps module tests fast; the default 2000-cell grid is
 # exercised by the acceptance suite
@@ -274,6 +278,95 @@ class TestOracle:
             binorm_cdf_oracle(0.0, float("inf"), 0.3)
 
 
+def _same_bits(got, want):
+    return np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+def _arcsine_exponents(h, k, r):
+    """The arcsine rule's exp arguments, one row of nodes per cell."""
+    s = np.sin(np.arcsin(r)[:, None] / 2.0 * levdiv.gaussian._GL_NODES)
+    return (s * (h * k)[:, None] - ((h * h + k * k) / 2.0)[:, None]) / (1.0 - s * s)
+
+
+class TestOracleRulesMatchReference:
+    """The rules against their bodies from before the arcsine rule skipped
+    the lanes where exp underflows (tests/oracle_reference.py)."""
+
+    RULES = (
+        (levdiv.gaussian._phi2_arcsine, oracle_reference._phi2_arcsine),
+        (levdiv.gaussian._phi2_near_degenerate, oracle_reference._phi2_near_degenerate),
+    )
+
+    def test_standard_box_sweeps(self, monkeypatch):
+        passes = {rule.__name__: [] for rule, _ in self.RULES}
+
+        def recording(rule):
+            def run(h, k, r):
+                passes[rule.__name__].append((h.copy(), k.copy(), r.copy()))
+                return rule(h, k, r)
+
+            return run
+
+        for rule, _ in self.RULES:
+            monkeypatch.setattr(levdiv.gaussian, rule.__name__, recording(rule))
+        for scenario in (LeverageScenario(0.10, 0.25), LeverageScenario(0.25, 0.50)):
+            regime_sweep(scenario, [10, 20, 30, 40], default_chi_grid())
+        for rule, reference in self.RULES:
+            assert passes[rule.__name__]
+            for h, k, r in passes[rule.__name__]:
+                assert _same_bits(rule(h, k, r), reference(h, k, r))
+        h, k, r = (np.concatenate(part) for part in zip(*passes["_phi2_arcsine"]))
+        x = _arcsine_exponents(h, k, r)
+        assert (x < levdiv.gaussian._EXP_ZERO).any() and ((x > -745.13) & (x < -708.4)).any()
+
+    def test_seeded_off_diagonal_cells(self):
+        rng = np.random.default_rng(2024)
+        size = 200_000
+        h, k = rng.uniform(-60.0, 3.0, (2, size))
+        r = rng.uniform(-_GENZ_SPLIT, _GENZ_SPLIT, size)
+        high = rng.choice([-1.0, 1.0], size // 10) * rng.uniform(_GENZ_SPLIT, 1.0 - 1e-9, size // 10)
+        for (rule, reference), corr in zip(self.RULES, (r, high)):
+            for lo in range(0, corr.size, _CHUNK):
+                cells = slice(lo, min(lo + _CHUNK, corr.size))
+                args = (h[cells], k[cells], corr[cells])
+                assert _same_bits(rule(*args), reference(*args)), lo
+
+    def test_exponents_around_underflow(self):
+        # diagonal and near-diagonal cells whose exponents sweep -800..-690:
+        # past the underflow point, just inside it and through the band
+        # where exp is subnormal, with results small enough to show a tail
+        # lane's bits
+        z = np.sqrt(np.linspace(690.0, 800.0, 4001))
+        rules = levdiv.gaussian._phi2_arcsine, oracle_reference._phi2_arcsine
+        for r in (0.01, 0.05, 0.3, -0.3, 0.6, 0.9):
+            for h, k in ((-z, -z), (-z, -z * 1.001), (z / 20.0, -z)):
+                rho = np.full(z.size, r)
+                got, want = (rule(h, k, rho) for rule in rules)
+                assert _same_bits(got, want), r
+        h = k = -z
+        x = _arcsine_exponents(h, k, np.full(z.size, 0.01))
+        for lo, hi in ((-np.inf, levdiv.gaussian._EXP_ZERO), (levdiv.gaussian._EXP_ZERO, -745.13),
+                       (-745.13, -708.4), (-708.4, 0.0)):
+            assert ((x >= lo) & (x < hi)).any(), (lo, hi)
+        got = levdiv.gaussian._phi2_arcsine(h, k, np.full(z.size, 0.01))
+        assert ((got > 0.0) & (got < np.finfo(float).tiny)).any()
+
+    @pytest.mark.parametrize("size", [1, 7, 64, 4099])
+    def test_exp_is_positive_zero_below_cutoff(self, size):
+        # the one numerical assumption of the lane skip, in numpy's scalar
+        # tail loop and its SIMD loop
+        cut = levdiv.gaussian._EXP_ZERO
+        assert math.exp(cut) == 0.0
+        below = np.concatenate([
+            [cut, np.nextafter(cut, -np.inf), -745.5, -746.0, -1e308, -np.finfo(float).max, -np.inf],
+            np.linspace(cut, -1000.0, 5000),
+            -np.logspace(np.log10(-cut), 308.0, 5000),
+        ])
+        for lo in range(0, below.size, size):
+            x = below[lo : lo + size]
+            assert not np.exp(x).view(np.int64).any()
+
+
 class TestGrid:
     def test_independence_point(self):
         assert binorm_cdf_grid(0.0, 0.0, 0.0, SMALL_GRID) == pytest.approx(0.25, abs=1e-3)
@@ -346,27 +439,28 @@ class TestGrid:
                 assert got.tolist() == full.tolist()
 
     # the scratch budget at its default, at one row per block, and above the
-    # whole table; at the default, extents around isqrt(budget) give one
-    # block, one full block, and a full block plus a ragged one
-    @pytest.mark.parametrize("budget", ["default", "one-row", "whole-table"])
+    # whole table, each against one reference per table; at the default,
+    # extents around isqrt(budget) give one block, one full block, and a full
+    # block plus a ragged one
     @pytest.mark.parametrize(
         "spec",
         [SMALL_GRID, DEFAULT_GRID, GridSpec(cells_per_axis=2), GridSpec(-6.0, 6.0, 999)],
         ids=["small", "default", "two-cells", "odd"],
     )
-    def test_blocked_tabulation_is_bit_identical(self, monkeypatch, spec, budget):
+    def test_blocked_tabulation_is_bit_identical(self, monkeypatch, spec):
         nodes = spec.cells_per_axis + 1
         rows = math.isqrt(levdiv.gaussian._SCRATCH_BUDGET)
-        if budget != "default":
-            monkeypatch.setattr(levdiv.gaussian, "_SCRATCH_BUDGET", 1 if budget == "one-row" else nodes * nodes)
+        budgets = {"default": levdiv.gaussian._SCRATCH_BUDGET, "one-row": 1, "whole-table": nodes * nodes}
         extents = [m for m in (2, 3, rows - 1, rows, rows + 1, rows + 2) if m < nodes] + [None]
         for rho in (-0.99, -0.3, 0.0, 0.05, 0.5, 0.9, 1.0 - 2e-9):
             for extent in extents:
-                got = tabulate_cdf_grid(rho, spec, extent)
                 want = reference_tabulation(rho, spec, extent)
-                assert np.array_equal(got.node_values, want.node_values), (rho, extent)
-                assert np.array_equal(got.axis_coordinates, want.axis_coordinates)
-                assert not (got.node_values.flags.writeable or got.axis_coordinates.flags.writeable)
+                for budget, doubles in budgets.items():
+                    monkeypatch.setattr(levdiv.gaussian, "_SCRATCH_BUDGET", doubles)
+                    got = tabulate_cdf_grid(rho, spec, extent)
+                    assert np.array_equal(got.node_values, want.node_values), (rho, extent, budget)
+                    assert np.array_equal(got.axis_coordinates, want.axis_coordinates)
+                    assert not (got.node_values.flags.writeable or got.axis_coordinates.flags.writeable)
 
     @pytest.mark.parametrize(
         "spec", [DEFAULT_GRID, SMALL_GRID, GridSpec(cells_per_axis=2)], ids=["default", "small", "two-cells"]
