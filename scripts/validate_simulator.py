@@ -5,7 +5,8 @@ defaults vs Phi2(z, z, k/n), and the realized asset correlation.  Each
 deviation is also given in units of its binomial standard error (dev/se),
 so sampling noise (a few SE at most) can be told apart from bias.
 
-Pass --quick for a reduced path count.
+Each row ends with its wall time and paths per second, and a last line
+gives the total wall time.  Pass --quick for a reduced path count.
 """
 
 import argparse
@@ -48,6 +49,7 @@ def main() -> None:
     )
     print(header)
     print("-" * len(header))
+    total = 0.0
     for f, n, N, k, chi, steps in CONFIGS:
         market = MarketParams.from_chi(N, chi)
         strategy = BankStrategy(f, n)
@@ -62,6 +64,7 @@ def main() -> None:
         t0 = time.perf_counter()
         res = estimate_default_probs(config)
         seconds = time.perf_counter() - t0
+        total += seconds
         z = z_score(strategy, market)
         pd_target = individual_pd(strategy, market)
         joint_target = binorm_cdf_oracle(z, z, k / n)
@@ -74,8 +77,9 @@ def main() -> None:
             f"{res.joint_pd_hat:>8.5f} {joint_target:>8.5f} "
             f"{joint_dev:>8.5f} {joint_se_mult:>7.2f} | "
             f"{res.realized_correlation:>7.4f} {k / n:>5.2f}"
-            f"   [{seconds:.1f}s, {paths / seconds:,.0f} paths/s]"
+            f"   [{seconds:.2f} s, {paths / seconds:,.0f} paths/s]"
         )
+    print(f"total {total:.2f} s for {len(CONFIGS)} rows of {paths:,} paths")
 
 
 if __name__ == "__main__":

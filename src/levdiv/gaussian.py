@@ -247,6 +247,7 @@ _TWO_PI = 2.0 * math.pi
 _CHUNK = 4096
 # exp(x) rounds to +0.0 below about -745.133, under half the least subnormal
 _EXP_ZERO = -745.2
+_Z_FAR = 40.0  # Phi(-40) ~ 4e-350, below the least subnormal; ndtr there is 0 or 1
 
 
 def _node_sum(values: np.ndarray) -> np.ndarray:
@@ -324,9 +325,9 @@ def _phi2_near_degenerate(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.nda
 def binorm_cdf_oracle(z1, z2, rho):
     """Phi2(z1, z2, rho) to near double precision; arguments broadcast.
 
-    Closed forms at rho in {0, +1, -1}, the 20-point arcsine rule for
-    |rho| < 0.925 and Genz's near-degenerate form above it.  Returns a
-    float when every argument is a scalar, else an array.
+    Closed forms at rho in {0, +1, -1} and the rho = 1 limit past |z| = 40,
+    the 20-point arcsine rule for |rho| < 0.925 and Genz's form above it.
+    Returns a float when every argument is a scalar, else an array.
     """
     z1, z2, r = np.broadcast_arrays(
         np.asarray(z1, dtype=float), np.asarray(z2, dtype=float), _as_rho(rho)
@@ -335,6 +336,9 @@ def binorm_cdf_oracle(z1, z2, rho):
         raise DomainError("binorm_cdf_oracle requires finite coordinates")
     h, k, r = z1.ravel(), z2.ravel(), r.ravel()
     out = np.empty(h.shape)
+    far = np.maximum(np.abs(h), np.abs(k)) > _Z_FAR  # Phi2 rounds to its rho = 1 limit
+    if far.any():  # which the rules would overflow on: take it from the clamped pair
+        h, k, r = np.clip(h, -_Z_FAR, _Z_FAR), np.clip(k, -_Z_FAR, _Z_FAR), np.where(far, 1.0, r)
     zero, pos, neg = r == 0.0, r == 1.0, r == -1.0
     out[zero] = _ndtr(h[zero]) * _ndtr(k[zero])
     out[pos] = _ndtr(np.minimum(h[pos], k[pos]))

@@ -8,8 +8,9 @@ joint defaults a_i(T) <= f_i * a_i(0).
 
 Randomness is counter-based: path p of a run with seed s consumes the
 Philox stream keyed (s, p), so every path is reproducible in isolation.
-Stream 0 carries the price shocks in fixed (step, project) order; stream 1
-carries the random project selection, when enabled.
+Stream 0 carries the price shocks in (step, project) order, for all N projects
+under random selection but under a fixed overlap of k only for the n1 + n2 - k
+projects [0, n1 + n2 - k) the banks hold; stream 1 carries the random selection.
 
 The default counts do not depend on how paths are chunked.  The float
 moment sums behind `realized_correlation` are added per chunk, with a
@@ -200,6 +201,7 @@ def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -
     if not random_mode:
         start2 = n1 - config.overlap.shared
         fixed = (range(n1), range(start2, start2 + n2))
+    width = N if random_mode else start2 + n2  # projects drawn: the fixed books' prefix
     # banks holding the same projects have the same returns: compute them once
     same_books = not random_mode and n1 == n2 == config.overlap.shared
 
@@ -218,14 +220,14 @@ def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -
         # sub-block of paths at a time, from one generator re-keyed per path
         gen = path_rng(config.seed, start + lo)
         state = gen.bit_generator.state
-        sub = min(hi - lo, max(1, _SCRATCH_BUDGET // (steps * N)))
-        scratch = np.empty((sub, steps, N))
+        sub = min(hi - lo, max(1, _SCRATCH_BUDGET // (steps * width)))
+        scratch = np.empty((sub, steps, width))
         if random_mode:
             held = (np.empty((sub, n1), dtype=int), np.empty((sub, n2), dtype=int))
         for a in range(lo, hi, sub):
             block = scratch[: min(sub, hi - a)]
             for j in range(len(block)):
-                _repoint(gen, state, start + a + j, 0).standard_normal((steps, N), out=block[j])
+                _repoint(gen, state, start + a + j, 0).standard_normal((steps, width), out=block[j])
                 if random_mode:
                     _repoint(gen, state, start + a + j, 1)
                     held[0][j], held[1][j] = _draw_holdings(gen, N, n1, n2)
@@ -254,25 +256,28 @@ def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -
             cuts = [size * w // parts for w in range(parts + 1)]
             list(pool.map(lambda lo, hi: fill(start, lo, hi), cuts[:-1], cuts[1:]))
 
-            # identical books share bank 1's returns
-            rets = (log_ret[0, :size], log_ret[-1, :size])
-            logfac1 = rets[0].sum(axis=1)
-            logfac2 = rets[1].sum(axis=1)
+            x, y = log_ret[0, :size], log_ret[-1, :size]
+            logfac1 = x.sum(axis=1)
+            # identical books: bank 2's row sums and moments are bank 1's, taken once
+            logfac2 = logfac1 if same_books else y.sum(axis=1)
             d1 = logfac1 <= log_limits[0]
             d2 = logfac2 <= log_limits[1]
             n_def[0] += int(d1.sum())
             n_def[1] += int(d2.sum())
             n_joint += int((d1 & d2).sum())
-            s_x += float(rets[0].sum())
-            s_y += float(rets[1].sum())
-            s_xx += float((rets[0] * rets[0]).sum())
-            s_yy += float((rets[1] * rets[1]).sum())
-            s_xy += float((rets[0] * rets[1]).sum())
+            s_x += float(x.sum())
+            s_xx += float((x * x).sum())
+            if not same_books:
+                s_y += float(y.sum())
+                s_yy += float((y * y).sum())
+                s_xy += float((x * y).sum())
             n_obs += size * steps
             if terminals is not None:
                 terminals[start : start + size, 0] = np.exp(logfac1)
                 terminals[start : start + size, 1] = np.exp(logfac2)
 
+    if same_books:
+        s_y, s_yy, s_xy = s_x, s_xx, s_xx
     paths = config.paths
     p1, p2, pj = n_def[0] / paths, n_def[1] / paths, n_joint / paths
     var_x = s_xx / n_obs - (s_x / n_obs) ** 2

@@ -1,11 +1,12 @@
 """Explicit-rebalancing reference for the Monte Carlo estimator, for tests only.
 
-``simulate_prices`` rebuilds one path's price trajectories from its Philox
-stream, and ``simulate_bank`` steps one bank's book along them: mark to the new
-prices, then restore equal per-project value without injecting or
-withdrawing anything.  The library's estimator reaches the same terminal
-value in closed form (the book's per-step gross return is the mean of the
-held projects' gross returns), so this slow route checks it.
+``simulate_prices`` rebuilds one path's price trajectories, for the
+projects it draws shocks for, from its Philox stream, and ``simulate_bank``
+steps one bank's book along them: mark to the new prices, then restore
+equal per-project value without injecting or withdrawing anything.  The
+library's estimator reaches the same terminal value in closed form (the
+book's per-step gross return is the mean of the held projects' gross
+returns), so this slow route checks it.
 """
 
 from __future__ import annotations
@@ -16,21 +17,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from levdiv import DomainError, SimConfig, path_rng
+from serial_estimator import drawn_projects
 
 
 def simulate_prices(config: SimConfig, path_index: int, initial_price: float = 1.0) -> np.ndarray:
-    """Price trajectories, shape (steps + 1, N), via exact log-Euler stepping
-    from ``initial_price``.
+    """Price trajectories, shape (steps + 1, drawn_projects(config)), via
+    exact log-Euler stepping from ``initial_price``: all N projects under
+    random selection, the held prefix under a fixed overlap.
 
     Deterministic given (config.seed, path_index).
     """
     m = config.market
     dt = config.dt
-    xi = path_rng(config.seed, path_index).standard_normal(
-        (config.steps_per_horizon, m.market_size)
-    )
+    width = drawn_projects(config)
+    xi = path_rng(config.seed, path_index).standard_normal((config.steps_per_horizon, width))
     growth = np.exp((m.drift - 0.5 * m.sigma**2) * dt + m.sigma * math.sqrt(dt) * xi)
-    out = np.empty((config.steps_per_horizon + 1, m.market_size))
+    out = np.empty((config.steps_per_horizon + 1, width))
     out[0] = initial_price
     np.cumprod(growth, axis=0, out=growth)
     out[1:] = initial_price * growth

@@ -3,8 +3,9 @@
 This is the estimator as it stood before each chunk was split over worker
 threads: every path of a chunk is drawn on the calling thread, `exp` runs
 out of place over the whole chunk, and each bank's holdings are gathered
-into a copy.  The library's estimator must return the same bits for every
-config, at any worker count.
+into a copy.  Each path draws shocks for the projects of `drawn_projects`
+only.  The library's estimator must return the same bits for every config,
+at any worker count.
 """
 
 from __future__ import annotations
@@ -24,6 +25,15 @@ def fixed_holdings(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     n1, n2 = (s.diversification for s in config.strategies)
     k = config.overlap.shared
     return np.arange(n1), np.arange(n1 - k, n1 - k + n2)
+
+
+def drawn_projects(config: SimConfig) -> int:
+    """Projects a path draws shocks for, per step: all N under random
+    selection, the n1 + n2 - k held ones [0, n1 + n2 - k) under a fixed
+    overlap of k."""
+    if isinstance(config.overlap, RandomSelection):
+        return config.market.market_size
+    return sum(s.diversification for s in config.strategies) - config.overlap.shared
 
 
 def serial_estimate(config: SimConfig, collect_terminals: bool = False) -> SimResult:
@@ -48,12 +58,13 @@ def serial_estimate(config: SimConfig, collect_terminals: bool = False) -> SimRe
     terminals = np.empty((config.paths, 2)) if collect_terminals else None
 
     chunk = _chunk_size(steps, N)
-    xi = np.empty((chunk, steps, N))
+    width = drawn_projects(config)
+    xi = np.empty((chunk, steps, width))
     for start in range(0, config.paths, chunk):
         size = min(chunk, config.paths - start)
         block = xi[:size]
         for i in range(size):
-            path_rng(config.seed, start + i).standard_normal((steps, N), out=block[i])
+            path_rng(config.seed, start + i).standard_normal((steps, width), out=block[i])
         growth = np.exp(drift_term + vol_term * block)
 
         if random_mode:

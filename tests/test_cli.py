@@ -67,6 +67,16 @@ class TestScalarCommands:
         assert code == 0
         assert json.loads(out)["delta_phi2"] == pytest.approx(0.06286104646, abs=1e-8)
 
+    @pytest.mark.parametrize("argv, field", [
+        (("spd", "--f", "0.25", "--n", "5", "--N", "10"), "systemic_pd"),
+        (("delta", "--f-normal", "0.1", "--f-abnormal", "0.25", "--n", "5", "--N", "10"), "delta_phi2"),
+    ])
+    def test_tiny_chi_gives_the_limit_not_nan(self, capsys, argv, field):
+        # chi = 1e-310 puts z near -2e155, where Phi2 overflowed to nan
+        code, out, _ = run(capsys, *argv, "--chi", "1e-310")
+        assert code == 0
+        assert f"{field}  0.0\n" in out and "nan" not in out
+
     def test_critical_n_reports_none_in_band(self, capsys):
         code, out, _ = run(
             capsys, "critical-n", "--f-normal", "0.25", "--f-abnormal", "0.5",

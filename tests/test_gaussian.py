@@ -277,6 +277,38 @@ class TestOracle:
         with pytest.raises(DomainError):
             binorm_cdf_oracle(0.0, float("inf"), 0.3)
 
+    # h * h overflowed past |z| ~ 1.3e154 and the rules returned NaN with a
+    # RuntimeWarning (an error under this suite's settings)
+    @pytest.mark.parametrize("z1, z2", [(1e200, 1e200), (1e200, -1e200), (-1e200, 1e200), (-1e200, -1e200)])
+    def test_far_coordinates_give_their_limit(self, z1, z2):
+        assert binorm_cdf_oracle(z1, z2, 0.5) == (1.0 if min(z1, z2) > 0.0 else 0.0)
+
+    def test_one_far_coordinate_gives_phi_of_the_other(self):
+        assert binorm_cdf_oracle(1e200, 0.3, 0.97) == phi1(0.3)
+        assert binorm_cdf_oracle(0.3, 1e200, 0.97) == phi1(0.3)
+        # more than 32 cells: Phi takes its masked array path
+        z = np.linspace(-3.0, 3.0, 100)
+        rho = np.linspace(-0.999, 0.999, 100)
+        got = binorm_cdf_oracle(np.full(100, np.finfo(float).max), z, rho)
+        assert got.tolist() == [phi1(v) for v in z]
+        assert not binorm_cdf_oracle(-np.finfo(float).max, z, rho).any()
+
+    def test_coordinates_up_to_40_keep_the_rules_bits(self):
+        # the limit applies only past |z| = 40; up to there each cell is its
+        # rule's, bit for bit, whatever far cells share the batch
+        rng = np.random.default_rng(23)
+        z1, z2 = rng.uniform(-40.0, 40.0, (2, 600))
+        z1[:40], z2[40:80] = 40.0, -40.0
+        rho = rng.uniform(-0.999, 0.999, 600)
+        mid = np.abs(rho) < levdiv.gaussian._GENZ_SPLIT
+        want = np.empty(600)
+        want[mid] = oracle_reference._phi2_arcsine(z1[mid], z2[mid], rho[mid])
+        want[~mid] = oracle_reference._phi2_near_degenerate(z1[~mid], z2[~mid], rho[~mid])
+        far = np.array([1e200, -1e200, 41.0, -1e3])
+        got = binorm_cdf_oracle(np.append(z1, far), np.append(z2, far[::-1]), np.append(rho, [0.5] * 4))
+        assert _same_bits(got[:600], np.clip(want, 0.0, 1.0))
+        assert got[600:].tolist() == [0.0, 0.0, 0.0, 0.0]
+
 
 def _same_bits(got, want):
     return np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))

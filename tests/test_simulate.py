@@ -71,11 +71,13 @@ class TestSimulatePrices:
         assert not np.array_equal(simulate_prices(cfg, 5), simulate_prices(cfg, 6))
 
     def test_shape_and_start(self):
-        cfg = make_config()
-        prices = simulate_prices(cfg, 0, initial_price=2.0)
-        assert prices.shape == (51, 8)
-        assert np.all(prices[0] == 2.0)
-        assert np.all(prices > 0)
+        # under a fixed overlap of 2 the two books of 4 hold 6 of the 8
+        # projects, and only those draw shocks; random selection draws all 8
+        for overlap, width in ((FixedOverlap(2), 6), (RandomSelection(), 8)):
+            prices = simulate_prices(make_config(overlap=overlap), 0, initial_price=2.0)
+            assert prices.shape == (51, width)
+            assert np.all(prices[0] == 2.0)
+            assert np.all(prices > 0)
 
     def test_zero_volatility_is_deterministic_growth(self):
         market = MarketParams(market_size=3, sigma=0.0, horizon=1.0, drift=0.07)
@@ -119,12 +121,12 @@ class TestPortfolio:
             overlap=FixedOverlap(1),
         )
         prices = simulate_prices(cfg, 0)
-        assert simulate_bank(prices, np.array([1])) == prices[-1, 1]
+        assert simulate_bank(prices, np.array([0])) == prices[-1, 0]
 
     def test_self_financing_at_every_rebalance(self):
         cfg = make_config()
         prices = simulate_prices(cfg, 3)
-        state = PortfolioState.equal_weight(1.0, np.array([0, 2, 5, 7]), prices[0])
+        state = PortfolioState.equal_weight(1.0, np.array([0, 2, 3, 5]), prices[0])
         for t in range(1, prices.shape[0]):
             state.prices = prices[t]
             before = state.asset_value
@@ -388,6 +390,26 @@ class TestThreadedEstimator:
         expected = _serial_result(name)
         result = estimate_default_probs(BIT_IDENTITY_CONFIGS[name], collect_terminals=True)
         _assert_bitwise_equal(result, expected)
+
+    def test_unheld_projects_draw_nothing(self):
+        # a fixed overlap draws shocks only for the n1 + n2 - k held projects,
+        # so a market with more projects than the books hold changes no bit
+        n1, n2, k = 4, 3, 1
+        results = [
+            estimate_default_probs(
+                make_config(
+                    market=MarketParams.from_chi(N, 1.6),
+                    strategies=(BankStrategy(0.25, n1), BankStrategy(0.1, n2)),
+                    overlap=FixedOverlap(k),
+                ),
+                collect_terminals=True,
+            )
+            for N in (n1 + n2 - k, 4 * (n1 + n2 - k))
+        ]
+        small, large = results
+        for key in ("pd1_hat", "pd2_hat", "joint_pd_hat"):
+            assert getattr(small, key) == getattr(large, key)
+        assert np.array_equal(small.terminal_values, large.terminal_values)
 
     def test_ragged_config_spans_three_chunks(self):
         cfg = BIT_IDENTITY_CONFIGS["N16-n4-k1-ragged"]
