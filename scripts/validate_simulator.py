@@ -17,11 +17,11 @@ from levdiv import (
     FixedOverlap,
     MarketParams,
     SimConfig,
-    binorm_cdf_oracle,
     estimate_default_probs,
     individual_pd,
-    z_score,
+    systemic_pd,
 )
+from levdiv.merton import correlation_law
 
 # (f, n, N, k, chi, steps): the joint target uses the overlap-implied
 # correlation k/n, so any (k, n) pairing is checkable
@@ -65,9 +65,9 @@ def main() -> None:
         res = estimate_default_probs(config)
         seconds = time.perf_counter() - t0
         total += seconds
-        z = z_score(strategy, market)
         pd_target = individual_pd(strategy, market)
-        joint_target = binorm_cdf_oracle(z, z, k / n)
+        rho, _ = correlation_law(n, N, config.overlap)
+        joint_target = systemic_pd(strategy, market, overlap=config.overlap)
         se_mult = abs(res.pd1_hat - pd_target) / res.se_pd1 if res.se_pd1 else float("inf")
         joint_dev = abs(res.joint_pd_hat - joint_target)
         joint_se_mult = joint_dev / res.se_joint if res.se_joint else float("inf")
@@ -76,7 +76,7 @@ def main() -> None:
             f"{res.pd1_hat:>8.5f} {pd_target:>8.5f} {se_mult:>7.2f} | "
             f"{res.joint_pd_hat:>8.5f} {joint_target:>8.5f} "
             f"{joint_dev:>8.5f} {joint_se_mult:>7.2f} | "
-            f"{res.realized_correlation:>7.4f} {k / n:>5.2f}"
+            f"{res.realized_correlation:>7.4f} {rho:>5.2f}"
             f"   [{seconds:.2f} s, {paths / seconds:,.0f} paths/s]"
         )
     print(f"total {total:.2f} s for {len(CONFIGS)} rows of {paths:,} paths")

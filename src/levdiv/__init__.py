@@ -16,7 +16,6 @@ from .analysis import (
     delta_phi2,
     mu_sensitivity,
     regime_sweep,
-    systemic_pd,
 )
 from .errors import (
     ConfigError,
@@ -36,14 +35,15 @@ from .gaussian import (
 )
 from .merton import (
     BankStrategy,
+    FixedOverlap,
     MarketParams,
+    RandomSelection,
     asset_correlation,
     individual_pd,
+    systemic_pd,
     z_score,
 )
 from .simulate import (
-    FixedOverlap,
-    RandomSelection,
     SimConfig,
     SimResult,
     estimate_default_probs,

@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, is_int
 from .gaussian import DEFAULT_GRID, GridSpec, binorm_cdf
-from .merton import BankStrategy, MarketParams, asset_correlation, z_score
+# asset_correlation, systemic_pd and z_score stay bound here, where perfbench/tracer.py wraps them
+from .merton import MarketParams, asset_correlation, correlation_law, systemic_pd, z_cells, z_score
 
 EPSILON_SAFE = 1e-6
 
@@ -153,19 +154,6 @@ class SweepResult:
         return head + "".join(text + tail for text, tail in zip(lists, rest))
 
 
-def systemic_pd(
-    strategy: BankStrategy,
-    market: MarketParams,
-    method: str = "oracle",
-    grid_spec: GridSpec = DEFAULT_GRID,
-) -> float:
-    """Joint default probability Phi2(z, z, n/N) of two banks using the
-    same strategy on the same market."""
-    z = z_score(strategy, market)
-    rho = asset_correlation(strategy.diversification, market)
-    return binorm_cdf(z, z, rho, method=method, spec=grid_spec)
-
-
 def delta_phi2(
     scenario: LeverageScenario,
     n: int,
@@ -208,12 +196,11 @@ def _delta_tables(scenarios: Sequence, markets: Sequence, s, size, n, m, method:
     drift scan, at the cells (scenario s, N, n, market m) given as arrays
     that broadcast: a sweep passes the full product, a scan a flat list.
     s and m index the scenarios and the markets (chi, drift, horizon)."""
-    # libm's log of each scenario's normal and abnormal leverage, as in z_score
-    logs = np.array([[math.log(1.0 / sc.f_normal), math.log(1.0 / sc.f_abnormal)] for sc in scenarios])
+    f = np.array([[sc.f_normal, sc.f_abnormal] for sc in scenarios])
     shift = np.array([mk.drift * mk.horizon for mk in markets])[m]
-    chi, n = np.array([mk.chi for mk in markets])[m], np.asarray(n, dtype=float)
-    z = np.stack([-(logs[s, level] + shift - chi / n) / np.sqrt(2.0 * chi / n) for level in (0, 1)])
-    pd = binorm_cdf(z, z, n / size, method=method, spec=grid_spec)
+    chi = np.array([mk.chi for mk in markets])[m]
+    z = np.stack([z_cells(f[s, level], n, chi, shift) for level in (0, 1)])
+    pd = binorm_cdf(z, z, correlation_law(n, size)[0], method=method, spec=grid_spec)
     return pd[1] - pd[0]
 
 

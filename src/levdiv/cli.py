@@ -33,12 +33,12 @@ from .analysis import (
     delta_phi2,
     mu_sensitivity,
     regime_sweep,
-    systemic_pd,
 )
 from .errors import ConfigError, DomainError
-from .gaussian import DEFAULT_GRID, GridSpec, binorm_cdf
-from .merton import BankStrategy, MarketParams, individual_pd, random_overlap_joint_pd, z_score
-from .simulate import FixedOverlap, RandomSelection, SimConfig, estimate_default_probs
+from .gaussian import DEFAULT_GRID, GridSpec
+from .merton import BankStrategy, FixedOverlap, MarketParams, RandomSelection, correlation_law, individual_pd
+from .merton import systemic_pd, z_score
+from .simulate import SimConfig, estimate_default_probs
 
 TABLE1_MARKET_SIZES = (10, 20, 30, 40)
 TABLE1_CHIS = (1.6, 5.1, 8.9)
@@ -205,30 +205,23 @@ def _format(mode: str, fields: dict[str, Any]) -> str:
 # ----------------------------------------------------------------- commands
 
 
-def _pd(p: dict[str, Any]) -> dict[str, Any]:
+def _bank(p: dict[str, Any]) -> tuple[BankStrategy, MarketParams, dict[str, Any]]:
+    """The bank and its market, and the fields that pd and spd print first."""
     market = _market(p)
-    strat = BankStrategy(_require(p, "f"), _require(p, "n"))
-    return {
-        "f": strat.leverage,
-        "n": strat.diversification,
-        "N": market.market_size,
-        "chi": market.chi,
-        "mu": market.drift,
-        "z": z_score(strat, market),
-        "pd": individual_pd(strat, market),
-    }
+    f, n = _require(p, "f"), _require(p, "n")
+    return BankStrategy(f, n), market, dict(f=f, n=n, N=market.market_size, chi=market.chi, mu=market.drift)
+
+
+def _pd(p: dict[str, Any]) -> dict[str, Any]:
+    strat, market, cell = _bank(p)
+    return {**cell, "z": z_score(strat, market), "pd": individual_pd(strat, market)}
 
 
 def _spd(p: dict[str, Any]) -> dict[str, Any]:
-    market = _market(p)
-    strat = BankStrategy(_require(p, "f"), _require(p, "n"))
+    strat, market, cell = _bank(p)
     return {
-        "f": strat.leverage,
-        "n": strat.diversification,
-        "N": market.market_size,
-        "chi": market.chi,
-        "mu": market.drift,
-        "rho": strat.diversification / market.market_size,
+        **cell,
+        "rho": correlation_law(strat.diversification, market.market_size)[0],
         "method": p["method"],
         "systemic_pd": systemic_pd(strat, market, method=p["method"], grid_spec=_grid_spec(p)),
     }
@@ -316,8 +309,7 @@ def _table1(p: dict[str, Any]) -> None:
 
 
 def _simulate(p: dict[str, Any]) -> dict[str, Any]:
-    market = _market(p)
-    strat = BankStrategy(_require(p, "f"), _require(p, "n"))  # both banks hold n projects
+    strat, market, _ = _bank(p)  # both banks hold n projects
     overlap = _overlap(p["overlap"])
     config = SimConfig(
         market=market,
@@ -336,13 +328,11 @@ def _simulate(p: dict[str, Any]) -> dict[str, Any]:
                 fh.write(f"{i},{float(a1)!r},{float(a2)!r}\r\n")
         print(f"wrote {dump}")
     pd_target = individual_pd(strat, market)
-    z = z_score(strat, market)
-    # a fixed overlap k has correlation k/n; a random one has the paper's mean
-    # correlation n/N, and the model's exact joint PD is the mixture over K
-    fixed = isinstance(overlap, FixedOverlap)
-    rho_target = overlap.shared / p["n"] if fixed else p["n"] / market.market_size
-    joint_target = binorm_cdf(z, z, rho_target)
-    mixture_target = joint_target if fixed else random_overlap_joint_pd(strat, market)
+    # random selection's target is the paper's, at the mean n/N; the model's is the mixture over K
+    paper = None if isinstance(overlap, RandomSelection) else overlap
+    rho_target = correlation_law(strat.diversification, market.market_size, paper)[0]
+    joint_target = systemic_pd(strat, market, overlap=paper)
+    mixture_target = systemic_pd(strat, market, overlap=overlap)
     return {
         "pd1_hat": result.pd1_hat,
         "pd2_hat": result.pd2_hat,

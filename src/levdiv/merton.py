@@ -1,5 +1,5 @@
 """Single-bank Merton quantities, the overlap-induced asset correlation and
-the joint default probability under random project selection.
+the joint default probability of two banks.
 
 A bank with debt-to-asset ratio f holding n equally weighted projects out
 of a pool of N defaults at horizon T when its asset value falls to or
@@ -7,6 +7,9 @@ below its debt.  Under the rebalanced-portfolio dynamics the default
 probability is Phi1(z) with
 
     z = -(ln(1/f) + mu T - chi/n) / sqrt(2 chi / n),   chi = sigma^2 T / 2.
+
+Two banks that each hold n projects, k of them shared, have book returns
+with correlation k/n (``correlation_law``) and joint PD Phi2(z, z, k/n).
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, StrategyMarketMismatchError, is_int
-from .gaussian import binorm_cdf, phi1
+from .errors import ConfigError, DomainError, StrategyMarketMismatchError, is_int
+from .gaussian import DEFAULT_GRID, GridSpec, binorm_cdf, phi1
 
 _F_BOUNDARY_TOL = 1e-12
 
@@ -80,28 +83,72 @@ class BankStrategy:
             )
 
 
-def _check_pair(strategy: BankStrategy, market: MarketParams) -> None:
-    if strategy.diversification > market.market_size:
-        raise StrategyMarketMismatchError(
-            f"diversification {strategy.diversification} exceeds market size "
-            f"{market.market_size}"
-        )
+@dataclass(frozen=True)
+class FixedOverlap:
+    """The two banks share exactly `shared` projects."""
+
+    shared: int
+
+
+@dataclass(frozen=True)
+class RandomSelection:
+    """Each bank draws its projects uniformly without replacement, per path."""
+
+
+OverlapMode = FixedOverlap | RandomSelection
+
+
+def check_overlap(overlap: OverlapMode, n1: int, n2: int, market_size: int) -> None:
+    """Reject an overlap that two books of n1 and n2 of the projects cannot have."""
+    if isinstance(overlap, FixedOverlap):
+        k, lo, hi = overlap.shared, max(0, n1 + n2 - market_size), min(n1, n2)
+        if not is_int(k) or not lo <= k <= hi:
+            raise ConfigError(
+                f"shared project count {k!r} must lie in [{lo}, {hi}] for n1={n1}, n2={n2}, N={market_size}"
+            )
+    elif not isinstance(overlap, RandomSelection):
+        raise ConfigError(f"unknown overlap mode {overlap!r}")
+
+
+def z_cells(f, n, chi, shift):
+    """Default threshold z = -(ln(1/f) + shift - chi/n) / sqrt(2 chi / n),
+    shift = mu T, at cells given as arrays that broadcast.  ln(1/f) is libm's
+    ``math.log(1.0 / f)``, once per distinct f: numpy's log and -log(f)
+    differ from it in the last bit for some leverages."""
+    values, at = np.unique(f, return_inverse=True)
+    log = np.array([math.log(1.0 / x) for x in values.tolist()])[at].reshape(np.shape(f))
+    n = np.asarray(n, dtype=float)
+    return -(log + shift - chi / n) / np.sqrt(2.0 * chi / n)
 
 
 def z_score(strategy: BankStrategy, market: MarketParams) -> float:
-    """Default threshold in standard-normal units."""
-    _check_pair(strategy, market)
-    chi = market.chi
+    """Default threshold in standard-normal units: ``z_cells`` at one cell."""
+    n, chi = strategy.diversification, market.chi
+    if n > market.market_size:
+        raise StrategyMarketMismatchError(f"diversification {n} exceeds market size {market.market_size}")
     if chi <= 0.0:
         raise DomainError("z_score requires chi > 0 (sigma > 0 and T > 0)")
-    n = strategy.diversification
-    num = math.log(1.0 / strategy.leverage) + market.drift * market.horizon - chi / n
-    return -num / math.sqrt(2.0 * chi / n)
+    return float(z_cells(strategy.leverage, n, chi, market.drift * market.horizon))
 
 
 def individual_pd(strategy: BankStrategy, market: MarketParams) -> float:
     """Probability that the bank's assets at T are at or below its debt."""
     return phi1(z_score(strategy, market))
+
+
+def correlation_law(n, market_size: int, overlap: OverlapMode | None = None):
+    """Support and weights of the correlation k/n of two books of n of the N
+    projects that share k: with no overlap, the paper's mean n/N as a point
+    mass (n may be an array); k/n for ``FixedOverlap(k)``; and under
+    ``RandomSelection`` the hypergeometric(N, n, n) law of K."""
+    if overlap is None:
+        return n / market_size, 1.0
+    check_overlap(overlap, n, n, market_size)
+    if isinstance(overlap, FixedOverlap):
+        return overlap.shared / n, 1.0
+    ks = np.arange(max(0, 2 * n - market_size), n + 1)
+    pmf = [math.comb(n, k) * math.comb(market_size - n, n - k) / math.comb(market_size, n) for k in ks.tolist()]
+    return ks / n, np.array(pmf)
 
 
 def asset_correlation(n: int, market: MarketParams) -> float:
@@ -110,20 +157,19 @@ def asset_correlation(n: int, market: MarketParams) -> float:
     if not is_int(n) or n < 1:
         raise DomainError(f"n must be an integer >= 1, got {n!r}")
     if n > market.market_size:
-        raise DomainError(
-            f"n={n} exceeds market size {market.market_size}"
-        )
-    return n / market.market_size
+        raise DomainError(f"n={n} exceeds market size {market.market_size}")
+    return correlation_law(n, market.market_size)[0]
 
 
-def random_overlap_joint_pd(strategy: BankStrategy, market: MarketParams) -> float:
-    """Joint default probability of two banks that each draw their n
-    projects at random: sum_k P(K = k) Phi2(z, z, k/n), the overlap K being
-    hypergeometric(N, n, n).  Phi2 at the mean correlation n/N (the paper's
-    value, ``analysis.systemic_pd``) is lower, because Phi2(z, z, rho) is
-    convex in rho on [0, 1]."""
+def systemic_pd(
+    strategy: BankStrategy, market: MarketParams, method: str = "oracle", grid_spec: GridSpec = DEFAULT_GRID,
+    overlap: OverlapMode | None = None,
+) -> float:
+    """Joint default probability of two banks using the same strategy on the
+    same market: Phi2(z, z, rho) averaged over ``correlation_law``.  With no
+    overlap that is the paper's Phi2(z, z, n/N).  Under ``RandomSelection``
+    the hypergeometric mixture is at least that, by Jensen's inequality,
+    because Phi2(z, z, rho) is convex in rho on [0, 1]."""
     z = z_score(strategy, market)
-    n, size = strategy.diversification, market.market_size
-    ks = range(max(0, 2 * n - size), n + 1)
-    pmf = [math.comb(n, k) * math.comb(size - n, n - k) / math.comb(size, n) for k in ks]
-    return float((np.array(pmf) * binorm_cdf(z, z, np.array(ks) / n)).sum())
+    rho, weight = correlation_law(strategy.diversification, market.market_size, overlap)
+    return float(np.sum(weight * binorm_cdf(z, z, rho, method=method, spec=grid_spec)))

@@ -31,12 +31,11 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
 from .errors import ConfigError, is_int
-from .merton import BankStrategy, MarketParams
+from .merton import BankStrategy, FixedOverlap, MarketParams, OverlapMode, RandomSelection, check_overlap
 
 # Chunk size is a pure function of the config (never of the environment): it
 # fixes the order in which the moment sums are added, so this value must not
@@ -49,21 +48,6 @@ _SCRATCH_BUDGET = 131_072
 
 def _chunk_size(steps: int, market_size: int) -> int:
     return max(1, min(4096, _CHUNK_BUDGET // (steps * market_size)))
-
-
-@dataclass(frozen=True)
-class FixedOverlap:
-    """The two banks share exactly `shared` projects."""
-
-    shared: int
-
-
-@dataclass(frozen=True)
-class RandomSelection:
-    """Each bank draws its projects uniformly without replacement, per path."""
-
-
-OverlapMode = Union[FixedOverlap, RandomSelection]
 
 
 @dataclass(frozen=True)
@@ -80,16 +64,7 @@ class SimConfig:
         N = self.market.market_size
         if n1 > N or n2 > N:
             raise ConfigError(f"diversification ({n1}, {n2}) exceeds market size {N}")
-        if isinstance(self.overlap, FixedOverlap):
-            k = self.overlap.shared
-            lo, hi = max(0, n1 + n2 - N), min(n1, n2)
-            if not is_int(k) or not lo <= k <= hi:
-                raise ConfigError(
-                    f"shared project count {k!r} must lie in [{lo}, {hi}] "
-                    f"for n1={n1}, n2={n2}, N={N}"
-                )
-        elif not isinstance(self.overlap, RandomSelection):
-            raise ConfigError(f"unknown overlap mode {self.overlap!r}")
+        check_overlap(self.overlap, n1, n2, N)
         if not is_int(self.paths) or self.paths < 1:
             raise ConfigError(f"paths must be an integer >= 1, got {self.paths!r}")
         if not is_int(self.steps_per_horizon) or self.steps_per_horizon < 1:

@@ -220,6 +220,28 @@ class TestOracle:
         lo, hi = z1s
         assert binorm_cdf_oracle(lo, z2, rho) <= binorm_cdf_oracle(hi, z2, rho) + 1e-12
 
+    def test_diagonal_against_mpmath(self):
+        # the accuracy the module docstring and README state, by rho range.
+        # On the diagonal the arcsine integrand is exp(-h^2 / (1 + sin t)),
+        # smooth on [0, pi/2], so a 40-digit reference costs ~10 ms a point
+        import mpmath
+
+        def reference(h, rho):
+            h, rho = mpmath.mpf(h), mpmath.mpf(rho)
+            tail = mpmath.quad(lambda t: mpmath.exp(-h * h / (1 + mpmath.sin(t))), [0, mpmath.asin(rho)])
+            return float(mpmath.ncdf(h) ** 2 + tail / (2 * mpmath.pi))
+
+        rng = np.random.default_rng(20261019)
+        ranges = (
+            (rng.uniform(0.0, 1.0 - 1e-5, 120), 1e-15),  # arcsine rule and Genz's form
+            (1.0 - 10.0 ** rng.uniform(-9.0, -5.0, 60), 1e-13),  # Genz's form near rho = 1
+        )
+        for rho, bound in ranges:
+            h = rng.uniform(-8.0, 3.0, rho.size)
+            with mpmath.workdps(40):
+                ref = np.array([reference(a, r) for a, r in zip(h.tolist(), rho.tolist())])
+            assert np.abs(binorm_cdf_oracle(h, h, rho) - ref).max() <= bound
+
     def test_agrees_with_adaptive_quadrature(self):
         # z1 != z2 over [-8, 8], both signs of rho, and a quarter of the
         # sample beyond the 0.925 split where the near-degenerate form runs

@@ -2,21 +2,26 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levdiv import (
     BankStrategy,
+    ConfigError,
     DomainError,
+    FixedOverlap,
     MarketParams,
+    RandomSelection,
     StrategyMarketMismatchError,
     asset_correlation,
+    binorm_cdf,
     individual_pd,
     systemic_pd,
     z_score,
 )
-from levdiv.merton import random_overlap_joint_pd
+from levdiv.merton import correlation_law, z_cells
 
 leverages = st.floats(min_value=0.01, max_value=0.99, allow_nan=False)
 chis = st.floats(min_value=0.05, max_value=9.0, allow_nan=False)
@@ -176,11 +181,108 @@ class TestAssetCorrelation:
             asset_correlation(2.5, m)
 
 
-def test_random_overlap_joint_pd_is_hypergeometric_mixture():
-    strategy, market = BankStrategy(0.25, 4), MarketParams.from_chi(8, 1.6)
-    assert random_overlap_joint_pd(strategy, market) == pytest.approx(0.051975285, abs=1e-6)
-    # the mean-correlation value the paper uses is lower (Phi2 convex in rho)
-    assert systemic_pd(strategy, market) == pytest.approx(0.049681, abs=1e-6)
-    # N = n: both banks hold every project, so K = n with certainty
-    full = MarketParams.from_chi(4, 1.6)
-    assert random_overlap_joint_pd(strategy, full) == systemic_pd(strategy, full)
+def seeded_cells(seed, count=400, max_size=60):
+    """(strategy, market) pairs with f in (0, 1), 1 <= n <= N <= max_size and
+    mu != 0; chi comes from from_chi on even draws and from (sigma, T) on odd."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    for i in range(count):
+        size = int(rng.integers(1, max_size + 1))
+        strategy = BankStrategy(float(rng.uniform(1e-6, 1.0 - 1e-6)), int(rng.integers(1, size + 1)))
+        mu = float(rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 0.2))
+        if i % 2:
+            market = MarketParams(size, float(rng.uniform(0.05, 3.0)), float(rng.uniform(0.1, 5.0)), mu)
+        else:
+            market = MarketParams.from_chi(size, float(rng.uniform(1e-3, 9.0)), drift=mu)
+        cells.append((strategy, market))
+    return cells
+
+
+class TestZCells:
+    """z_score is the one-cell case of the array-valued z_cells."""
+
+    def test_scalar_matches_array_bit_for_bit(self):
+        cells = seeded_cells(20261019, count=2000)
+        scalar = np.array([z_score(s, m) for s, m in cells])
+        array = z_cells(
+            [s.leverage for s, _ in cells],
+            [s.diversification for s, _ in cells],
+            np.array([m.chi for _, m in cells]),
+            np.array([m.drift * m.horizon for _, m in cells]),
+        )
+        assert scalar.view(np.int64).tolist() == array.view(np.int64).tolist()
+        # the formula in scalar float arithmetic with libm's log and sqrt
+        by_hand = [
+            -(math.log(1.0 / s.leverage) + m.drift * m.horizon - m.chi / s.diversification)
+            / math.sqrt(2.0 * m.chi / s.diversification)
+            for s, m in cells
+        ]
+        assert scalar.view(np.int64).tolist() == np.array(by_hand).view(np.int64).tolist()
+
+    def test_broadcast_cells_match_scalar_cells(self):
+        fs, ns = np.array([0.1, 0.25, 0.5, 0.1]), np.arange(1, 13)
+        market = MarketParams(12, 0.9, horizon=2.0, drift=-0.03)
+        z = z_cells(fs[:, None], ns, market.chi, market.drift * market.horizon)
+        assert z.shape == (4, 12)
+        expected = [[z_score(BankStrategy(f, int(n)), market) for n in ns] for f in fs]
+        assert z.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
+
+    def test_python_floats(self):
+        for strategy, market in seeded_cells(7, count=40):
+            assert type(z_score(strategy, market)) is float
+            assert type(individual_pd(strategy, market)) is float
+            k = max(0, 2 * strategy.diversification - market.market_size)
+            for overlap in (None, FixedOverlap(k), RandomSelection()):
+                assert type(systemic_pd(strategy, market, overlap=overlap)) is float
+
+
+class TestJointPd:
+    """systemic_pd under each overlap that correlation_law maps to rho."""
+
+    def test_random_selection_is_hypergeometric_mixture(self):
+        strategy, market = BankStrategy(0.25, 4), MarketParams.from_chi(8, 1.6)
+        assert systemic_pd(strategy, market, overlap=RandomSelection()) == pytest.approx(0.051975285, abs=1e-6)
+        # the mean-correlation value the paper uses is lower (Phi2 convex in rho)
+        assert systemic_pd(strategy, market) == pytest.approx(0.049681, abs=1e-6)
+        # N = n: both banks hold every project, so K = n with certainty
+        full = MarketParams.from_chi(4, 1.6)
+        assert systemic_pd(strategy, full, overlap=RandomSelection()) == systemic_pd(strategy, full)
+
+    def test_random_selection_is_at_least_mean_correlation_value(self):
+        # Jensen: Phi2(z, z, rho) is convex in rho on [0, 1] and E[K/n] = n/N.
+        # The oracle's error is absolute: for rho >= 0.925 Genz's form drops
+        # terms below exp(-100), so a joint PD under 1e-40 carries no relative
+        # accuracy (at z = -28.8, rho = 13/14 it returns Phi(z), 6.3e-183, for
+        # 1.8e-190), and there only the absolute bound of 1e-15 can hold.
+        for strategy, market in seeded_cells(20261020, count=1000):
+            mixture = systemic_pd(strategy, market, overlap=RandomSelection())
+            mean = systemic_pd(strategy, market)
+            assert mixture >= (mean if mean > 1e-40 else mean - 1e-15)
+            if strategy.diversification == market.market_size:
+                assert mixture == mean
+
+    @pytest.mark.parametrize("size, n", [(1, 1), (8, 4), (10, 7), (60, 13), (60, 60)])
+    def test_hypergeometric_law(self, size, n):
+        rho, weight = correlation_law(n, size, RandomSelection())
+        assert rho.tolist() == [k / n for k in range(max(0, 2 * n - size), n + 1)]
+        assert weight.sum() == pytest.approx(1.0, rel=1e-14)
+        assert rho @ weight == pytest.approx(n / size, rel=1e-14)  # E[K] = n^2 / N
+
+    def test_fixed_overlap_is_a_point_mass_at_k_over_n(self):
+        strategy, market = BankStrategy(0.25, 4), MarketParams.from_chi(8, 1.6)
+        z = z_score(strategy, market)
+        for k in range(5):
+            assert systemic_pd(strategy, market, overlap=FixedOverlap(k)) == binorm_cdf(z, z, k / 4)
+        assert systemic_pd(strategy, market, overlap=FixedOverlap(2)) == systemic_pd(strategy, market)
+
+    def test_mean_correlation_is_n_over_size_for_arrays(self):
+        n, size = np.arange(1, 41), np.repeat([10, 20, 30, 40], 10)
+        rho, weight = correlation_law(n, size)
+        assert weight == 1.0
+        assert rho.tolist() == [a / b for a, b in zip(n.tolist(), size.tolist())]
+
+    @pytest.mark.parametrize("overlap", [FixedOverlap(5), FixedOverlap(-1), FixedOverlap(0), FixedOverlap(True), "random"])
+    def test_impossible_overlap_rejected(self, overlap):
+        # two books of 4 of 6 projects share at least 2 and at most 4
+        with pytest.raises(ConfigError):
+            systemic_pd(BankStrategy(0.25, 4), MarketParams.from_chi(6, 1.6), overlap=overlap)

@@ -21,8 +21,8 @@ from levdiv import (
     individual_pd,
     path_rng,
     select_holdings,
+    systemic_pd,
 )
-from levdiv.merton import random_overlap_joint_pd
 
 from rebalancing_reference import PortfolioState, simulate_bank, simulate_prices
 from serial_estimator import serial_estimate
@@ -340,7 +340,7 @@ class TestEstimates:
             seed=213,
         )
         res = estimate_default_probs(cfg)
-        target = random_overlap_joint_pd(strategy, market)
+        target = systemic_pd(strategy, market, overlap=RandomSelection())
         assert abs(res.joint_pd_hat - target) <= max(3.0 * res.se_joint, 0.005)
 
 
