@@ -8,9 +8,10 @@ leverage from a normal level f_n to an abnormal level f_a raises it by
 
 A cell (N, n, chi) is "safe" when that increase is at most epsilon_safe,
 and the critical diversification n* is the smallest n whose whole suffix
-[n, N] is safe, or None (not an error) when n = N is risky.  A sweep takes
-it as a cumulative AND from n = N down its table; critical levels alone
-scan down from n = N and stop at the first risky cell, with the same n*.
+[n, N] is safe: one more than the largest risky n of the (N, chi) column,
+1 when none is risky, and None (not an error) when n = N is risky.  A
+sweep takes that maximum over all its cells; critical levels alone scan
+down from n = N and close each column at its first risky round.
 
 A regime sweep is held as columns: ``SweepResult`` keeps read-only arrays
 ``market_size``, ``n``, ``chi`` and ``delta_phi2`` with one entry per cell,
@@ -62,7 +63,8 @@ _DELTA_SLACK = 1e-6
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """A regime sweep as read-only columns, one entry per (N, n, chi) cell
-    sorted by (N, chi, n), plus the per-(N, chi) critical levels."""
+    sorted by (N, chi, n), plus the per-(N, chi) critical levels n*, each
+    one more than the column's largest risky n."""
 
     scenario: LeverageScenario
     mu: float
@@ -163,39 +165,44 @@ def delta_phi2(
 ) -> float:
     """Increase in systemic default probability caused by moving from the
     normal to the abnormal leverage; nonnegative up to method tolerance."""
-    _blocks([market.market_size], [n], [market])
-    return float(_delta_tables([scenario], [market], 0, market.market_size, n, 0, method, grid_spec))
+    size = market.market_size
+    if not is_int(n) or not 1 <= n <= size:
+        raise DomainError(f"invalid cell (N={size}, n={n!r}): need 1 <= n <= N")
+    _check_box([size], [market], 0.0)
+    return float(_delta_tables([scenario], [market], 0, size, n, 0, method, grid_spec))
 
 
-Blocks = list[tuple[int, list[int]]]  # (N, ascending n values) per market size
-
-
-def _blocks(market_sizes: Sequence[int], n_values, markets: Sequence, epsilon_safe: float = 0.0) -> Blocks:
-    """Check a box up front, in this order: its market sizes and n values,
-    the markets' chi, epsilon_safe; return its blocks."""
-    if not market_sizes:
+def _check_box(market_sizes: Sequence[int], markets: Sequence, epsilon_safe: float) -> None:
+    """Check a box up front, in this order: its market sizes, the markets'
+    chi, epsilon_safe."""
+    if len(market_sizes) == 0:
         raise ConfigError("market_sizes must be non-empty")
-    blocks = []
     for size in market_sizes:
         if not is_int(size) or size < 1:
             raise ConfigError(f"market sizes must be integers >= 1, got {size!r}")
-        ns = sorted(n_values) if n_values is not None else list(range(1, size + 1))
-        for n in ns:
-            if not is_int(n) or not 1 <= n <= size:
-                raise DomainError(f"invalid cell (N={size}, n={n!r}): need 1 <= n <= N")
-        blocks.append((size, ns))
     if not all(m.chi > 0.0 for m in markets):
         raise DomainError("delta_phi2 requires chi > 0 (sigma > 0 and T > 0)")
     if not (math.isfinite(epsilon_safe) and epsilon_safe >= 0.0):
         raise DomainError(f"epsilon_safe must be finite and >= 0, got {epsilon_safe!r}")
-    return blocks
+
+
+def _box(scenario_count: int, market_sizes: Sequence[int], market_count: int):
+    """The columns (scenario s, N, market m) of a box in that order, as the
+    rows of a (3, columns) array, and each cell's column c and n, one entry
+    per cell of 1 <= n <= N.  Cells run in (s, N, n, m) order, so equal
+    correlations n/N sit together."""
+    cols = np.array(np.meshgrid(range(scenario_count), market_sizes, range(market_count), indexing="ij"), dtype=int)
+    sizes = np.tile(market_sizes, scenario_count)  # per (s, N); its columns start at market_count * its index
+    pair, k = np.nonzero(np.arange(1, sizes.max(initial=0) + 1) <= sizes[:, None])  # one (s, N, n) per row
+    c = pair[:, None] * market_count + np.arange(market_count)
+    return cols.reshape(3, -1), c.ravel(), np.repeat(k + 1, market_count)
 
 
 def _delta_tables(scenarios: Sequence, markets: Sequence, s, size, n, m, method: str, grid_spec) -> np.ndarray:
     """delta_phi2 from one Phi2 call, for every sweep, critical level and
     drift scan, at the cells (scenario s, N, n, market m) given as arrays
-    that broadcast: a sweep passes the full product, a scan a flat list.
-    s and m index the scenarios and the markets (chi, drift, horizon)."""
+    that broadcast.  s and m index the scenarios and the markets (chi,
+    drift, horizon)."""
     f = np.array([[sc.f_normal, sc.f_abnormal] for sc in scenarios])
     shift = np.array([mk.drift * mk.horizon for mk in markets])[m]
     chi = np.array([mk.chi for mk in markets])[m]
@@ -204,16 +211,13 @@ def _delta_tables(scenarios: Sequence, markets: Sequence, s, size, n, m, method:
     return pd[1] - pd[0]
 
 
-def _critical(blocks: Blocks, labels: Sequence, deltas: np.ndarray, epsilon_safe: float) -> dict:
-    """{(N, label): n*} for each block and labelled column of a (cell,
-    market) delta table: n* is the smallest n of the block whose whole
-    suffix is safe, or None, from a reversed cumulative AND over n."""
-    out = {}
-    ends = np.cumsum([len(ns) for _, ns in blocks])
-    for (size, ns), d in zip(blocks, np.split(deltas, ends[:-1])):
-        safe_run = np.logical_and.accumulate((d <= epsilon_safe)[::-1], axis=0).sum(axis=0)
-        out.update({(size, x): ns[-c] if c else None for x, c in zip(labels, safe_run.tolist())})
-    return out
+def _levels(cols, star: np.ndarray, labels: Sequence, scenario_count: int) -> list[dict]:
+    """Per scenario, {(N, label): n*} from each column's star = 1 + its
+    largest risky n (1 if none), None where that is N + 1."""
+    levels = [{} for _ in range(scenario_count)]
+    for s, size, m, k in zip(*cols.tolist(), star.tolist()):
+        levels[s][(size, labels[m])] = None if k > size else k
+    return levels
 
 
 def _scan(
@@ -221,29 +225,23 @@ def _scan(
     markets: Sequence[MarketParams], method: str, epsilon_safe: float, grid_spec: GridSpec,
 ) -> list[dict]:
     """Per scenario, {(N, label): n*} for each market size and labelled
-    market, as ``_critical`` gives it, from a scan down from n = N that
-    stops at each column's first risky cell.  Round b holds the cells of
-    band ((N - 1) // n).bit_length() == b: n = N, then 2^-b <= n/N < 2^(1-b).
+    market, from a scan down from n = N that closes each column at its
+    first risky round.  Round b holds the cells of band
+    ((N - 1) // n).bit_length() == b: n = N, then 2^-b <= n/N < 2^(1-b).
     The band depends on n/N alone, so each correlation falls in one round,
     one Phi2 call over the columns still open."""
-    _blocks(market_sizes, None, markets, epsilon_safe)
-    cols = [(s, size, m) for s in range(len(scenarios)) for size in market_sizes for m in range(len(markets))]
-    s, size, m = np.array(cols, dtype=int).reshape(-1, 3).T
-    c = np.repeat(np.arange(len(cols)), size)  # each cell's column, whose n run from N down to 1
-    n = size[c] - np.arange(c.size) + (np.cumsum(size) - size)[c]
-    band = np.frexp((size[c] - 1) // n)[1]  # the exponent frexp gives is int.bit_length()
-    star = np.ones(len(cols), dtype=int)  # n* per column (N + 1 for None), 1 until a cell is risky
+    _check_box(market_sizes, markets, epsilon_safe)
+    cols, c, n = _box(len(scenarios), market_sizes, len(markets))
+    s, size, m = cols[:, c]
+    band = np.frexp((size - 1) // n)[1]  # the exponent frexp gives is int.bit_length()
+    star = np.ones(cols.shape[1], dtype=int)
     for b in range(band.max(initial=-1) + 1):
         at = np.flatnonzero((band == b) & (star[c] == 1))
         if at.size:
-            deltas = _delta_tables(scenarios, markets, s[c[at]], size[c[at]], n[at], m[c[at]], method, grid_spec)
+            deltas = _delta_tables(scenarios, markets, s[at], size[at], n[at], m[at], method, grid_spec)
             risky = at[~(deltas <= epsilon_safe)]
-            hit, first = np.unique(c[risky], return_index=True)
-            star[hit] = n[risky[first]] + 1
-    levels = [{} for _ in scenarios]
-    for (s, size, m), k in zip(cols, star.tolist()):
-        levels[s][(size, labels[m])] = None if k > size else k
-    return levels
+            np.maximum.at(star, c[risky], n[risky] + 1)
+    return _levels(cols, star, labels, len(scenarios))
 
 
 def critical_diversification(
@@ -286,7 +284,6 @@ def regime_sweep(
     market_sizes: Sequence[int],
     chi_values: Iterable[float],
     mu: float = 0.0,
-    n_values: Sequence[int] | None = None,
     method: str = "oracle",
     epsilon_safe: float = EPSILON_SAFE,
     grid_spec: GridSpec = DEFAULT_GRID,
@@ -301,15 +298,11 @@ def regime_sweep(
     if not chis:
         raise ConfigError("chi_values must be non-empty")
     markets = [MarketParams.from_chi(1, chi, drift=mu) for chi in chis]
-    blocks = _blocks(market_sizes, n_values, markets, epsilon_safe)
-    # one row of deltas per (N, n) in block order, one column per chi
-    row_size = np.repeat([size for size, _ in blocks], [len(ns) for _, ns in blocks])
-    row_n = np.array([n for _, ns in blocks for n in ns], dtype=int)
-    deltas = _delta_tables(
-        [scenario], markets, 0, row_size[:, None], row_n[:, None], np.arange(len(chis)), method, grid_spec
-    )
-    size, n = np.repeat(row_size, len(chis)), np.repeat(row_n, len(chis))
-    chi, delta = np.tile(chis, len(row_n)), deltas.ravel()
+    _check_box(market_sizes, markets, epsilon_safe)
+    cols, c, n = _box(1, market_sizes, len(chis))
+    _, size, m = cols[:, c]
+    delta = _delta_tables([scenario], markets, 0, size, n, m, method, grid_spec)
+    chi = np.array(chis)[m]
     bad = np.flatnonzero(~(delta >= -_DELTA_SLACK))
     if bad.size:
         i = bad[0]
@@ -317,11 +310,14 @@ def regime_sweep(
             f"leverage differential {delta[i].item()} is negative beyond numerical "
             f"slack at (N={size[i]}, n={n[i]}, chi={chi[i].item()})"
         )
+    star = np.ones(cols.shape[1], dtype=int)
+    risky = ~(delta <= epsilon_safe)
+    np.maximum.at(star, c[risky], n[risky] + 1)
     order = np.lexsort((n, chi, size))
     columns = [col[order] for col in (size, n, chi, delta)]
     for col in columns:
         col.setflags(write=False)
-    return SweepResult(scenario, mu, epsilon_safe, *columns, _critical(blocks, chis, deltas, epsilon_safe))
+    return SweepResult(scenario, mu, epsilon_safe, *columns, _levels(cols, star, chis, 1)[0])
 
 
 def mu_sensitivity(

@@ -43,12 +43,12 @@ SMALL_GRID = GridSpec(cells_per_axis=400)
 
 # sweeps whose CSV must be csv.writer's bytes: exact-zero and exponent-form
 # deltas (the standard box), descending and repeated chi with unsorted
-# market sizes, a nonzero drift, explicit n values and the grid method
+# market sizes, a nonzero drift, duplicated market sizes and the grid method
 CSV_SWEEPS = {
     "standard-box": lambda: regime_sweep(SCENARIO, [10, 20], default_chi_grid(points=30)),
     "descending-repeated-chi": lambda: regime_sweep(SCENARIO, [12, 3, 7], [5.1, 0.2, 0.2, 0.003]),
     "drift": lambda: regime_sweep(LeverageScenario(0.25, 0.5), [7], [0.3, 1.6], mu=0.05),
-    "explicit-n": lambda: regime_sweep(SCENARIO, [20, 10], [0.1, 1.6, 8.9], n_values=[9, 2, 5]),
+    "duplicated-sizes": lambda: regime_sweep(SCENARIO, [20, 10, 10], [0.1, 1.6, 8.9]),
     "grid": lambda: regime_sweep(SCENARIO, [6], [0.01, 0.5, 3.0], method="grid", grid_spec=SMALL_GRID),
 }
 
@@ -237,9 +237,10 @@ class TestRegimeSweep:
             assert len(set(keys)) == len(keys)
 
     def test_single_cell_consistent_with_delta(self):
-        result = regime_sweep(SCENARIO, [10], [1.6], n_values=[3])
-        assert result.delta_phi2.tolist() == [delta_phi2(SCENARIO, 3, M10)]
-        assert result.risky.tolist() == [True]
+        result = regime_sweep(SCENARIO, [10], [1.6])
+        at = result.n == 3
+        assert result.delta_phi2[at].tolist() == [delta_phi2(SCENARIO, 3, M10)]
+        assert result.risky[at].tolist() == [True]
 
     def test_critical_consistent_with_cells(self):
         result = regime_sweep(SCENARIO, [10], [0.05, 0.4, 1.6])
@@ -275,7 +276,17 @@ class TestRegimeSweep:
 
     def test_invalid_cells_located(self):
         with pytest.raises(DomainError, match=r"N=4, n=7"):
-            regime_sweep(SCENARIO, [4], [0.5], n_values=[7])
+            delta_phi2(SCENARIO, 7, MarketParams.from_chi(4, 0.5))
+
+    @pytest.mark.parametrize("sizes", [np.array([10, 20]), np.array([10])], ids=["two", "one"])
+    def test_array_of_market_sizes_rejected(self, sizes):
+        # numpy integers are not the package's integer counts, and an array
+        # must not reach a truth-value test
+        message = r"^market sizes must be integers >= 1, got np\.int64\(10\)$"
+        with pytest.raises(ConfigError, match=message):
+            regime_sweep(SCENARIO, sizes, [1.6])
+        with pytest.raises(ConfigError, match=message):
+            critical_table([SCENARIO], sizes, [1.6])
 
     def test_csv_schema(self):
         result = regime_sweep(SCENARIO, [4], [0.5, 1.5])
@@ -358,10 +369,11 @@ class TestRegimeSweep:
 
         monkeypatch.setattr(levdiv.analysis, "binorm_cdf", shifted)
         shift = 1e-3
-        with pytest.raises(DomainError, match=r"N=10, n=3, chi=0\.001\)"):
-            regime_sweep(SCENARIO, [10], [0.001], n_values=[3])
+        # every cell goes negative; the first in (N, n, chi) order is named
+        with pytest.raises(DomainError, match=r"N=10, n=1, chi=0\.001\)"):
+            regime_sweep(SCENARIO, [10], [0.001])
         shift = 1e-9
-        assert regime_sweep(SCENARIO, [10], [0.001], n_values=[3]).delta_phi2[0] >= -1e-6
+        assert (regime_sweep(SCENARIO, [10], [0.001]).delta_phi2 >= -1e-6).all()
 
     def test_grid_method_supported(self):
         result = regime_sweep(
@@ -408,6 +420,21 @@ class TestCriticalReductions:
                 mu: full_box_critical(SCENARIO, market.with_drift(mu), method, eps, SMALL_GRID) for mu in SCAN_DRIFTS
             }
 
+    @pytest.mark.parametrize("eps", [0.0, 1e-6, 0.2])
+    @pytest.mark.parametrize("method", ["oracle", "grid"])
+    def test_sweep_matches_full_box_on_unsorted_repeated_axes(self, method, eps):
+        # unsorted and duplicated sizes, descending and repeated chi: the
+        # sweep's cell layout must not move any column's n*
+        sizes, chis_ = [17, 3, 3, 1], [5.1, 1.6, 1.6, 0.4, 0.05, 0.001]
+        sweep = regime_sweep(SCENARIO, sizes, chis_, method=method, epsilon_safe=eps, grid_spec=SMALL_GRID)
+        full = {
+            (size, chi): full_box_critical(SCENARIO, MarketParams.from_chi(size, chi), method, eps, SMALL_GRID)
+            for size in sizes
+            for chi in chis_
+        }
+        assert sweep.critical_n == full
+        assert list(sweep.critical_n) == list(full)
+
     def test_scan_cases_reach_none_one_and_interior_levels(self):
         levels = {
             n_star
@@ -423,11 +450,6 @@ class TestCriticalReductions:
         chis_ = [0.4, 1.6, 5.1]
         tables = critical_table(scenarios, [10, 20], chis_, epsilon_safe=1e-3)
         assert tables == [critical_table([s], [10, 20], chis_, epsilon_safe=1e-3)[0] for s in scenarios]
-
-    def test_empty_n_values_give_no_level(self):
-        result = regime_sweep(SCENARIO, [10], [1.6], n_values=[])
-        assert result.n.size == result.delta_phi2.size == 0
-        assert result.critical_n == {(10, 1.6): None}
 
 
 class TestScanWork:
