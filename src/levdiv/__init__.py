@@ -28,7 +28,6 @@ from .gaussian import (
     CdfGrid,
     GridSpec,
     binorm_cdf,
-    binorm_cdf_grid,
     binorm_cdf_oracle,
     phi1,
     tabulate_cdf_grid,
@@ -48,7 +47,6 @@ from .simulate import (
     SimResult,
     estimate_default_probs,
     path_rng,
-    select_holdings,
 )
 
 __version__ = "0.1.0"
@@ -72,7 +70,6 @@ __all__ = [
     "SweepResult",
     "asset_correlation",
     "binorm_cdf",
-    "binorm_cdf_grid",
     "binorm_cdf_oracle",
     "critical_diversification",
     "default_chi_grid",
@@ -83,7 +80,6 @@ __all__ = [
     "path_rng",
     "phi1",
     "regime_sweep",
-    "select_holdings",
     "systemic_pd",
     "tabulate_cdf_grid",
     "z_score",

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, is_int
-from .gaussian import DEFAULT_GRID, GridSpec, binorm_cdf
+from .gaussian import GridSpec, binorm_cdf
 # asset_correlation, systemic_pd and z_score stay bound here, where perfbench/tracer.py wraps them
 from .merton import MarketParams, asset_correlation, correlation_law, systemic_pd, z_cells, z_score
 
@@ -160,8 +160,7 @@ def delta_phi2(
     scenario: LeverageScenario,
     n: int,
     market: MarketParams,
-    method: str = "oracle",
-    grid_spec: GridSpec = DEFAULT_GRID,
+    method: str | GridSpec = "oracle",
 ) -> float:
     """Increase in systemic default probability caused by moving from the
     normal to the abnormal leverage; nonnegative up to method tolerance."""
@@ -169,7 +168,7 @@ def delta_phi2(
     if not is_int(n) or not 1 <= n <= size:
         raise DomainError(f"invalid cell (N={size}, n={n!r}): need 1 <= n <= N")
     _check_box([size], [market], 0.0)
-    return float(_delta_tables([scenario], [market], 0, size, n, 0, method, grid_spec))
+    return float(_delta_tables([scenario], [market], 0, size, n, 0, method))
 
 
 def _check_box(market_sizes: Sequence[int], markets: Sequence, epsilon_safe: float) -> None:
@@ -198,7 +197,7 @@ def _box(scenario_count: int, market_sizes: Sequence[int], market_count: int):
     return cols.reshape(3, -1), c.ravel(), np.repeat(k + 1, market_count)
 
 
-def _delta_tables(scenarios: Sequence, markets: Sequence, s, size, n, m, method: str, grid_spec) -> np.ndarray:
+def _delta_tables(scenarios: Sequence, markets: Sequence, s, size, n, m, method: str | GridSpec) -> np.ndarray:
     """delta_phi2 from one Phi2 call, for every sweep, critical level and
     drift scan, at the cells (scenario s, N, n, market m) given as arrays
     that broadcast.  s and m index the scenarios and the markets (chi,
@@ -207,7 +206,7 @@ def _delta_tables(scenarios: Sequence, markets: Sequence, s, size, n, m, method:
     shift = np.array([mk.drift * mk.horizon for mk in markets])[m]
     chi = np.array([mk.chi for mk in markets])[m]
     z = np.stack([z_cells(f[s, level], n, chi, shift) for level in (0, 1)])
-    pd = binorm_cdf(z, z, correlation_law(n, size)[0], method=method, spec=grid_spec)
+    pd = binorm_cdf(z, z, correlation_law(n, size)[0], method)
     return pd[1] - pd[0]
 
 
@@ -222,7 +221,7 @@ def _levels(cols, star: np.ndarray, labels: Sequence, scenario_count: int) -> li
 
 def _scan(
     scenarios: Sequence[LeverageScenario], market_sizes: Sequence[int], labels: Sequence,
-    markets: Sequence[MarketParams], method: str, epsilon_safe: float, grid_spec: GridSpec,
+    markets: Sequence[MarketParams], method: str | GridSpec, epsilon_safe: float,
 ) -> list[dict]:
     """Per scenario, {(N, label): n*} for each market size and labelled
     market, from a scan down from n = N that closes each column at its
@@ -238,7 +237,7 @@ def _scan(
     for b in range(band.max(initial=-1) + 1):
         at = np.flatnonzero((band == b) & (star[c] == 1))
         if at.size:
-            deltas = _delta_tables(scenarios, markets, s[at], size[at], n[at], m[at], method, grid_spec)
+            deltas = _delta_tables(scenarios, markets, s[at], size[at], n[at], m[at], method)
             risky = at[~(deltas <= epsilon_safe)]
             np.maximum.at(star, c[risky], n[risky] + 1)
     return _levels(cols, star, labels, len(scenarios))
@@ -247,13 +246,12 @@ def _scan(
 def critical_diversification(
     scenario: LeverageScenario,
     market: MarketParams,
-    method: str = "oracle",
+    method: str | GridSpec = "oracle",
     epsilon_safe: float = EPSILON_SAFE,
-    grid_spec: GridSpec = DEFAULT_GRID,
 ) -> int | None:
     """Smallest n such that every n' in [n, N] is safe, or None if even
     n = N is risky: the drift scan at the market's own drift."""
-    return mu_sensitivity(scenario, market, [market.drift], method, epsilon_safe, grid_spec)[market.drift]
+    return mu_sensitivity(scenario, market, [market.drift], method, epsilon_safe)[market.drift]
 
 
 def default_chi_grid(points: int = 100) -> np.ndarray:
@@ -267,16 +265,15 @@ def critical_table(
     scenarios: Sequence[LeverageScenario],
     market_sizes: Sequence[int],
     chi_values: Iterable[float],
-    method: str = "oracle",
+    method: str | GridSpec = "oracle",
     epsilon_safe: float = EPSILON_SAFE,
-    grid_spec: GridSpec = DEFAULT_GRID,
 ) -> list[dict[tuple[int, float], int | None]]:
     """Critical diversification at every (N, chi), per scenario, from one
     downward scan, so the grid method tabulates each correlation n/N at
     most once."""
     chis = [float(c) for c in chi_values]
     markets = [MarketParams.from_chi(1, chi) for chi in chis]
-    return _scan(scenarios, market_sizes, chis, markets, method, epsilon_safe, grid_spec)
+    return _scan(scenarios, market_sizes, chis, markets, method, epsilon_safe)
 
 
 def regime_sweep(
@@ -284,9 +281,8 @@ def regime_sweep(
     market_sizes: Sequence[int],
     chi_values: Iterable[float],
     mu: float = 0.0,
-    method: str = "oracle",
+    method: str | GridSpec = "oracle",
     epsilon_safe: float = EPSILON_SAFE,
-    grid_spec: GridSpec = DEFAULT_GRID,
 ) -> SweepResult:
     """Classify every (N, n, chi) cell and derive the per-(N, chi) critical
     levels from the same delta values.
@@ -301,7 +297,7 @@ def regime_sweep(
     _check_box(market_sizes, markets, epsilon_safe)
     cols, c, n = _box(1, market_sizes, len(chis))
     _, size, m = cols[:, c]
-    delta = _delta_tables([scenario], markets, 0, size, n, m, method, grid_spec)
+    delta = _delta_tables([scenario], markets, 0, size, n, m, method)
     chi = np.array(chis)[m]
     bad = np.flatnonzero(~(delta >= -_DELTA_SLACK))
     if bad.size:
@@ -324,12 +320,11 @@ def mu_sensitivity(
     scenario: LeverageScenario,
     market: MarketParams,
     mu_values: Sequence[float],
-    method: str = "oracle",
+    method: str | GridSpec = "oracle",
     epsilon_safe: float = EPSILON_SAFE,
-    grid_spec: GridSpec = DEFAULT_GRID,
 ) -> dict[float, int | None]:
     """Critical diversification as a function of the drift mu."""
     mus = [float(mu) for mu in mu_values]
     markets = [market.with_drift(mu) for mu in mus]
-    (level,) = _scan([scenario], [market.market_size], mus, markets, method, epsilon_safe, grid_spec)
+    (level,) = _scan([scenario], [market.market_size], mus, markets, method, epsilon_safe)
     return {mu: level[(market.market_size, mu)] for mu in mus}

@@ -53,11 +53,11 @@ PUBLISHED_CRITICAL_N = {
 
 
 def compute_table1(
-    method: str = "oracle", epsilon_safe: float = EPSILON_SAFE, grid_spec: GridSpec = DEFAULT_GRID
+    method: str | GridSpec = "oracle", epsilon_safe: float = EPSILON_SAFE
 ) -> dict[tuple[float, float], dict[float, list[int | None]]]:
     """Critical diversification on the fixed (N, chi, scenario) box."""
     scenarios = [LeverageScenario(fn, fa) for fn, fa in TABLE1_SCENARIOS]
-    tables = critical_table(scenarios, TABLE1_MARKET_SIZES, TABLE1_CHIS, method, epsilon_safe, grid_spec)
+    tables = critical_table(scenarios, TABLE1_MARKET_SIZES, TABLE1_CHIS, method, epsilon_safe)
     return {
         pair: {chi: [table[(size, chi)] for size in TABLE1_MARKET_SIZES] for chi in TABLE1_CHIS}
         for pair, table in zip(TABLE1_SCENARIOS, tables)
@@ -164,14 +164,17 @@ def _market(p: dict[str, Any]) -> MarketParams:
     raise ConfigError("one of --chi or --sigma is required")
 
 
-def _grid_spec(p: dict[str, Any]) -> GridSpec:
+def _route(p: dict[str, Any]) -> str | GridSpec:
+    """The Phi2 route: "oracle", or the GridSpec of the grid flags.  The
+    spec is built, and so checked, under either method."""
     z_min, z_max = DEFAULT_GRID.z_min, DEFAULT_GRID.z_max
     if p["grid_range"] is not None:
         try:
             z_min, z_max = (float(part) for part in p["grid_range"].split(":"))
         except ValueError as exc:
             raise ConfigError(f"--grid-range must look like '-8:8', got {p['grid_range']!r}") from exc
-    return GridSpec(z_min=z_min, z_max=z_max, cells_per_axis=p["grid_cells"])
+    spec = GridSpec(z_min=z_min, z_max=z_max, cells_per_axis=p["grid_cells"])
+    return spec if p["method"] == "grid" else "oracle"
 
 
 def _scenario(p: dict[str, Any]) -> LeverageScenario:
@@ -223,7 +226,7 @@ def _spd(p: dict[str, Any]) -> dict[str, Any]:
         **cell,
         "rho": correlation_law(strat.diversification, market.market_size)[0],
         "method": p["method"],
-        "systemic_pd": systemic_pd(strat, market, method=p["method"], grid_spec=_grid_spec(p)),
+        "systemic_pd": systemic_pd(strat, market, _route(p)),
     }
 
 
@@ -240,14 +243,14 @@ def _delta(p: dict[str, Any]) -> dict[str, Any]:
         "chi": market.chi,
         "mu": market.drift,
         "method": p["method"],
-        "delta_phi2": delta_phi2(scenario, n, market, method=p["method"], grid_spec=_grid_spec(p)),
+        "delta_phi2": delta_phi2(scenario, n, market, _route(p)),
     }
 
 
 def _critical_n(p: dict[str, Any]) -> dict[str, Any]:
     market = _market(p)
     scenario = _scenario(p)
-    n_star = critical_diversification(scenario, market, p["method"], p["eps_safe"], _grid_spec(p))
+    n_star = critical_diversification(scenario, market, _route(p), p["eps_safe"])
     return {
         "f_normal": scenario.f_normal,
         "f_abnormal": scenario.f_abnormal,
@@ -271,9 +274,8 @@ def _sweep(p: dict[str, Any]) -> None:
         p["N_values"],
         chis,
         mu=p["mu"],
-        method=p["method"],
+        method=_route(p),
         epsilon_safe=p["eps_safe"],
-        grid_spec=_grid_spec(p),
     )
     payload = result.to_json() if p["output"] == "json" else result.to_csv()
     with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -284,7 +286,7 @@ def _sweep(p: dict[str, Any]) -> None:
 
 
 def _table1(p: dict[str, Any]) -> None:
-    computed = compute_table1(p["method"], p["eps_safe"], _grid_spec(p))
+    computed = compute_table1(_route(p), p["eps_safe"])
     # per (scenario, chi): one printed row, and a value and a diff column in
     # the --out CSV, which has one row per N
     cols = [(fn, fa, chi) for fn, fa in TABLE1_SCENARIOS for chi in TABLE1_CHIS]
@@ -364,7 +366,7 @@ def _se_multiple(est: float, target: float, se: float) -> float:
 def _mu_scan(p: dict[str, Any]) -> dict[str, Any]:
     market = _market(p)
     scenario = _scenario(p)
-    scan = mu_sensitivity(scenario, market, p["mu_values"], p["method"], p["eps_safe"], _grid_spec(p))
+    scan = mu_sensitivity(scenario, market, p["mu_values"], _route(p), p["eps_safe"])
     return {
         **{f"critical_n[mu={mu!r}]": _fmt_n(n_star) for mu, n_star in scan.items()},
         "f_normal": scenario.f_normal,

@@ -34,24 +34,27 @@ different routes:
   default grid, in practice ~1e-5) but independent of the quadrature
   route, so the two can cross-check each other.
 
-Both are array-valued: arguments broadcast, the grid tabulates each
-distinct correlation once per call, and scalar arguments give a float.
+``binorm_cdf`` takes the route as one argument, ``method``: "oracle",
+"grid" (``DEFAULT_GRID``) or a ``GridSpec``.  Both routes are
+array-valued: arguments broadcast, the grid tabulates each distinct
+correlation once per call, and scalar arguments give a float.
 No table is kept between calls: a caller that queries one correlation many
 times keeps the ``CdfGrid`` that ``tabulate_cdf_grid`` returns and calls
 its ``lookup``.
-A grid call tabulates only the leading block of nodes its queries reach
-(the analysis queries the diagonal at z <= ~2, about a quarter of the
-default square), and of that block only the rows its bilinear lookups
-read: rows i and i + 1 of each query's cell (a sweep reads about a quarter
-of them, table1 about 3%).  The table is filled a cache-sized block of
-rows at a time, with the axis-0 running sum carried from one block to the
-next through every row; only the axis-1 sums are restricted to the kept
-rows, and the only large array is the table of kept rows itself.  That
-fill is bit for bit the whole-array pass: density, corner mean and volume
-are elementwise with the same operations in the same order, and both
-cumulative sums add strictly in prefix order.  For the same reason a
-bounded table equals those rows of that corner of the full table bit for
-bit, and every lookup returns what the full table would.
+A table is sized from the (z1, z2) queries it must serve: it holds only
+the leading block of nodes they reach (the analysis queries the diagonal
+at z <= ~2, about a quarter of the default square), and of that block only
+the rows their bilinear lookups read: rows i and i + 1 of each query's
+cell (a sweep reads about a quarter of them, table1 about 3%).  Without
+queries it holds the whole square.  The table is filled a cache-sized
+block of rows at a time, with the axis-0 running sum carried from one
+block to the next through every row; only the axis-1 sums are restricted
+to the kept rows, and the only large array is the table of kept rows
+itself.  That fill is bit for bit the whole-array pass: density, corner
+mean and volume are elementwise with the same operations in the same
+order, and both cumulative sums add strictly in prefix order.  For the
+same reason a bounded table equals those rows of that corner of the full
+table bit for bit, and every lookup returns what the full table would.
 Phi is Cephes ``ndtr`` (Moshier 1989, *Methods and Programs for
 Mathematical Functions*), the algorithm ``scipy.special.ndtr`` runs, ported
 to NumPy and ``math`` so levdiv needs numpy only; tests check it equals
@@ -362,10 +365,11 @@ class CdfGrid:
     ``node_values[r, j]`` holds the accumulated volume over the cells below
     and left of node (axis_coordinates[rows[r]], axis_coordinates[j]);
     ``rows`` is None when the table holds every row, so row r is node r.
-    Node row 0 and column 0 are zero by construction.  The table may cover
-    only the leading square block of the spec's nodes, and of that block
-    only the rows in ``rows`` (see ``tabulate_cdf_grid``); a lookup whose
-    cell reaches past the block or needs a row not held raises DomainError.
+    Node row 0 and column 0 are zero by construction.  A table sized from
+    its queries covers only the leading square block of the spec's nodes
+    they reach, and of that block only the rows in ``rows``, those their
+    cells read (see ``tabulate_cdf_grid``); a lookup whose cell reaches past
+    the block or needs a row not held raises DomainError.
     """
 
     spec: GridSpec
@@ -429,13 +433,11 @@ _SCRATCH_BUDGET = 65_536
 # Stores nothing.  The decorator stays only for the benchmark harness: it
 # calls cache_clear() and counts tabulations from cache_info().misses.
 @lru_cache(maxsize=0)
-def tabulate_cdf_grid(
-    rho: float, spec: GridSpec = DEFAULT_GRID, extent: int | None = None, rows=None
-) -> CdfGrid:
-    """Build the cumulative tabulation for one correlation on the first
-    ``extent`` nodes per axis (all cells_per_axis + 1 when None), keeping
-    only the node rows in ``rows``: strictly increasing indices below the
-    extent, or None for every row.
+def tabulate_cdf_grid(rho: float, spec: GridSpec = DEFAULT_GRID, queries=None) -> CdfGrid:
+    """Build the cumulative tabulation for one correlation, sized from the
+    (z1, z2) points ``queries`` it must serve: the leading square block of
+    nodes their cells reach, and of it only rows i and i + 1 of each
+    point's cell.  With no queries the table holds every node.
 
     Steps: density at the grid nodes; per-cell mean of the four corner
     values; volume = mean density times squared cell width; cumulative
@@ -447,37 +449,27 @@ def tabulate_cdf_grid(
     last kept row.  That is bit for bit the whole-array pass: density,
     corner mean and volume are elementwise with the same operations in the
     same order, and both cumulative sums add strictly in prefix order, so
-    neither the block size, the extent nor the kept rows change any
-    element.  A table is therefore those rows of the leading block of the
-    full one.
+    neither the block size, the block's extent nor the kept rows change
+    any element.  A table is therefore those rows of the leading block of
+    the full one, and its lookups return what the full table would.
 
     Every call tabulates afresh; no table is kept.  To query one
     correlation many times, keep the returned ``CdfGrid`` and call its
     ``lookup``.
     """
+    extent = rows = None
+    if queries is not None:  # coordinates are checked before the correlation
+        i, j = (_cell_index(spec, np.asarray(z, dtype=float))[0] for z in queries)
+        extent, rows = _extent(i, j), np.union1d(i, i + 1)
     rho = float(_as_rho(rho))
     if abs(rho) > 1.0 - DEGENERATE_RHO_TOL:
         raise DegenerateCorrelationError(
             f"grid tabulation unstable for |rho| > {1.0 - DEGENERATE_RHO_TOL}; "
             "use the closed-form degenerate cases"
         )
-    if extent is not None and not (is_int(extent) and 2 <= extent <= spec.cells_per_axis + 1):
-        raise ConfigError(
-            f"extent must be None or an integer in [2, {spec.cells_per_axis + 1}], got {extent!r}"
-        )
     nodes = np.linspace(spec.z_min, spec.z_max, spec.cells_per_axis + 1)[:extent]
     m = nodes.size
-    keep = np.arange(m) if rows is None else np.array(rows)
-    if not (
-        keep.ndim == 1
-        and keep.dtype.kind in "iu"
-        and (np.diff(keep) > 0).all()
-        and 0 <= keep.min(initial=0)
-        and keep.max(initial=0) < m
-    ):
-        raise ConfigError(
-            f"rows must be None or strictly increasing node indices in [0, {m - 1}], got {rows!r}"
-        )
+    keep = np.arange(m) if rows is None else rows
     omr2 = 1.0 - rho * rho
     z2 = nodes[None, :]
     z2_sq = z2 * z2
@@ -519,34 +511,27 @@ def tabulate_cdf_grid(
         sums[0] = sums[k]
     for arr in (nodes, cdf, keep):
         arr.setflags(write=False)
-    return CdfGrid(
-        spec=spec,
-        rho=rho,
-        axis_coordinates=nodes,
-        node_values=cdf,
-        rows=None if rows is None else keep,
-    )
+    return CdfGrid(spec=spec, rho=rho, axis_coordinates=nodes, node_values=cdf, rows=rows)
 
 
 def binorm_cdf_grid(z1, z2, rho: float, spec: GridSpec = DEFAULT_GRID):
-    """Phi2 via the grid tabulation of one correlation (abs error <= 1e-3
-    at the default spec); array-valued in (z1, z2).  Tabulates only the
-    block of nodes the queries reach, and of it only the rows their cells
-    read."""
-    z1, z2 = np.asarray(z1, dtype=float), np.asarray(z2, dtype=float)
-    i, j = _cell_index(spec, z1)[0], _cell_index(spec, z2)[0]
-    return tabulate_cdf_grid(rho, spec, _extent(i, j), np.union1d(i, i + 1)).lookup(z1, z2)
+    """Phi2 via the grid tabulation of one correlation, sized from the
+    queries (abs error <= 1e-3 at the default spec); array-valued in (z1, z2)."""
+    return tabulate_cdf_grid(rho, spec, (z1, z2)).lookup(z1, z2)
 
 
-def binorm_cdf(z1, z2, rho, method: str = "oracle", spec: GridSpec = DEFAULT_GRID):
-    """Phi2 dispatcher; arguments broadcast.  ``method="grid"`` tabulates
-    each distinct correlation once and routes correlations within
-    DEGENERATE_RHO_TOL of +/-1 to the exact closed forms."""
+def binorm_cdf(z1, z2, rho, method: str | GridSpec = "oracle"):
+    """Phi2 dispatcher; arguments broadcast.  ``method`` is the route:
+    ``"oracle"``, ``"grid"`` (the ``DEFAULT_GRID`` tabulation) or a
+    ``GridSpec`` to tabulate on.  A grid route tabulates each distinct
+    correlation once, each table sized from its own queries, and routes
+    correlations within DEGENERATE_RHO_TOL of +/-1 to the exact closed forms."""
     r = _as_rho(rho)
     if method == "oracle":
         return binorm_cdf_oracle(z1, z2, r)
-    if method != "grid":
-        raise ConfigError(f"unknown method {method!r}, expected 'grid' or 'oracle'")
+    spec = DEFAULT_GRID if method == "grid" else method
+    if not isinstance(spec, GridSpec):
+        raise ConfigError(f"unknown method {method!r}, expected 'grid', 'oracle' or a GridSpec")
     z1, z2, r = np.broadcast_arrays(np.asarray(z1, dtype=float), np.asarray(z2, dtype=float), r)
     out = np.empty(r.shape)
     for value in np.unique(r):

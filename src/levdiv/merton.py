@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError, StrategyMarketMismatchError, is_int
-from .gaussian import DEFAULT_GRID, GridSpec, binorm_cdf, phi1
+from .gaussian import GridSpec, binorm_cdf, phi1
 
 _F_BOUNDARY_TOL = 1e-12
 
@@ -162,8 +162,7 @@ def asset_correlation(n: int, market: MarketParams) -> float:
 
 
 def systemic_pd(
-    strategy: BankStrategy, market: MarketParams, method: str = "oracle", grid_spec: GridSpec = DEFAULT_GRID,
-    overlap: OverlapMode | None = None,
+    strategy: BankStrategy, market: MarketParams, method: str | GridSpec = "oracle", overlap: OverlapMode | None = None
 ) -> float:
     """Joint default probability of two banks using the same strategy on the
     same market: Phi2(z, z, rho) averaged over ``correlation_law``.  With no
@@ -172,4 +171,4 @@ def systemic_pd(
     because Phi2(z, z, rho) is convex in rho on [0, 1]."""
     z = z_score(strategy, market)
     rho, weight = correlation_law(strategy.diversification, market.market_size, overlap)
-    return float(np.sum(weight * binorm_cdf(z, z, rho, method=method, spec=grid_spec)))
+    return float(np.sum(weight * binorm_cdf(z, z, rho, method)))

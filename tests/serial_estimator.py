@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from levdiv import FixedOverlap, RandomSelection, SimConfig, SimResult, path_rng, select_holdings
-from levdiv.simulate import _chunk_size
+from levdiv import FixedOverlap, RandomSelection, SimConfig, SimResult, path_rng
+from levdiv.simulate import _chunk_size, select_holdings
 
 
 def fixed_holdings(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:

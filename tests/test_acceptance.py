@@ -20,7 +20,6 @@ from levdiv import (
     LeverageScenario,
     MarketParams,
     SimConfig,
-    binorm_cdf_grid,
     binorm_cdf_oracle,
     critical_diversification,
     default_chi_grid,
@@ -41,6 +40,7 @@ from levdiv.cli import (
     compute_table1,
     main,
 )
+from levdiv.gaussian import binorm_cdf_grid
 
 EPS_SAFE = 1e-6
 

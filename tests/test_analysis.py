@@ -49,7 +49,7 @@ CSV_SWEEPS = {
     "descending-repeated-chi": lambda: regime_sweep(SCENARIO, [12, 3, 7], [5.1, 0.2, 0.2, 0.003]),
     "drift": lambda: regime_sweep(LeverageScenario(0.25, 0.5), [7], [0.3, 1.6], mu=0.05),
     "duplicated-sizes": lambda: regime_sweep(SCENARIO, [20, 10, 10], [0.1, 1.6, 8.9]),
-    "grid": lambda: regime_sweep(SCENARIO, [6], [0.01, 0.5, 3.0], method="grid", grid_spec=SMALL_GRID),
+    "grid": lambda: regime_sweep(SCENARIO, [6], [0.01, 0.5, 3.0], method=SMALL_GRID),
 }
 
 # sweeps whose JSON must be json.dumps(doc, indent=2) of the nested
@@ -108,7 +108,7 @@ class TestSystemicPd:
 
     def test_grid_and_oracle_agree(self):
         s = BankStrategy(0.25, 5)
-        assert systemic_pd(s, M10, method="grid", grid_spec=SMALL_GRID) == pytest.approx(
+        assert systemic_pd(s, M10, method=SMALL_GRID) == pytest.approx(
             systemic_pd(s, M10, method="oracle"), abs=1e-3
         )
 
@@ -201,13 +201,13 @@ class TestCriticalDiversification:
     def test_bad_inputs_rejected_in_order(self, sizes, chi, eps, error, message):
         calls = [
             lambda: critical_table([SCENARIO], sizes, [chi], epsilon_safe=eps),
-            lambda: critical_table([SCENARIO], sizes, [chi], "grid", eps, SMALL_GRID),
+            lambda: critical_table([SCENARIO], sizes, [chi], SMALL_GRID, eps),
             lambda: regime_sweep(SCENARIO, sizes, [chi], epsilon_safe=eps),
         ]
         if sizes == [4]:  # a market's own size is always valid
             market = MarketParams(4, sigma=math.sqrt(2.0 * chi))
             calls += [
-                lambda: critical_diversification(SCENARIO, market, "grid", eps, SMALL_GRID),
+                lambda: critical_diversification(SCENARIO, market, SMALL_GRID, eps),
                 lambda: mu_sensitivity(SCENARIO, market, [-0.2, 0.0], epsilon_safe=eps),
             ]
         for call in calls:
@@ -265,7 +265,7 @@ class TestRegimeSweep:
     def test_grid_sweep_repeats_byte_identical(self):
         # every grid sweep tabulates afresh: no state carries between them
         def sweep():
-            return regime_sweep(SCENARIO, [5, 8], [0.2, 2.0], method="grid", grid_spec=SMALL_GRID)
+            return regime_sweep(SCENARIO, [5, 8], [0.2, 2.0], method=SMALL_GRID)
 
         assert sweep().to_csv().encode() == sweep().to_csv().encode()
 
@@ -376,9 +376,7 @@ class TestRegimeSweep:
         assert (regime_sweep(SCENARIO, [10], [0.001]).delta_phi2 >= -1e-6).all()
 
     def test_grid_method_supported(self):
-        result = regime_sweep(
-            SCENARIO, [4], [0.5], method="grid", grid_spec=SMALL_GRID
-        )
+        result = regime_sweep(SCENARIO, [4], [0.5], method=SMALL_GRID)
         oracle = regime_sweep(SCENARIO, [4], [0.5])
         assert result.n.tolist() == oracle.n.tolist()
         np.testing.assert_allclose(result.delta_phi2, oracle.delta_phi2, rtol=0, atol=2e-3)
@@ -399,36 +397,36 @@ class TestCriticalReductions:
         assert critical_table([scenario], sizes, default_chi_grid()) == [result.critical_n]
 
     @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-2, 0.2, 1.0])
-    @pytest.mark.parametrize("method", ["oracle", "grid"])
+    @pytest.mark.parametrize("method", ["oracle", SMALL_GRID], ids=["oracle", "grid"])
     def test_scan_matches_full_box(self, method, eps):
         scenarios = [SCENARIO, LeverageScenario(0.25, 0.5)]
-        tables = critical_table(scenarios, SCAN_SIZES, SCAN_CHIS, method, eps, SMALL_GRID)
+        tables = critical_table(scenarios, SCAN_SIZES, SCAN_CHIS, method, eps)
         for scenario, table in zip(scenarios, tables):
             full = {
-                (size, chi): full_box_critical(scenario, MarketParams.from_chi(size, chi), method, eps, SMALL_GRID)
+                (size, chi): full_box_critical(scenario, MarketParams.from_chi(size, chi), method, eps)
                 for size in SCAN_SIZES
                 for chi in SCAN_CHIS
             }
             assert table == full
             assert list(table) == list(full)
-            sweep = regime_sweep(scenario, SCAN_SIZES, SCAN_CHIS, method=method, epsilon_safe=eps, grid_spec=SMALL_GRID)
+            sweep = regime_sweep(scenario, SCAN_SIZES, SCAN_CHIS, method=method, epsilon_safe=eps)
             assert table == sweep.critical_n
         for size in SCAN_SIZES:
             market = MarketParams.from_chi(size, 0.4)
-            scan = mu_sensitivity(SCENARIO, market, SCAN_DRIFTS, method, eps, SMALL_GRID)
+            scan = mu_sensitivity(SCENARIO, market, SCAN_DRIFTS, method, eps)
             assert scan == {
-                mu: full_box_critical(SCENARIO, market.with_drift(mu), method, eps, SMALL_GRID) for mu in SCAN_DRIFTS
+                mu: full_box_critical(SCENARIO, market.with_drift(mu), method, eps) for mu in SCAN_DRIFTS
             }
 
     @pytest.mark.parametrize("eps", [0.0, 1e-6, 0.2])
-    @pytest.mark.parametrize("method", ["oracle", "grid"])
+    @pytest.mark.parametrize("method", ["oracle", SMALL_GRID], ids=["oracle", "grid"])
     def test_sweep_matches_full_box_on_unsorted_repeated_axes(self, method, eps):
         # unsorted and duplicated sizes, descending and repeated chi: the
         # sweep's cell layout must not move any column's n*
         sizes, chis_ = [17, 3, 3, 1], [5.1, 1.6, 1.6, 0.4, 0.05, 0.001]
-        sweep = regime_sweep(SCENARIO, sizes, chis_, method=method, epsilon_safe=eps, grid_spec=SMALL_GRID)
+        sweep = regime_sweep(SCENARIO, sizes, chis_, method=method, epsilon_safe=eps)
         full = {
-            (size, chi): full_box_critical(SCENARIO, MarketParams.from_chi(size, chi), method, eps, SMALL_GRID)
+            (size, chi): full_box_critical(SCENARIO, MarketParams.from_chi(size, chi), method, eps)
             for size in sizes
             for chi in chis_
         }

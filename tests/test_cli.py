@@ -326,6 +326,34 @@ class TestGridSpecReachesEveryGridCommand:
         assert coarse != default
 
 
+class TestOracleChecksGridFlags:
+    """--method oracle never tabulates, but bad grid flags still exit 2."""
+
+    SCENARIO = ("--f-normal", "0.1", "--f-abnormal", "0.25")
+    COMMANDS = {
+        "spd": ("spd", *PD_ARGS),
+        "delta": ("delta", *SCENARIO, "--n", "3", "--N", "10", "--chi", "1.6"),
+        "critical-n": ("critical-n", *SCENARIO, "--N", "10", "--chi", "1.6"),
+        "sweep": ("sweep", *SCENARIO, "--N-values", "10", "--chi-points", "2"),
+        "table1": ("table1",),
+        "mu-scan": ("mu-scan", *SCENARIO, "--N", "10", "--chi", "1.6"),
+    }
+    BAD = {
+        "cells": (("--grid-cells", "1"), "error: cells_per_axis must be an integer >= 2, got 1\n"),
+        "range": (("--grid-range", "junk"), "error: --grid-range must look like '-8:8', got 'junk'\n"),
+    }
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bad_grid_flag_exits_2(self, capsys, tmp_path, command, bad):
+        out = tmp_path / "sweep.csv"
+        argv = [*self.COMMANDS[command], "--method", "oracle", *(["--out", str(out)] if command == "sweep" else [])]
+        flags, message = self.BAD[bad]
+        assert run(capsys, *argv, *flags) == (2, "", message)
+        assert not out.exists()
+        assert run(capsys, *argv)[0] == 0  # the command runs without the bad flag
+
+
 class TestConfigPrecedence:
     def test_flags_beat_config_beat_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

@@ -31,14 +31,13 @@ from levdiv import (
     GridSpec,
     LeverageScenario,
     binorm_cdf,
-    binorm_cdf_grid,
     binorm_cdf_oracle,
     default_chi_grid,
     phi1,
     regime_sweep,
     tabulate_cdf_grid,
 )
-from levdiv.gaussian import _CHUNK, _FLOAT_PATH_MAX, _GENZ_SPLIT, _ndtr, _ndtr_float
+from levdiv.gaussian import _CHUNK, _FLOAT_PATH_MAX, _GENZ_SPLIT, _ndtr, _ndtr_float, binorm_cdf_grid
 
 # small grid keeps module tests fast; the default 2000-cell grid is
 # exercised by the acceptance suite
@@ -421,6 +420,13 @@ class TestOracleRulesMatchReference:
             assert not np.exp(x).view(np.int64).any()
 
 
+def cell_centres(spec: GridSpec, cells) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal queries at the centres of the given cells: their table is the
+    leading max(cells) + 2 nodes per axis, holding rows i and i + 1 of each."""
+    z = spec.z_min + (np.asarray(cells, dtype=float) + 0.5) * spec.cell_width
+    return z, z
+
+
 class TestGrid:
     def test_independence_point(self):
         assert binorm_cdf_grid(0.0, 0.0, 0.0, SMALL_GRID) == pytest.approx(0.25, abs=1e-3)
@@ -477,8 +483,9 @@ class TestGrid:
     def test_bounded_tabulation_is_leading_block(self, spec, rho):
         full = tabulate_cdf_grid(rho, spec).node_values
         for m in (2, spec.cells_per_axis // 2 + 1, spec.cells_per_axis + 1):
-            block = tabulate_cdf_grid(rho, spec, m)
+            block = tabulate_cdf_grid(rho, spec, cell_centres(spec, range(m - 1)))
             assert block.node_values.shape == (m, m)
+            assert block.rows.tolist() == list(range(m))
             assert np.array_equal(block.node_values, full[:m, :m])
 
     @pytest.mark.parametrize("spec", [SMALL_GRID, DEFAULT_GRID], ids=["small", "default"])
@@ -489,13 +496,14 @@ class TestGrid:
         for rho in (0.1, 0.6):
             for z in (diagonal, np.append(diagonal, -50.0), np.array([spec.z_max, 9.5, 50.0])):
                 full = tabulate_cdf_grid(rho, spec).lookup(z, z)
-                got = binorm_cdf(z, z, rho, method="grid", spec=spec)
+                got = binorm_cdf(z, z, rho, method=spec)
                 assert got.tolist() == full.tolist()
 
     # the scratch budget at its default, at one row per block, and above the
     # whole table, each against one reference per table; at the default,
     # extents around isqrt(budget) give one block, one full block, and a full
-    # block plus a ragged one
+    # block plus a ragged one.  A bounded table serves diagonal queries at
+    # every cell of its block, so it holds every row.
     @pytest.mark.parametrize(
         "spec",
         [SMALL_GRID, DEFAULT_GRID, GridSpec(cells_per_axis=2), GridSpec(-6.0, 6.0, 999)],
@@ -509,9 +517,10 @@ class TestGrid:
         for rho in (-0.99, -0.3, 0.0, 0.05, 0.5, 0.9, 1.0 - 2e-9):
             for extent in extents:
                 want = reference_tabulation(rho, spec, extent)
+                queries = None if extent is None else cell_centres(spec, range(extent - 1))
                 for budget, doubles in budgets.items():
                     monkeypatch.setattr(levdiv.gaussian, "_SCRATCH_BUDGET", doubles)
-                    got = tabulate_cdf_grid(rho, spec, extent)
+                    got = tabulate_cdf_grid(rho, spec, queries)
                     assert np.array_equal(got.node_values, want.node_values), (rho, extent, budget)
                     assert np.array_equal(got.axis_coordinates, want.axis_coordinates)
                     assert not (got.node_values.flags.writeable or got.axis_coordinates.flags.writeable)
@@ -521,26 +530,34 @@ class TestGrid:
     )
     @pytest.mark.parametrize("rho", [-0.6, 0.3, 0.999])
     def test_kept_rows_are_reference_rows(self, spec, rho):
-        nodes = spec.cells_per_axis + 1
-        for extent in (None, nodes // 2 + 1):
-            m = nodes if extent is None else extent
-            want = reference_tabulation(rho, spec, extent).node_values
-            scattered = sorted({1, m // 3, m // 3 + 1, m // 2, m - 2})
-            for rows in ([0], [m - 1], scattered, list(range(m))):
-                got = tabulate_cdf_grid(rho, spec, extent, rows)
-                assert np.array_equal(got.node_values, want[rows]), (extent, rows)
-                assert got.rows.tolist() == rows
-                assert not (got.node_values.flags.writeable or got.rows.flags.writeable)
+        # the first and last cells of the full square and of a half block,
+        # both together, scattered cells, and every cell of the half block
+        last = spec.cells_per_axis - 1
+        half = last // 2
+        references = {}
+        for cells in ([0], [last], [half], [0, last], sorted({1, half // 3, half // 2, half}), range(half + 1)):
+            extent = max(cells) + 2
+            if extent not in references:
+                references[extent] = reference_tabulation(rho, spec, extent).node_values
+            rows = sorted({*cells, *(c + 1 for c in cells)})
+            got = tabulate_cdf_grid(rho, spec, cell_centres(spec, cells))
+            assert np.array_equal(got.node_values, references[extent][rows]), (extent, rows)
+            assert got.rows.tolist() == rows
+            assert not (got.node_values.flags.writeable or got.rows.flags.writeable)
 
     def test_lookup_needs_kept_rows(self):
         full = tabulate_cdf_grid(0.3, SMALL_GRID)
-        grid = tabulate_cdf_grid(0.3, SMALL_GRID, None, [150, 151, 300])
-        z = SMALL_GRID.z_min + 150.5 * SMALL_GRID.cell_width  # in cell 150: rows 150 and 151
+        # cells 150 and 300 keep rows 150, 151, 300 and 301; z2 at the top
+        # edge keeps the whole square
+        z1 = cell_centres(SMALL_GRID, [150, 300])[0]
+        grid = tabulate_cdf_grid(0.3, SMALL_GRID, (z1, np.full(2, SMALL_GRID.z_max)))
+        assert grid.rows.tolist() == [150, 151, 300, 301]
+        z = z1[0]  # in cell 150: rows 150 and 151
         got = grid.lookup(z, np.linspace(-3.0, 8.0, 9))
         assert got.tolist() == full.lookup(z, np.linspace(-3.0, 8.0, 9)).tolist()
         for value in (grid.lookup(z, 0.4), grid.lookup(np.array(z), np.array(0.4))):
             assert type(value) is float and value == full.lookup(z, 0.4)
-        for row in (149.5, 151.5, 299.5, 300.5):  # cells whose rows are not both kept
+        for row in (149.5, 151.5, 299.5, 301.5):  # cells whose rows are not both kept
             with pytest.raises(DomainError, match="not tabulated"):
                 grid.lookup(SMALL_GRID.z_min + row * SMALL_GRID.cell_width, 0.0)
         with pytest.raises(DomainError, match="not tabulated"):
@@ -560,18 +577,8 @@ class TestGrid:
         assert binorm_cdf_grid([], [], 0.3, SMALL_GRID).shape == (0,)
         assert tables[-1].node_values.shape == (0, 2)
 
-    @pytest.mark.parametrize("rows", [[3, 1], [2, 2], [-1, 4], [0, 10], [[1, 2]], [1.0], [True], "1"])
-    def test_rows_out_of_range_rejected(self, rows):
-        with pytest.raises(ConfigError, match="rows"):
-            tabulate_cdf_grid(0.3, GridSpec(cells_per_axis=20), 10, rows)
-
-    @pytest.mark.parametrize("extent", [-1, 0, -20, 1, True, False, 12, 5000, 5.0, 2.0, "5"])
-    def test_extent_out_of_range_rejected(self, extent):
-        with pytest.raises(ConfigError, match="extent"):
-            tabulate_cdf_grid(0.3, GridSpec(cells_per_axis=10), extent)
-
     def test_lookup_past_bounded_block_rejected(self):
-        grid = tabulate_cdf_grid(0.3, SMALL_GRID, 100)
+        grid = tabulate_cdf_grid(0.3, SMALL_GRID, cell_centres(SMALL_GRID, range(99)))
         inside = SMALL_GRID.z_min + 98.5 * SMALL_GRID.cell_width
         assert grid.lookup(inside, inside) == tabulate_cdf_grid(0.3, SMALL_GRID).lookup(inside, inside)
         with pytest.raises(DomainError, match="past the 100-node"):
@@ -592,7 +599,11 @@ class TestGrid:
             with pytest.raises(DomainError, match="non-NaN"):
                 grid.lookup(z1, z2)
             with pytest.raises(DomainError, match="non-NaN"):
-                binorm_cdf(z1, z2, 0.3, method="grid", spec=SMALL_GRID)
+                binorm_cdf(z1, z2, 0.3, method=SMALL_GRID)
+            # a table checks its queries before its correlation
+            for rho in (1.5, 1.0 - 1e-12):
+                with pytest.raises(DomainError, match="non-NaN"):
+                    tabulate_cdf_grid(rho, SMALL_GRID, (z1, z2))
 
     def test_degenerate_rho_rejected(self):
         with pytest.raises(DegenerateCorrelationError):
@@ -609,19 +620,26 @@ class TestGrid:
         assert binorm_cdf(0.4, 1.2, -1.0, method="grid") == max(
             0.0, phi1(0.4) + phi1(1.2) - 1.0
         )
-        with pytest.raises(ConfigError):
-            binorm_cdf(0.0, 0.0, 0.3, method="simpson")
+        for method in ("simpson", 400, None, "Grid"):
+            with pytest.raises(ConfigError, match="expected 'grid', 'oracle' or a GridSpec"):
+                binorm_cdf(0.0, 0.0, 0.3, method=method)
+            with pytest.raises(ConfigError, match="expected 'grid', 'oracle' or a GridSpec"):
+                regime_sweep(LeverageScenario(0.1, 0.25), [4], [0.5], method=method)
+        # "grid" names the default spec
+        z = np.linspace(-3.0, 2.0, 7)
+        rho = np.array([0.0, 0.25, 0.5, 0.75, 0.99, 1.0, -1.0])
+        assert binorm_cdf(z, z, rho, method=DEFAULT_GRID).tolist() == binorm_cdf(z, z, rho, method="grid").tolist()
 
     def test_dispatcher_groups_by_correlation(self):
         # one tabulation per distinct correlation below 1, and none kept
         z = np.linspace(-2.0, 1.0, 6)
         rho = np.array([0.25, 0.5, 1.0, 0.25, 0.5, 0.25])
         before = tabulate_cdf_grid.cache_info().misses
-        got = binorm_cdf(z, z, rho, method="grid", spec=SMALL_GRID)
+        got = binorm_cdf(z, z, rho, method=SMALL_GRID)
         after = tabulate_cdf_grid.cache_info()
         assert after.misses - before == 2
         assert after.currsize == 0
-        assert got.tolist() == [binorm_cdf(a, a, r, method="grid", spec=SMALL_GRID) for a, r in zip(z, rho)]
+        assert got.tolist() == [binorm_cdf(a, a, r, method=SMALL_GRID) for a, r in zip(z, rho)]
 
 
 class TestCorrelation:
@@ -630,7 +648,7 @@ class TestCorrelation:
             with pytest.raises(DomainError):
                 binorm_cdf_oracle(0.0, 0.0, rho)
             with pytest.raises(DomainError):
-                binorm_cdf(0.0, 0.0, rho, method="grid", spec=SMALL_GRID)
+                binorm_cdf(0.0, 0.0, rho, method=SMALL_GRID)
         assert binorm_cdf_oracle(0.0, 0.0, 1.0) == 0.5
         assert binorm_cdf_oracle(0.0, 0.0, -1.0) == 0.0
 

@@ -20,9 +20,9 @@ from levdiv import (
     estimate_default_probs,
     individual_pd,
     path_rng,
-    select_holdings,
     systemic_pd,
 )
+from levdiv.simulate import select_holdings
 
 from rebalancing_reference import PortfolioState, simulate_bank, simulate_prices
 from serial_estimator import serial_estimate
