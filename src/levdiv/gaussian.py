@@ -418,6 +418,15 @@ def _cell_index(spec: GridSpec, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, f - i
 
 
+def _query_pair(queries) -> tuple[np.ndarray, np.ndarray]:
+    """The (z1, z2) coordinate arrays a table is sized from."""
+    try:
+        z1, z2 = queries
+        return np.asarray(z1, dtype=float), np.asarray(z2, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"queries must be a pair (z1, z2) of real coordinates, got {queries!r}") from exc
+
+
 def _extent(i: np.ndarray, j: np.ndarray) -> int:
     """Nodes per axis a lookup of cells (i, j) reads: the corners of the
     highest cell on either axis, so the block stays square."""
@@ -459,7 +468,7 @@ def tabulate_cdf_grid(rho: float, spec: GridSpec = DEFAULT_GRID, queries=None) -
     """
     extent = rows = None
     if queries is not None:  # coordinates are checked before the correlation
-        i, j = (_cell_index(spec, np.asarray(z, dtype=float))[0] for z in queries)
+        i, j = (_cell_index(spec, z)[0] for z in _query_pair(queries))
         extent, rows = _extent(i, j), np.union1d(i, i + 1)
     rho = float(_as_rho(rho))
     if abs(rho) > 1.0 - DEGENERATE_RHO_TOL:

@@ -605,6 +605,18 @@ class TestGrid:
                 with pytest.raises(DomainError, match="non-NaN"):
                     tabulate_cdf_grid(rho, SMALL_GRID, (z1, z2))
 
+    @pytest.mark.parametrize(
+        "queries",
+        [(0.0,), [0.0], (0.0, 0.0, 0.0), np.zeros(3), 5.0, "ab", ("a", "b"), ([1 + 1j], [0.0]), ([0.0], {})],
+        ids=["one", "list-one", "three", "flat-array", "scalar", "string", "strings", "complex", "dict"],
+    )
+    def test_malformed_queries_rejected(self, queries):
+        # a table is sized only from a pair of real coordinate arrays, checked
+        # before the correlation
+        for rho in (0.3, 1.5):
+            with pytest.raises(ConfigError, match="queries must be a pair"):
+                tabulate_cdf_grid(rho, SMALL_GRID, queries)
+
     def test_degenerate_rho_rejected(self):
         with pytest.raises(DegenerateCorrelationError):
             binorm_cdf_grid(0.0, 0.0, 1.0 - 1e-12, SMALL_GRID)
