@@ -11,7 +11,11 @@ and the critical diversification n* is the smallest n whose whole suffix
 [n, N] is safe: one more than the largest risky n of the (N, chi) column,
 1 when none is risky, and None (not an error) when n = N is risky.  A
 sweep takes that maximum over all its cells; critical levels alone scan
-down from n = N and close each column at its first risky round.
+down from n = N and close each column at its first risky round.  A scan
+never holds its whole box: each round generates the cells of the columns
+still open, from each column's n range in closed form, and evaluates them
+in batches of a bounded number of cells, so a dense boundary map needs
+about as much memory as a small one.
 
 A regime sweep is held as columns: ``SweepResult`` keeps read-only arrays
 ``market_size``, ``n``, ``chi`` and ``delta_phi2`` with one entry per cell,
@@ -58,6 +62,10 @@ class LeverageScenario:
 # both routes keep the differential above this: the Gauss-Legendre oracle is
 # within about 2e-16 of Phi2, and the grid tabulation is monotone in z
 _DELTA_SLACK = 1e-6
+
+# cells per Phi2 call of a critical scan: bounds a batch's per-cell arrays,
+# the oracle's temporaries included, to about 16 MB; no output depends on it
+_SCAN_BUDGET = 65_536
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,16 +193,21 @@ def _check_box(market_sizes: Sequence[int], markets: Sequence, epsilon_safe: flo
         raise DomainError(f"epsilon_safe must be finite and >= 0, got {epsilon_safe!r}")
 
 
-def _box(scenario_count: int, market_sizes: Sequence[int], market_count: int):
+def _columns(scenario_count: int, market_sizes: Sequence[int], market_count: int) -> np.ndarray:
     """The columns (scenario s, N, market m) of a box in that order, as the
-    rows of a (3, columns) array, and each cell's column c and n, one entry
-    per cell of 1 <= n <= N.  Cells run in (s, N, n, m) order, so equal
-    correlations n/N sit together."""
-    cols = np.array(np.meshgrid(range(scenario_count), market_sizes, range(market_count), indexing="ij"), dtype=int)
+    rows of a (3, columns) array."""
+    grid = np.meshgrid(range(scenario_count), market_sizes, range(market_count), indexing="ij")
+    return np.array(grid, dtype=int).reshape(3, -1)
+
+
+def _box(scenario_count: int, market_sizes: Sequence[int], market_count: int):
+    """The columns of a box (see ``_columns``) and each cell's column c and
+    n, one entry per cell of 1 <= n <= N.  Cells run in (s, N, n, m) order,
+    so equal correlations n/N sit together."""
     sizes = np.tile(market_sizes, scenario_count)  # per (s, N); its columns start at market_count * its index
     pair, k = np.nonzero(np.arange(1, sizes.max(initial=0) + 1) <= sizes[:, None])  # one (s, N, n) per row
     c = pair[:, None] * market_count + np.arange(market_count)
-    return cols.reshape(3, -1), c.ravel(), np.repeat(k + 1, market_count)
+    return _columns(scenario_count, market_sizes, market_count), c.ravel(), np.repeat(k + 1, market_count)
 
 
 def _delta_tables(scenarios: Sequence, markets: Sequence, s, size, n, m, method: str | GridSpec) -> np.ndarray:
@@ -205,7 +218,7 @@ def _delta_tables(scenarios: Sequence, markets: Sequence, s, size, n, m, method:
     f = np.array([[sc.f_normal, sc.f_abnormal] for sc in scenarios])
     shift = np.array([mk.drift * mk.horizon for mk in markets])[m]
     chi = np.array([mk.chi for mk in markets])[m]
-    z = np.stack([z_cells(f[s, level], n, chi, shift) for level in (0, 1)])
+    z = np.stack([z_cells(f, n, chi, shift, at=(s, level)) for level in (0, 1)])
     pd = binorm_cdf(z, z, correlation_law(n, size)[0], method)
     return pd[1] - pd[0]
 
@@ -226,20 +239,39 @@ def _scan(
     """Per scenario, {(N, label): n*} for each market size and labelled
     market, from a scan down from n = N that closes each column at its
     first risky round.  Round b holds the cells of band
-    ((N - 1) // n).bit_length() == b: n = N, then 2^-b <= n/N < 2^(1-b).
-    The band depends on n/N alone, so each correlation falls in one round,
-    one Phi2 call over the columns still open."""
+    ((N - 1) // n).bit_length() == b: n = N, then 2^-b <= n/N < 2^(1-b),
+    that is (N - 1) // 2^b < n <= (N - 1) // 2^(b-1).  The band depends on
+    n/N alone, so each correlation falls in one round.  A round generates
+    the cells of the columns still open at its start, taken in order of N,
+    and evaluates them in batches of at most _SCAN_BUDGET cells, cut only
+    between columns (a column's round larger than that is one batch); a
+    round that fits is one Phi2 call over all of them.  Memory is bounded by
+    the batch, not the box."""
     _check_box(market_sizes, markets, epsilon_safe)
-    cols, c, n = _box(len(scenarios), market_sizes, len(markets))
-    s, size, m = cols[:, c]
-    band = np.frexp((size - 1) // n)[1]  # the exponent frexp gives is int.bit_length()
+    cols = _columns(len(scenarios), market_sizes, len(markets))
+    s, size, m = cols
     star = np.ones(cols.shape[1], dtype=int)
-    for b in range(band.max(initial=-1) + 1):
-        at = np.flatnonzero((band == b) & (star[c] == 1))
-        if at.size:
-            deltas = _delta_tables(scenarios, markets, s[at], size[at], n[at], m[at], method)
-            risky = at[~(deltas <= epsilon_safe)]
+    for b in range(int(size.max(initial=1) - 1).bit_length() + 1):
+        live = np.flatnonzero(star == 1)
+        # by N: columns of one size share their correlations, which the grid
+        # tabulates once per batch
+        live = live[np.argsort(size[live], kind="stable")]
+        top = size[live] - 1
+        lo, hi = (top >> b) + 1, top >> (b - 1) if b else top + 1
+        held = hi >= lo
+        live, lo, count = live[held], lo[held], (hi - lo + 1)[held]
+        ends = np.cumsum(count)  # column j's cells are [ends[j] - count[j], ends[j]) of the round
+        first = 0
+        while first < live.size:  # a batch is columns [first, last)
+            base = ends[first - 1] if first else 0
+            last = max(first + 1, int(np.searchsorted(ends, base + _SCAN_BUDGET, side="right")))
+            k = count[first:last]
+            c = np.repeat(live[first:last], k)
+            n = np.repeat(lo[first:last] - (ends[first:last] - k - base), k) + np.arange(ends[last - 1] - base)
+            deltas = _delta_tables(scenarios, markets, s[c], size[c], n, m[c], method)
+            risky = ~(deltas <= epsilon_safe)
             np.maximum.at(star, c[risky], n[risky] + 1)
+            first = last
     return _levels(cols, star, labels, len(scenarios))
 
 

@@ -14,14 +14,18 @@ projects [0, n1 + n2 - k) the banks hold; stream 1 carries the random selection.
 
 The default counts do not depend on how paths are chunked.  The float
 moment sums behind `realized_correlation` are added per chunk, with a
-chunk size fixed by the config.  Each chunk is split into one slice per
-usable CPU, and one worker thread does all of a slice's work: it re-keys a
-single generator to each path's streams, draws the shocks (and, under
-random selection, the holdings), and reduces them to per-step book returns
-in a small scratch block, a few paths at a time.  Every count and sum is
-taken on the calling thread over whole chunks, and each path's returns are
-computed in the same order whatever block holds them, so neither the
-thread count nor the scratch block size affects any output.
+chunk size fixed by the config.  A chunk holds its per-(path, step) book
+returns and nothing larger: one slab for banks with identical books,
+otherwise two slabs plus one temporary for their product; the squares are
+formed in place once every other sum has read the slab.  Each chunk is
+split into one slice per usable CPU, and one worker thread does all of a
+slice's work: it re-keys a single generator to each path's streams, draws
+the shocks (and, under random selection, the holdings), and reduces them
+to per-step book returns in a small scratch block, a few paths at a time.
+Every count and sum is taken on the calling thread over whole chunks, and
+each path's returns are computed in the same order whatever block holds
+them, so neither the thread count nor the scratch block size affects any
+output.
 """
 
 from __future__ import annotations
@@ -39,7 +43,9 @@ from .merton import BankStrategy, FixedOverlap, MarketParams, OverlapMode, Rando
 
 # Chunk size is a pure function of the config (never of the environment): it
 # fixes the order in which the moment sums are added, so this value must not
-# change.  It sizes no block of shocks; a chunk holds only its book returns.
+# change.  It sizes no block of shocks; a chunk holds only its book returns,
+# one (paths, steps) slab for identical books, otherwise two slabs plus one
+# product temporary.
 _CHUNK_BUDGET = 8_000_000  # path-steps x projects per chunk
 # Doubles in each worker's scratch block (~1 MB, so it stays in cache while a
 # sub-block is drawn, exponentiated and reduced).  No output depends on it.
@@ -241,11 +247,12 @@ def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -
             n_def[1] += int(d2.sum())
             n_joint += int((d1 & d2).sum())
             s_x += float(x.sum())
-            s_xx += float((x * x).sum())
             if not same_books:
                 s_y += float(y.sum())
-                s_yy += float((y * y).sum())
                 s_xy += float((x * y).sum())
+                s_yy += float(np.multiply(y, y, out=y).sum())
+            # squared in place: the next chunk overwrites every row it reads
+            s_xx += float(np.multiply(x, x, out=x).sum())
             n_obs += size * steps
             if terminals is not None:
                 terminals[start : start + size, 0] = np.exp(logfac1)

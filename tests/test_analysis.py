@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from levdiv import (
     z_score,
 )
 from levdiv.analysis import critical_table
-from levdiv.cli import compute_table1
+from levdiv.cli import TABLE1_MARKET_SIZES, TABLE1_SCENARIOS, compute_table1
 
 M10 = MarketParams.from_chi(10, 1.6)
 SCENARIO = LeverageScenario(0.10, 0.25)
@@ -488,6 +489,90 @@ class TestScanWork:
         monkeypatch.setattr(levdiv.analysis, "binorm_cdf", phi2)
         assert critical_table([SCENARIO, LeverageScenario(0.25, 0.5)], [10, 40], [], method) == [{}, {}]
         assert mu_sensitivity(SCENARIO, M10, [], method) == {}
+
+
+def _band(rho) -> set[int]:
+    """The scan rounds b of correlations n/N, 2^-b <= n/N < 2^(1-b)."""
+    return {math.ceil(-math.log2(r)) for r in np.ravel(rho).tolist()}
+
+
+class TestScanBatches:
+    """A scan's rounds are cut into bounded batches without moving any n*."""
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3, 1e-2])
+    @pytest.mark.parametrize("method", ["oracle", SMALL_GRID], ids=["oracle", "grid"])
+    def test_forced_batches_match_full_box(self, monkeypatch, method, eps):
+        import levdiv.analysis
+
+        rng = np.random.default_rng(20261019)
+        sizes = [1, 2, 3, *rng.integers(4, 41, size=4).tolist()]
+        chis_ = np.exp(rng.uniform(math.log(1e-3), math.log(9.0), size=5)).tolist()
+        drifts = rng.uniform(-0.2, 0.2, size=3).tolist()
+        real_phi2, calls = levdiv.analysis.binorm_cdf, []
+
+        def phi2(z1, z2, rho, method):
+            calls.append(np.asarray(rho))
+            return real_phi2(z1, z2, rho, method)
+
+        budget = 3
+        monkeypatch.setattr(levdiv.analysis, "_SCAN_BUDGET", budget)
+        monkeypatch.setattr(levdiv.analysis, "binorm_cdf", phi2)
+        scenarios = [SCENARIO, LeverageScenario(0.25, 0.5)]
+        tables = critical_table(scenarios, sizes, chis_, method, eps)
+        for scenario, table in zip(scenarios, tables):
+            assert table == {
+                (size, chi): full_box_critical(scenario, MarketParams.from_chi(size, chi), method, eps)
+                for size in sizes
+                for chi in chis_
+            }
+        # round 0 (n = N) has one cell per column: batches of several columns
+        assert any(rho.size == budget and (rho == 1.0).all() for rho in calls)
+        # a column's round is never cut, even past the budget
+        assert max(rho.size for rho in calls) > budget
+        assert all(len(_band(rho)) == 1 for rho in calls)
+        for size, chi in zip(sizes, chis_ + chis_):
+            market = MarketParams.from_chi(size, chi)
+            scan = mu_sensitivity(SCENARIO, market, drifts, method, eps)
+            assert scan == {mu: full_box_critical(SCENARIO, market.with_drift(mu), method, eps) for mu in drifts}
+            market = market.with_drift(drifts[0])
+            assert critical_diversification(SCENARIO, market, method, eps) == full_box_critical(
+                SCENARIO, market, method, eps
+            )
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-2])
+    @pytest.mark.parametrize("method", ["oracle", "grid"])
+    def test_table1_makes_one_call_per_open_round(self, monkeypatch, method, eps):
+        import levdiv.analysis
+
+        real_phi2, rounds = levdiv.analysis.binorm_cdf, []
+
+        def phi2(z1, z2, rho, method):
+            rounds.append(_band(rho))
+            return real_phi2(z1, z2, rho, method)
+
+        monkeypatch.setattr(levdiv.analysis, "binorm_cdf", phi2)
+        table = compute_table1(method, eps)
+        # a column takes part up to the round of its largest risky n, n* - 1,
+        # or of n = 1 when none is risky; round 0 alone when n = N is risky
+        last = [
+            0 if n_star is None else ((size - 1) // max(n_star - 1, 1)).bit_length()
+            for pair in TABLE1_SCENARIOS
+            for row in table[pair].values()
+            for size, n_star in zip(TABLE1_MARKET_SIZES, row)
+        ]
+        assert rounds == [{b} for b in range(max(last) + 1)]
+
+    def test_scan_memory_does_not_grow_with_the_box(self):
+        # the N <= 200 box has 2.8 times the cells of the N <= 120 one
+        scenarios, peaks = [SCENARIO, LeverageScenario(0.25, 0.5)], []
+        for top in (120, 200):
+            tracemalloc.start()
+            try:
+                critical_table(scenarios, range(2, top + 1), default_chi_grid(points=20), "oracle", 1e-2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
 
 
 class TestMuSensitivity:

@@ -4,6 +4,7 @@ import functools
 import math
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -449,3 +450,23 @@ class TestThreadedEstimator:
             sys.setswitchinterval(interval)
         expected = _serial_result("N8-n4-random")
         _assert_bitwise_equal(result, expected)
+
+
+def test_identical_books_hold_one_return_slab():
+    # N = n = k = 4 at 1000 steps: a chunk is 2000 paths, one 2000 x 1000
+    # slab of book returns; squaring it in place adds no second slab
+    strategy = BankStrategy(0.1, 4)
+    cfg = make_config(
+        market=MarketParams.from_chi(4, 5.1), strategies=(strategy, strategy), overlap=FixedOverlap(4),
+        paths=2000, steps_per_horizon=1000,
+    )
+    chunk = levdiv.simulate._chunk_size(cfg.steps_per_horizon, cfg.market.market_size)
+    assert chunk == cfg.paths
+    slab = chunk * cfg.steps_per_horizon * 8
+    tracemalloc.start()
+    try:
+        estimate_default_probs(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * slab
