@@ -6,10 +6,13 @@ deviation is also given in units of its binomial standard error (dev/se),
 so sampling noise (a few SE at most) can be told apart from bias.
 
 Each row ends with its wall time and paths per second, and a last line
-gives the total wall time.  Pass --quick for a reduced path count.
+gives the total wall time.  The whole run's wall time and peak resident
+memory go to stderr.  Pass --quick for a reduced path count.
 """
 
 import argparse
+import resource
+import sys
 import time
 
 from levdiv import (
@@ -41,6 +44,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
     paths = 10_000 if args.quick else args.paths
+    t_start = time.perf_counter()
 
     header = (
         f"{'f':>5} {'n':>3} {'N':>3} {'k':>3} {'chi':>4} | "
@@ -80,6 +84,10 @@ def main() -> None:
             f"   [{seconds:.2f} s, {paths / seconds:,.0f} paths/s]"
         )
     print(f"total {total:.2f} s for {len(CONFIGS)} rows of {paths:,} paths")
+    elapsed = time.perf_counter() - t_start
+    # ru_maxrss is in KiB on Linux
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"validate simulator: {elapsed:.1f}s, peak RSS {peak:.1f} MB", file=sys.stderr)
 
 
 if __name__ == "__main__":

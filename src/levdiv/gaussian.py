@@ -346,7 +346,9 @@ def binorm_cdf_oracle(z1, z2, rho):
     zero, pos, neg = r == 0.0, r == 1.0, r == -1.0
     out[zero] = _ndtr(h[zero]) * _ndtr(k[zero])
     out[pos] = _ndtr(np.minimum(h[pos], k[pos]))
-    out[neg] = np.maximum(0.0, _ndtr(h[neg]) + _ndtr(k[neg]) - 1.0)
+    # P(-k <= X <= h), written so that a small result keeps its relative accuracy
+    lo, hi = np.minimum(h[neg], k[neg]), np.maximum(h[neg], k[neg])
+    out[neg] = np.maximum(0.0, np.where(lo < 0.0, _ndtr(lo) - _ndtr(-hi), 1.0 - _ndtr(-lo) - _ndtr(-hi)))
     mid = (np.abs(r) < _GENZ_SPLIT) & ~zero
     high = ~(mid | zero | pos | neg)
     for rule, cells in ((_phi2_arcsine, mid), (_phi2_near_degenerate, high)):

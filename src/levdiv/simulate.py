@@ -12,20 +12,19 @@ Stream 0 carries the price shocks in (step, project) order, for all N projects
 under random selection but under a fixed overlap of k only for the n1 + n2 - k
 projects [0, n1 + n2 - k) the banks hold; stream 1 carries the random selection.
 
-The default counts do not depend on how paths are chunked.  The float
-moment sums behind `realized_correlation` are added per chunk, with a
-chunk size fixed by the config.  A chunk holds its per-(path, step) book
-returns and nothing larger: one slab for banks with identical books,
-otherwise two slabs plus one temporary for their product; the squares are
-formed in place once every other sum has read the slab.  Each chunk is
-split into one slice per usable CPU, and one worker thread does all of a
-slice's work: it re-keys a single generator to each path's streams, draws
-the shocks (and, under random selection, the holdings), and reduces them
-to per-step book returns in a small scratch block, a few paths at a time.
-Every count and sum is taken on the calling thread over whole chunks, and
-each path's returns are computed in the same order whatever block holds
-them, so neither the thread count nor the scratch block size affects any
-output.
+A chunk is a fixed number of paths, and each worker reduces every path
+to a few scalars as soon as its book log-returns are formed: each book's
+log growth (the row sum over steps) and sum of squares, and, for books
+that differ, the sum of their cross products.  The default counts and
+terminal values come from the growths alone.  The float moment sums
+behind `realized_correlation` run per path, then per chunk, then chunk by
+chunk in path order.  Each chunk is split into one slice per usable CPU,
+and one worker thread does all of a slice's work: it re-keys a single
+generator to each path's streams, draws the shocks (and, under random
+selection, the holdings), and reduces them in a small scratch block, a
+few paths at a time.  Each path's sums are taken over the same contiguous
+row whatever block holds it, so neither the thread count nor the scratch
+block size affects any output.
 """
 
 from __future__ import annotations
@@ -41,19 +40,12 @@ import numpy as np
 from .errors import ConfigError, is_int
 from .merton import BankStrategy, FixedOverlap, MarketParams, OverlapMode, RandomSelection, check_overlap
 
-# Chunk size is a pure function of the config (never of the environment): it
-# fixes the order in which the moment sums are added, so this value must not
-# change.  It sizes no block of shocks; a chunk holds only its book returns,
-# one (paths, steps) slab for identical books, otherwise two slabs plus one
-# product temporary.
-_CHUNK_BUDGET = 8_000_000  # path-steps x projects per chunk
+# Paths per chunk.  It fixes the order in which the moment sums are added,
+# so this value must not change; a chunk holds only a few scalars per path.
+_CHUNK_PATHS = 4096
 # Doubles in each worker's scratch block (~1 MB, so it stays in cache while a
 # sub-block is drawn, exponentiated and reduced).  No output depends on it.
 _SCRATCH_BUDGET = 131_072
-
-
-def _chunk_size(steps: int, market_size: int) -> int:
-    return max(1, min(4096, _CHUNK_BUDGET // (steps * market_size)))
 
 
 @dataclass(frozen=True)
@@ -160,23 +152,21 @@ def _usable_cpus() -> int:
 def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -> SimResult:
     """Estimate individual and joint default frequencies.
 
-    Paths are processed in index order with a chunk size that depends only
-    on the config, and each path's shocks come from its own keyed stream.
-    Worker threads, one per usable CPU, fill contiguous slices of a chunk
-    with per-(path, step) log returns, drawing each path's shocks and
-    holdings themselves; the counts and moment sums are then reduced over
-    whole chunks on the calling thread, so identical configs produce
-    bitwise-identical results at any thread count and scratch block size.
+    Paths are processed in index order, a fixed number per chunk, and each
+    path's shocks come from its own keyed stream.  Worker threads, one per
+    usable CPU, take contiguous slices of a chunk, draw each path's shocks
+    and holdings themselves, and reduce each path to its books' log growth,
+    sums of squares and cross-product sum; the counts and moment sums are
+    then taken from those per-path scalars on the calling thread, so
+    identical configs produce bitwise-identical results at any thread count
+    and scratch block size.
     """
     m = config.market
     steps, N = config.steps_per_horizon, m.market_size
     dt = config.dt
     drift_term = (m.drift - 0.5 * m.sigma**2) * dt
     vol_term = m.sigma * math.sqrt(dt)
-    log_limits = (
-        math.log(config.strategies[0].leverage),
-        math.log(config.strategies[1].leverage),
-    )
+    log_limits = np.array([[math.log(s.leverage)] for s in config.strategies])
     random_mode = isinstance(config.overlap, RandomSelection)
     n1, n2 = (s.diversification for s in config.strategies)
     if not random_mode:
@@ -185,28 +175,35 @@ def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -
     width = N if random_mode else start2 + n2  # projects drawn: the fixed books' prefix
     # banks holding the same projects have the same returns: compute them once
     same_books = not random_mode and n1 == n2 == config.overlap.shared
+    books = 1 if same_books else 2
 
     n_def = np.zeros(2, dtype=np.int64)
     n_joint = 0
-    # pooled per-step log-return moments, accumulated in chunk order
-    s_x = s_y = s_xx = s_yy = s_xy = 0.0
-    n_obs = 0
+    # per-step log-return moments (sum, sum of squares) per book, and the
+    # cross-product sum, accumulated chunk by chunk
+    moments = np.zeros((books, 2))
+    s_xy = 0.0
     terminals = np.empty((config.paths, 2)) if collect_terminals else None
 
-    chunk = _chunk_size(steps, N)
-    log_ret = np.empty((1 if same_books else 2, chunk, steps))
+    chunk = min(_CHUNK_PATHS, config.paths)
+    # per path of a chunk: each book's log growth and sum of squared log
+    # returns, and the books' cross-product sum when they differ
+    sums = np.empty((books, 2, chunk))
+    cross = np.empty(chunk)
 
     def fill(start: int, lo: int, hi: int) -> None:
-        # rows [lo, hi) of the chunk that begins at path `start`, a scratch
+        # paths [lo, hi) of the chunk that begins at path `start`, a scratch
         # sub-block of paths at a time, from one generator re-keyed per path
         gen = path_rng(config.seed, start + lo)
         state = gen.bit_generator.state
         sub = min(hi - lo, max(1, _SCRATCH_BUDGET // (steps * width)))
         scratch = np.empty((sub, steps, width))
+        log_ret = np.empty((books, sub, steps))
         if random_mode:
             held = (np.empty((sub, n1), dtype=int), np.empty((sub, n2), dtype=int))
         for a in range(lo, hi, sub):
             block = scratch[: min(sub, hi - a)]
+            ret, rows = log_ret[:, : len(block)], slice(a, a + len(block))
             for j in range(len(block)):
                 _repoint(gen, state, start + a + j, 0).standard_normal((steps, width), out=block[j])
                 if random_mode:
@@ -215,8 +212,7 @@ def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -
             block *= vol_term
             block += drift_term
             np.exp(block, out=block)
-            for bank in range(log_ret.shape[0]):
-                out = log_ret[bank, a : a + len(block)]
+            for bank, out in enumerate(ret):
                 if not random_mode:
                     # fixed books are added column by column, random books
                     # pairwise: the summation orders the estimator always had
@@ -225,9 +221,13 @@ def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -
                         out += block[:, :, col]
                     out /= len(fixed[bank])
                 else:
-                    books = held[bank][: len(block), None, :]
-                    np.take_along_axis(block, books, axis=2).mean(axis=2, out=out)
+                    np.take_along_axis(block, held[bank][: len(block), None, :], axis=2).mean(axis=2, out=out)
                 np.log(out, out=out)
+            # each path's row sums: log growth, cross product, then squares
+            ret.sum(axis=2, out=sums[:, 0, rows])
+            if not same_books:
+                (ret[0] * ret[1]).sum(axis=1, out=cross[rows])
+            np.square(ret, out=ret).sum(axis=2, out=sums[:, 1, rows])
 
     workers = min(_usable_cpus(), chunk)
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -237,30 +237,22 @@ def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -
             cuts = [size * w // parts for w in range(parts + 1)]
             list(pool.map(lambda lo, hi: fill(start, lo, hi), cuts[:-1], cuts[1:]))
 
-            x, y = log_ret[0, :size], log_ret[-1, :size]
-            logfac1 = x.sum(axis=1)
-            # identical books: bank 2's row sums and moments are bank 1's, taken once
-            logfac2 = logfac1 if same_books else y.sum(axis=1)
-            d1 = logfac1 <= log_limits[0]
-            d2 = logfac2 <= log_limits[1]
-            n_def[0] += int(d1.sum())
-            n_def[1] += int(d2.sum())
-            n_joint += int((d1 & d2).sum())
-            s_x += float(x.sum())
+            # identical books: bank 2's growths and moments are bank 1's
+            logfac = sums[[0, -1], 0, :size]
+            defaults = logfac <= log_limits
+            n_def += defaults.sum(axis=1)
+            n_joint += int((defaults[0] & defaults[1]).sum())
+            moments += sums[:, :, :size].sum(axis=2)
             if not same_books:
-                s_y += float(y.sum())
-                s_xy += float((x * y).sum())
-                s_yy += float(np.multiply(y, y, out=y).sum())
-            # squared in place: the next chunk overwrites every row it reads
-            s_xx += float(np.multiply(x, x, out=x).sum())
-            n_obs += size * steps
+                s_xy += float(cross[:size].sum())
             if terminals is not None:
-                terminals[start : start + size, 0] = np.exp(logfac1)
-                terminals[start : start + size, 1] = np.exp(logfac2)
+                terminals[start : start + size] = np.exp(logfac).T
 
+    (s_x, s_xx), (s_y, s_yy) = moments[[0, -1]].tolist()
     if same_books:
-        s_y, s_yy, s_xy = s_x, s_xx, s_xx
+        s_xy = s_xx
     paths = config.paths
+    n_obs = paths * steps
     p1, p2, pj = n_def[0] / paths, n_def[1] / paths, n_joint / paths
     var_x = s_xx / n_obs - (s_x / n_obs) ** 2
     var_y = s_yy / n_obs - (s_y / n_obs) ** 2

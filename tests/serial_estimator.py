@@ -1,11 +1,13 @@
 """Single-threaded reference Monte Carlo estimator, for tests only.
 
-This is the estimator as it stood before each chunk was split over worker
-threads: every path of a chunk is drawn on the calling thread, `exp` runs
-out of place over the whole chunk, and each bank's holdings are gathered
-into a copy.  Each path draws shocks for the projects of `drawn_projects`
-only.  The library's estimator must return the same bits for every config,
-at any worker count.
+Every path of a chunk is drawn on the calling thread, `exp` runs out of
+place over the whole chunk, and each bank's holdings are gathered into a
+copy, so the chunk's per-(path, step) book returns are held whole.  Each
+path draws shocks for the projects of `drawn_projects` only.  The moment
+sums run in the library's order: per path (row sums over steps), then per
+chunk, then chunk by chunk, with the chunk size read from
+`levdiv.simulate._CHUNK_PATHS` at call time.  The library's estimator must
+return the same bits for every config, at any worker count.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ import math
 
 import numpy as np
 
+import levdiv.simulate
 from levdiv import FixedOverlap, RandomSelection, SimConfig, SimResult, path_rng
-from levdiv.simulate import _chunk_size, select_holdings
+from levdiv.simulate import select_holdings
 
 
 def fixed_holdings(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -52,14 +55,14 @@ def serial_estimate(config: SimConfig, collect_terminals: bool = False) -> SimRe
 
     n_def = np.zeros(2, dtype=np.int64)
     n_joint = 0
-    # pooled per-step log-return moments, accumulated in chunk order
+    # pooled per-step log-return moments: per path, per chunk, then in chunk order
     s_x = s_y = s_xx = s_yy = s_xy = 0.0
     n_obs = 0
     terminals = np.empty((config.paths, 2)) if collect_terminals else None
 
-    chunk = _chunk_size(steps, N)
+    chunk = levdiv.simulate._CHUNK_PATHS
     width = drawn_projects(config)
-    xi = np.empty((chunk, steps, width))
+    xi = np.empty((min(chunk, config.paths), steps, width))
     for start in range(0, config.paths, chunk):
         size = min(chunk, config.paths - start)
         block = xi[:size]
@@ -89,11 +92,11 @@ def serial_estimate(config: SimConfig, collect_terminals: bool = False) -> SimRe
         n_def[0] += int(d1.sum())
         n_def[1] += int(d2.sum())
         n_joint += int((d1 & d2).sum())
-        s_x += float(rets[0].sum())
-        s_y += float(rets[1].sum())
-        s_xx += float((rets[0] * rets[0]).sum())
-        s_yy += float((rets[1] * rets[1]).sum())
-        s_xy += float((rets[0] * rets[1]).sum())
+        s_x += float(logfac1.sum())
+        s_y += float(logfac2.sum())
+        s_xx += float((rets[0] * rets[0]).sum(axis=1).sum())
+        s_yy += float((rets[1] * rets[1]).sum(axis=1).sum())
+        s_xy += float((rets[0] * rets[1]).sum(axis=1).sum())
         n_obs += size * steps
         if terminals is not None:
             terminals[start : start + size, 0] = np.exp(logfac1)

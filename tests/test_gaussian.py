@@ -178,8 +178,26 @@ class TestOracle:
         assert binorm_cdf_oracle(0.0, 0.0, 1.0) == 0.5
         assert binorm_cdf_oracle(0.0, 0.0, -1.0) == 0.0
         assert binorm_cdf_oracle(1.2, 0.4, 1.0) == phi1(0.4)
-        assert binorm_cdf_oracle(1.2, 0.4, -1.0) == max(0.0, phi1(1.2) + phi1(0.4) - 1.0)
+        assert binorm_cdf_oracle(1.2, 0.4, -1.0) == 1.0 - phi1(-0.4) - phi1(-1.2)
         assert binorm_cdf_oracle(1.5, -0.3, 0.0) == phi1(1.5) * phi1(-0.3)
+
+    def test_antithetic_limit_against_mpmath(self):
+        # at rho = -1, Phi2 is P(-k <= X <= h): cells with min(h, k) < 0 and
+        # cells with both >= 0, including results far below 1 that a form
+        # cancelling against 1 would lose
+        import mpmath
+
+        cells = [
+            (38.0, -8.0), (-8.0, 38.0), (38.0, -37.0), (-37.0, 38.0), (2.0, -1.5), (-0.5, 0.6),
+            (1.2, 0.4), (0.3, 0.2), (6.0, 7.5), (0.0, 0.0), (-0.5, 0.2), (-3.0, -2.0),
+        ]
+        with mpmath.workdps(400):  # enough digits for 1 - Phi(-38) to keep its tail
+            ref = [float(max(0, mpmath.ncdf(h) - mpmath.ncdf(-k))) for h, k in cells]
+        h, k = np.array(cells).T
+        got = binorm_cdf_oracle(h, k, -1.0)
+        assert ref[2] > 0.0 and ref[-1] == 0.0
+        # Phi itself (Cephes ndtr) is 1.1e-13 off, relatively, at -37
+        np.testing.assert_allclose(got, ref, rtol=2e-13, atol=0.0)
 
     def test_frozen_reference_values(self):
         assert binorm_cdf_oracle(0.7, 0.7, 0.25) == pytest.approx(
@@ -629,9 +647,7 @@ class TestGrid:
 
     def test_dispatcher_routes_degenerate_to_closed_form(self):
         assert binorm_cdf(0.4, 1.2, 1.0, method="grid") == phi1(0.4)
-        assert binorm_cdf(0.4, 1.2, -1.0, method="grid") == max(
-            0.0, phi1(0.4) + phi1(1.2) - 1.0
-        )
+        assert binorm_cdf(0.4, 1.2, -1.0, method="grid") == 1.0 - phi1(-0.4) - phi1(-1.2)
         for method in ("simpson", 400, None, "Grid"):
             with pytest.raises(ConfigError, match="expected 'grid', 'oracle' or a GridSpec"):
                 binorm_cdf(0.0, 0.0, 0.3, method=method)

@@ -365,8 +365,8 @@ BIT_IDENTITY_CONFIGS = {
     # books of 9+ projects, where fixed and random gathers sum differently
     "N24-n12-k12": _bit_identity_config(24, 12, 12),
     "N20-n10-random": _bit_identity_config(20, 10, None),
-    # chunk size 500: two full chunks and a ragged one of 234 paths
-    "N16-n4-k1-ragged": _bit_identity_config(16, 4, 1, steps=1000, paths=1234),
+    # two full chunks and a ragged one of 1234 paths
+    "N16-n4-k1-ragged": _bit_identity_config(16, 4, 1, steps=20, paths=2 * levdiv.simulate._CHUNK_PATHS + 1234),
     # one path's shocks exceed the scratch budget: sub-blocks of one path
     "N16-n10-random-long": _bit_identity_config(16, 10, None, steps=10_000, paths=20),
 }
@@ -413,16 +413,17 @@ class TestThreadedEstimator:
         assert np.array_equal(small.terminal_values, large.terminal_values)
 
     def test_ragged_config_spans_three_chunks(self):
+        # a chunk is a fixed number of paths, whatever the steps and N
         cfg = BIT_IDENTITY_CONFIGS["N16-n4-k1-ragged"]
-        chunk = levdiv.simulate._chunk_size(cfg.steps_per_horizon, cfg.market.market_size)
-        assert chunk == 500 and cfg.paths % chunk and cfg.paths > 2 * chunk
+        assert 2 * levdiv.simulate._CHUNK_PATHS < cfg.paths < 3 * levdiv.simulate._CHUNK_PATHS
 
     def test_long_config_has_one_path_sub_blocks(self):
         cfg = BIT_IDENTITY_CONFIGS["N16-n10-random-long"]
         assert cfg.steps_per_horizon * cfg.market.market_size > levdiv.simulate._SCRATCH_BUDGET
 
-    # the scratch budget at one path per sub-block, and at a whole chunk or more
-    @pytest.mark.parametrize("budget", [1, levdiv.simulate._CHUNK_BUDGET], ids=["one-path", "whole-chunk"])
+    # the scratch budget at one path per sub-block, and at a whole chunk or
+    # more (8M doubles hold a whole chunk of every config above)
+    @pytest.mark.parametrize("budget", [1, 8_000_000], ids=["one-path", "whole-chunk"])
     @pytest.mark.parametrize("name", list(BIT_IDENTITY_CONFIGS))
     def test_scratch_budget_does_not_change_bits(self, monkeypatch, name, budget):
         monkeypatch.setattr(levdiv.simulate, "_SCRATCH_BUDGET", budget)
@@ -452,21 +453,27 @@ class TestThreadedEstimator:
         _assert_bitwise_equal(result, expected)
 
 
-def test_identical_books_hold_one_return_slab():
-    # N = n = k = 4 at 1000 steps: a chunk is 2000 paths, one 2000 x 1000
-    # slab of book returns; squaring it in place adds no second slab
-    strategy = BankStrategy(0.1, 4)
-    cfg = make_config(
-        market=MarketParams.from_chi(4, 5.1), strategies=(strategy, strategy), overlap=FixedOverlap(4),
-        paths=2000, steps_per_horizon=1000,
-    )
-    chunk = levdiv.simulate._chunk_size(cfg.steps_per_horizon, cfg.market.market_size)
-    assert chunk == cfg.paths
-    slab = chunk * cfg.steps_per_horizon * 8
-    tracemalloc.start()
-    try:
-        estimate_default_probs(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.3 * slab
+@pytest.mark.parametrize("shared", [2, 1], ids=["identical-books", "k1"])
+def test_traced_peak_does_not_grow_with_steps_or_paths(monkeypatch, shared):
+    # each worker reduces its paths to a few scalars each, so memory is the
+    # workers' scratch blocks plus per-chunk vectors.  A per-(path, step)
+    # slab of book returns would grow about 3x here with 8x the steps; the
+    # 1.5x allows for how the three workers' blocks overlap in time
+    monkeypatch.setattr(levdiv.simulate, "_usable_cpus", lambda: 3)
+    strategy = BankStrategy(0.1, 2)
+
+    def traced_peak(paths, steps):
+        cfg = make_config(
+            market=MarketParams.from_chi(4 - shared, 5.1), strategies=(strategy, strategy),
+            overlap=FixedOverlap(shared), paths=paths, steps_per_horizon=steps,
+        )
+        tracemalloc.start()
+        try:
+            estimate_default_probs(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    base = traced_peak(2000, 250)
+    assert traced_peak(2000, 2000) <= 1.5 * base
+    assert traced_peak(8000, 250) <= 1.5 * base
