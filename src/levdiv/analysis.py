@@ -9,13 +9,13 @@ leverage from a normal level f_n to an abnormal level f_a raises it by
 A cell (N, n, chi) is "safe" when that increase is at most epsilon_safe,
 and the critical diversification n* is the smallest n whose whole suffix
 [n, N] is safe: one more than the largest risky n of the (N, chi) column,
-1 when none is risky, and None (not an error) when n = N is risky.  A
-sweep takes that maximum over all its cells; critical levels alone scan
-down from n = N and close each column at its first risky round.  A scan
-never holds its whole box: each round generates the cells of the columns
-still open, from each column's n range in closed form, and evaluates them
-in batches of a bounded number of cells, so a dense boundary map needs
-about as much memory as a small one.
+1 when none is risky, and None (not an error) when n = N is risky.  One
+generator, ``_deltas``, evaluates the cells of every entry point: from
+each column's n range it generates them in closed form, evaluates them in
+batches of a bounded number of cells and rejects a materially negative
+differential.  A sweep passes 1 <= n <= N and takes that maximum; critical
+levels scan down from n = N and close each column at its first risky
+round, so a dense boundary map needs about as much memory as a small one.
 
 A regime sweep is held as columns: ``SweepResult`` keeps read-only arrays
 ``market_size``, ``n``, ``chi`` and ``delta_phi2`` with one entry per cell,
@@ -63,7 +63,7 @@ class LeverageScenario:
 # within about 2e-16 of Phi2, and the grid tabulation is monotone in z
 _DELTA_SLACK = 1e-6
 
-# cells per Phi2 call of a critical scan: bounds a batch's per-cell arrays,
+# cells per Phi2 call of any evaluation: bounds a batch's per-cell arrays,
 # the oracle's temporaries included, to about 16 MB; no output depends on it
 _SCAN_BUDGET = 65_536
 
@@ -176,7 +176,8 @@ def delta_phi2(
     if not is_int(n) or not 1 <= n <= size:
         raise DomainError(f"invalid cell (N={size}, n={n!r}): need 1 <= n <= N")
     _check_box([size], [market], 0.0)
-    return float(_delta_tables([scenario], [market], 0, size, n, 0, method))
+    cols, cell = _columns(1, [size], 1), np.array([n])
+    return next(_deltas([scenario], [market], cols, np.zeros(1, int), cell, cell, method))[2].item()
 
 
 def _check_box(market_sizes: Sequence[int], markets: Sequence, epsilon_safe: float) -> None:
@@ -200,27 +201,39 @@ def _columns(scenario_count: int, market_sizes: Sequence[int], market_count: int
     return np.array(grid, dtype=int).reshape(3, -1)
 
 
-def _box(scenario_count: int, market_sizes: Sequence[int], market_count: int):
-    """The columns of a box (see ``_columns``) and each cell's column c and
-    n, one entry per cell of 1 <= n <= N.  Cells run in (s, N, n, m) order,
-    so equal correlations n/N sit together."""
-    sizes = np.tile(market_sizes, scenario_count)  # per (s, N); its columns start at market_count * its index
-    pair, k = np.nonzero(np.arange(1, sizes.max(initial=0) + 1) <= sizes[:, None])  # one (s, N, n) per row
-    c = pair[:, None] * market_count + np.arange(market_count)
-    return _columns(scenario_count, market_sizes, market_count), c.ravel(), np.repeat(k + 1, market_count)
-
-
-def _delta_tables(scenarios: Sequence, markets: Sequence, s, size, n, m, method: str | GridSpec) -> np.ndarray:
-    """delta_phi2 from one Phi2 call, for every sweep, critical level and
-    drift scan, at the cells (scenario s, N, n, market m) given as arrays
-    that broadcast.  s and m index the scenarios and the markets (chi,
-    drift, horizon)."""
+def _deltas(scenarios: Sequence, markets: Sequence, cols, live, lo, hi, method: str | GridSpec):
+    """delta_phi2 at the cells lo[j] <= n <= hi[j] of each column live[j] of
+    ``cols`` (see ``_columns``), yielded as batches (c, n, delta): each
+    cell's column, n and differential.  Columns run in the order given, n
+    ascending; a batch is one Phi2 call of at most _SCAN_BUDGET cells, cut
+    only between columns (a larger column is one batch).  Raises DomainError
+    at the first cell negative beyond _DELTA_SLACK."""
+    s, size, m = cols
     f = np.array([[sc.f_normal, sc.f_abnormal] for sc in scenarios])
-    shift = np.array([mk.drift * mk.horizon for mk in markets])[m]
-    chi = np.array([mk.chi for mk in markets])[m]
-    z = np.stack([z_cells(f, n, chi, shift, at=(s, level)) for level in (0, 1)])
-    pd = binorm_cdf(z, z, correlation_law(n, size)[0], method)
-    return pd[1] - pd[0]
+    shift = np.array([mk.drift * mk.horizon for mk in markets])
+    chi = np.array([mk.chi for mk in markets])
+    held = hi >= lo
+    live, lo, count = live[held], lo[held], (hi - lo + 1)[held]
+    ends = np.cumsum(count)  # column j's cells are [ends[j] - count[j], ends[j])
+    first = 0
+    while first < live.size:  # a batch is columns [first, last)
+        base = ends[first - 1] if first else 0
+        last = max(first + 1, int(np.searchsorted(ends, base + _SCAN_BUDGET, side="right")))
+        k = count[first:last]
+        c = np.repeat(live[first:last], k)
+        n = np.repeat(lo[first:last] - (ends[first:last] - k - base), k) + np.arange(ends[last - 1] - base)
+        z = np.stack([z_cells(f, n, chi[m[c]], shift[m[c]], at=(s[c], level)) for level in (0, 1)])
+        pd = binorm_cdf(z, z, correlation_law(n, size[c])[0], method)
+        delta = pd[1] - pd[0]
+        bad = np.flatnonzero(~(delta >= -_DELTA_SLACK))
+        if bad.size:
+            i, j = bad[0], c[bad[0]]
+            raise DomainError(
+                f"leverage differential {delta[i].item()} is negative beyond numerical "
+                f"slack at (N={size[j]}, n={n[i]}, chi={chi[m[j]].item()})"
+            )
+        yield c, n, delta
+        first = last
 
 
 def _levels(cols, star: np.ndarray, labels: Sequence, scenario_count: int) -> list[dict]:
@@ -241,15 +254,13 @@ def _scan(
     first risky round.  Round b holds the cells of band
     ((N - 1) // n).bit_length() == b: n = N, then 2^-b <= n/N < 2^(1-b),
     that is (N - 1) // 2^b < n <= (N - 1) // 2^(b-1).  The band depends on
-    n/N alone, so each correlation falls in one round.  A round generates
-    the cells of the columns still open at its start, taken in order of N,
-    and evaluates them in batches of at most _SCAN_BUDGET cells, cut only
-    between columns (a column's round larger than that is one batch); a
-    round that fits is one Phi2 call over all of them.  Memory is bounded by
-    the batch, not the box."""
+    n/N alone, so each correlation falls in one round.  A round passes the
+    columns still open at its start, in order of N, to ``_deltas``, so a
+    round that fits in one batch is one Phi2 call over all of them, and
+    memory is bounded by the batch, not the box."""
     _check_box(market_sizes, markets, epsilon_safe)
     cols = _columns(len(scenarios), market_sizes, len(markets))
-    s, size, m = cols
+    size = cols[1]
     star = np.ones(cols.shape[1], dtype=int)
     for b in range(int(size.max(initial=1) - 1).bit_length() + 1):
         live = np.flatnonzero(star == 1)
@@ -258,20 +269,9 @@ def _scan(
         live = live[np.argsort(size[live], kind="stable")]
         top = size[live] - 1
         lo, hi = (top >> b) + 1, top >> (b - 1) if b else top + 1
-        held = hi >= lo
-        live, lo, count = live[held], lo[held], (hi - lo + 1)[held]
-        ends = np.cumsum(count)  # column j's cells are [ends[j] - count[j], ends[j]) of the round
-        first = 0
-        while first < live.size:  # a batch is columns [first, last)
-            base = ends[first - 1] if first else 0
-            last = max(first + 1, int(np.searchsorted(ends, base + _SCAN_BUDGET, side="right")))
-            k = count[first:last]
-            c = np.repeat(live[first:last], k)
-            n = np.repeat(lo[first:last] - (ends[first:last] - k - base), k) + np.arange(ends[last - 1] - base)
-            deltas = _delta_tables(scenarios, markets, s[c], size[c], n, m[c], method)
-            risky = ~(deltas <= epsilon_safe)
+        for c, n, delta in _deltas(scenarios, markets, cols, live, lo, hi, method):
+            risky = ~(delta <= epsilon_safe)
             np.maximum.at(star, c[risky], n[risky] + 1)
-            first = last
     return _levels(cols, star, labels, len(scenarios))
 
 
@@ -319,25 +319,20 @@ def regime_sweep(
     """Classify every (N, n, chi) cell and derive the per-(N, chi) critical
     levels from the same delta values.
 
-    Cells are sorted by (N, chi, n), stably, so repeated sweeps produce
-    identical results.
+    All cells 1 <= n <= N of every column go through ``_deltas`` in one
+    pass, in bounded batches, and are sorted by (N, chi, n), stably, so
+    repeated sweeps produce identical results.
     """
     chis = [float(c) for c in chi_values]
     if not chis:
         raise ConfigError("chi_values must be non-empty")
     markets = [MarketParams.from_chi(1, chi, drift=mu) for chi in chis]
     _check_box(market_sizes, markets, epsilon_safe)
-    cols, c, n = _box(1, market_sizes, len(chis))
+    cols = _columns(1, market_sizes, len(chis))
+    batches = _deltas([scenario], markets, cols, np.arange(cols.shape[1]), np.ones_like(cols[1]), cols[1], method)
+    c, n, delta = map(np.concatenate, zip(*batches))
     _, size, m = cols[:, c]
-    delta = _delta_tables([scenario], markets, 0, size, n, m, method)
     chi = np.array(chis)[m]
-    bad = np.flatnonzero(~(delta >= -_DELTA_SLACK))
-    if bad.size:
-        i = bad[0]
-        raise DomainError(
-            f"leverage differential {delta[i].item()} is negative beyond numerical "
-            f"slack at (N={size[i]}, n={n[i]}, chi={chi[i].item()})"
-        )
     star = np.ones(cols.shape[1], dtype=int)
     risky = ~(delta <= epsilon_safe)
     np.maximum.at(star, c[risky], n[risky] + 1)

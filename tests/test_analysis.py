@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 
 from critical_order import effective_critical
 from critical_reference import full_box_critical
+from delta_reference import reference_delta
 
 from levdiv import (
     BankStrategy,
     ConfigError,
     DomainError,
+    EPSILON_SAFE,
     FixedOverlap,
     GridSpec,
     LeverageScenario,
@@ -142,6 +144,17 @@ class TestDeltaPhi2:
             return
         market = MarketParams.from_chi(10, chi)
         assert delta_phi2(LeverageScenario(lo, hi), n, market) >= -1e-9
+
+
+    @pytest.mark.parametrize("scenario", [SCENARIO, LeverageScenario(0.25, 0.5)])
+    def test_standard_box_against_integral_reference(self, scenario):
+        sizes, chis_ = [10, 20, 30, 40], default_chi_grid()
+        oracle = regime_sweep(scenario, sizes, chis_)
+        ref = reference_delta(scenario.f_normal, scenario.f_abnormal, oracle.n, oracle.market_size, oracle.chi)
+        assert np.abs(oracle.delta_phi2 - ref).max() <= 1e-15
+        assert np.array_equal(oracle.risky, ref > EPSILON_SAFE)
+        grid = regime_sweep(scenario, sizes, chis_, method="grid")  # the same cells in the same order
+        assert np.abs(grid.delta_phi2 - ref).max() <= 1e-5
 
 
 class TestCriticalDiversification:
@@ -357,7 +370,20 @@ class TestRegimeSweep:
         result = regime_sweep(SCENARIO, [10], [0.001])
         assert result.risky_fraction(10) == 0.0
 
-    def test_cell_rejects_materially_negative_delta(self, monkeypatch):
+    # each entry point's first cell: n = 1 of a sweep's first column, n = N
+    # of a scan's first round, the one cell of delta_phi2
+    @pytest.mark.parametrize(
+        "evaluate, first_n",
+        [
+            (lambda: regime_sweep(SCENARIO, [10], [0.001]), 1),
+            (lambda: critical_table([SCENARIO], [10], [0.001]), 10),
+            (lambda: mu_sensitivity(SCENARIO, MarketParams.from_chi(10, 0.001), [0.0]), 10),
+            (lambda: critical_diversification(SCENARIO, MarketParams.from_chi(10, 0.001)), 10),
+            (lambda: delta_phi2(SCENARIO, 3, MarketParams.from_chi(10, 0.001)), 3),
+        ],
+        ids=["regime_sweep", "critical_table", "mu_sensitivity", "critical_diversification", "delta_phi2"],
+    )
+    def test_cell_rejects_materially_negative_delta(self, monkeypatch, evaluate, first_n):
         import levdiv.analysis
 
         real = levdiv.analysis.binorm_cdf
@@ -370,11 +396,33 @@ class TestRegimeSweep:
 
         monkeypatch.setattr(levdiv.analysis, "binorm_cdf", shifted)
         shift = 1e-3
-        # every cell goes negative; the first in (N, n, chi) order is named
-        with pytest.raises(DomainError, match=r"N=10, n=1, chi=0\.001\)"):
-            regime_sweep(SCENARIO, [10], [0.001])
+        # every cell goes negative; the first evaluated is named
+        with pytest.raises(DomainError, match=rf"slack at \(N=10, n={first_n}, chi=0\.001\)$"):
+            evaluate()
         shift = 1e-9
-        assert (regime_sweep(SCENARIO, [10], [0.001]).delta_phi2 >= -1e-6).all()
+        evaluate()
+
+    @pytest.mark.parametrize("method", ["oracle", SMALL_GRID], ids=["oracle", "grid"])
+    def test_batches_do_not_change_bytes(self, monkeypatch, method):
+        import levdiv.analysis
+
+        def sweep():
+            return regime_sweep(SCENARIO, [20, 10, 10], [5.1, 0.2, 0.2, 0.003], method=method)
+
+        whole = sweep()
+        real_phi2, calls = levdiv.analysis.binorm_cdf, []
+
+        def phi2(*args, **kwargs):
+            calls.append(args[2])
+            return real_phi2(*args, **kwargs)
+
+        monkeypatch.setattr(levdiv.analysis, "_SCAN_BUDGET", 3)
+        monkeypatch.setattr(levdiv.analysis, "binorm_cdf", phi2)
+        batched = sweep()
+        # one batch per column: 4 chi at each of the three sizes
+        assert [np.size(rho) for rho in calls] == [20] * 4 + [10] * 8
+        assert batched.to_csv() == whole.to_csv()
+        assert batched.to_json() == whole.to_json()
 
     def test_grid_method_supported(self):
         result = regime_sweep(SCENARIO, [4], [0.5], method=SMALL_GRID)
@@ -443,6 +491,21 @@ class TestCriticalReductions:
         }
         assert None in levels and 1 in levels
         assert any(n_star is not None and n_star > 1 for n_star in levels)
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-6])
+    def test_finite_levels_do_not_rise_with_market_size(self, eps):
+        # z does not depend on N, which enters only through rho = n/N, and
+        # delta at fixed n falls as rho does where z_n < z_a <= 0
+        rng = np.random.default_rng(20261019)
+        chis_ = np.exp(rng.uniform(math.log(1e-3), math.log(9.0), size=12)).tolist()
+        sizes = range(2, 81)
+        steps = []
+        for table in critical_table([SCENARIO, LeverageScenario(0.25, 0.5)], sizes, chis_, epsilon_safe=eps):
+            for chi in chis_:
+                row = [table[(size, chi)] for size in sizes if table[(size, chi)] is not None]
+                steps += np.diff(row).tolist()
+        assert max(steps) <= 0
+        assert min(steps) < 0
 
     def test_table_batches_scenarios(self):
         scenarios = [SCENARIO, LeverageScenario(0.25, 0.5)]
