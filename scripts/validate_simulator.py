@@ -5,26 +5,22 @@ defaults vs Phi2(z, z, k/n), and the realized asset correlation.  Each
 deviation is also given in units of its binomial standard error (dev/se),
 so sampling noise (a few SE at most) can be told apart from bias.
 
-Each row ends with its wall time and paths per second, and a last line
-gives the total wall time.  The whole run's wall time and peak resident
-memory go to stderr.  Pass --quick for a reduced path count.
+Each row is one in-process `levdiv simulate --overlap fixed:K --output json`
+run and prints that command's own fields; a failing command ends the script
+with its exit code.  Each row ends with its wall time and paths per second,
+and a last line gives the total wall time.  The whole run's wall time and
+peak resident memory go to stderr.  Pass --quick for a reduced path count.
 """
 
 import argparse
+import contextlib
+import io
+import json
 import resource
 import sys
 import time
 
-from levdiv import (
-    BankStrategy,
-    FixedOverlap,
-    MarketParams,
-    SimConfig,
-    estimate_default_probs,
-    individual_pd,
-    systemic_pd,
-)
-from levdiv.merton import correlation_law
+from levdiv.cli import main as levdiv
 
 # (f, n, N, k, chi, steps): the joint target uses the overlap-implied
 # correlation k/n, so any (k, n) pairing is checkable
@@ -35,6 +31,17 @@ CONFIGS = [
     (0.25, 4, 16, 1, 5.1, 1000),
     (0.25, 16, 32, 8, 1.6, 250),
 ]
+
+
+def simulate(argv: list[str]) -> dict:
+    """The fields `levdiv simulate` prints as JSON; exits on its failure."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = levdiv(["simulate", *argv, "--output", "json"])
+    if code != 0:
+        print(f"levdiv simulate {' '.join(argv)} exited with code {code}", file=sys.stderr)
+        sys.exit(code)
+    return json.loads(out.getvalue())
 
 
 def main() -> None:
@@ -55,32 +62,19 @@ def main() -> None:
     print("-" * len(header))
     total = 0.0
     for f, n, N, k, chi, steps in CONFIGS:
-        market = MarketParams.from_chi(N, chi)
-        strategy = BankStrategy(f, n)
-        config = SimConfig(
-            market=market,
-            strategies=(strategy, strategy),
-            overlap=FixedOverlap(k),
-            paths=paths,
-            steps_per_horizon=steps,
-            seed=args.seed,
-        )
         t0 = time.perf_counter()
-        res = estimate_default_probs(config)
+        res = simulate([
+            "--f", str(f), "--n", str(n), "--N", str(N), "--chi", str(chi), "--overlap", f"fixed:{k}",
+            "--paths", str(paths), "--steps", str(steps), "--seed", str(args.seed),
+        ])
         seconds = time.perf_counter() - t0
         total += seconds
-        pd_target = individual_pd(strategy, market)
-        rho, _ = correlation_law(n, N, config.overlap)
-        joint_target = systemic_pd(strategy, market, overlap=config.overlap)
-        se_mult = abs(res.pd1_hat - pd_target) / res.se_pd1 if res.se_pd1 else float("inf")
-        joint_dev = abs(res.joint_pd_hat - joint_target)
-        joint_se_mult = joint_dev / res.se_joint if res.se_joint else float("inf")
         print(
             f"{f:>5} {n:>3} {N:>3} {k:>3} {chi:>4} | "
-            f"{res.pd1_hat:>8.5f} {pd_target:>8.5f} {se_mult:>7.2f} | "
-            f"{res.joint_pd_hat:>8.5f} {joint_target:>8.5f} "
-            f"{joint_dev:>8.5f} {joint_se_mult:>7.2f} | "
-            f"{res.realized_correlation:>7.4f} {rho:>5.2f}"
+            f"{res['pd1_hat']:>8.5f} {res['analytic_pd']:>8.5f} {res['pd1_se_multiple']:>7.2f} | "
+            f"{res['joint_pd_hat']:>8.5f} {res['analytic_joint_pd']:>8.5f} "
+            f"{res['joint_abs_dev']:>8.5f} {res['joint_se_multiple']:>7.2f} | "
+            f"{res['realized_correlation']:>7.4f} {res['target_correlation']:>5.2f}"
             f"   [{seconds:.2f} s, {paths / seconds:,.0f} paths/s]"
         )
     print(f"total {total:.2f} s for {len(CONFIGS)} rows of {paths:,} paths")

@@ -10,12 +10,13 @@ A cell (N, n, chi) is "safe" when that increase is at most epsilon_safe,
 and the critical diversification n* is the smallest n whose whole suffix
 [n, N] is safe: one more than the largest risky n of the (N, chi) column,
 1 when none is risky, and None (not an error) when n = N is risky.  One
-generator, ``_deltas``, evaluates the cells of every entry point: from
-each column's n range it generates them in closed form, evaluates them in
-batches of a bounded number of cells and rejects a materially negative
-differential.  A sweep passes 1 <= n <= N and takes that maximum; critical
-levels scan down from n = N and close each column at its first risky
-round, so a dense boundary map needs about as much memory as a small one.
+generator, ``_deltas``, evaluates the cells of every entry point at the
+chi and mu T each column is labelled with: from each column's n range it
+generates them in closed form, evaluates them in batches of a bounded
+number of cells and rejects a materially negative differential.  A sweep
+passes 1 <= n <= N and takes that maximum; critical levels scan down from
+n = N and close each column at its first risky round, so a dense boundary
+map needs about as much memory as a small one.
 
 A regime sweep is held as columns: ``SweepResult`` keeps read-only arrays
 ``market_size``, ``n``, ``chi`` and ``delta_phi2`` with one entry per cell,
@@ -175,20 +176,24 @@ def delta_phi2(
     size = market.market_size
     if not is_int(n) or not 1 <= n <= size:
         raise DomainError(f"invalid cell (N={size}, n={n!r}): need 1 <= n <= N")
-    _check_box([size], [market], 0.0)
+    chi, shift = [market.chi], [market.drift * market.horizon]
+    _check_box([size], chi, shift, 0.0)
     cols, cell = _columns(1, [size], 1), np.array([n])
-    return next(_deltas([scenario], [market], cols, np.zeros(1, int), cell, cell, method))[2].item()
+    return next(_deltas([scenario], chi, shift, cols, np.zeros(1, int), cell, cell, method))[2].item()
 
 
-def _check_box(market_sizes: Sequence[int], markets: Sequence, epsilon_safe: float) -> None:
-    """Check a box up front, in this order: its market sizes, the markets'
-    chi, epsilon_safe."""
+def _check_box(market_sizes: Sequence[int], chi: Sequence, shift: Sequence, epsilon_safe: float) -> None:
+    """Check a box up front, in this order: its market sizes, each market's
+    chi and shift mu T, epsilon_safe."""
     if len(market_sizes) == 0:
         raise ConfigError("market_sizes must be non-empty")
     for size in market_sizes:
         if not is_int(size) or size < 1:
             raise ConfigError(f"market sizes must be integers >= 1, got {size!r}")
-    if not all(m.chi > 0.0 for m in markets):
+    for value in (*chi, *shift):
+        if not math.isfinite(value):
+            raise DomainError(f"chi and mu must be finite, got {value!r}")
+    if not all(x > 0.0 for x in chi):
         raise DomainError("delta_phi2 requires chi > 0 (sigma > 0 and T > 0)")
     if not (math.isfinite(epsilon_safe) and epsilon_safe >= 0.0):
         raise DomainError(f"epsilon_safe must be finite and >= 0, got {epsilon_safe!r}")
@@ -201,17 +206,17 @@ def _columns(scenario_count: int, market_sizes: Sequence[int], market_count: int
     return np.array(grid, dtype=int).reshape(3, -1)
 
 
-def _deltas(scenarios: Sequence, markets: Sequence, cols, live, lo, hi, method: str | GridSpec):
+def _deltas(scenarios: Sequence, chi: Sequence, shift: Sequence, cols, live, lo, hi, method: str | GridSpec):
     """delta_phi2 at the cells lo[j] <= n <= hi[j] of each column live[j] of
     ``cols`` (see ``_columns``), yielded as batches (c, n, delta): each
-    cell's column, n and differential.  Columns run in the order given, n
+    cell's column, n and differential.  Market m has risk constant chi[m]
+    and drift shift mu T = shift[m].  Columns run in the order given, n
     ascending; a batch is one Phi2 call of at most _SCAN_BUDGET cells, cut
     only between columns (a larger column is one batch).  Raises DomainError
     at the first cell negative beyond _DELTA_SLACK."""
     s, size, m = cols
     f = np.array([[sc.f_normal, sc.f_abnormal] for sc in scenarios])
-    shift = np.array([mk.drift * mk.horizon for mk in markets])
-    chi = np.array([mk.chi for mk in markets])
+    chi, shift = np.asarray(chi, dtype=float), np.asarray(shift, dtype=float)
     held = hi >= lo
     live, lo, count = live[held], lo[held], (hi - lo + 1)[held]
     ends = np.cumsum(count)  # column j's cells are [ends[j] - count[j], ends[j])
@@ -247,19 +252,19 @@ def _levels(cols, star: np.ndarray, labels: Sequence, scenario_count: int) -> li
 
 def _scan(
     scenarios: Sequence[LeverageScenario], market_sizes: Sequence[int], labels: Sequence,
-    markets: Sequence[MarketParams], method: str | GridSpec, epsilon_safe: float,
+    chi: Sequence, shift: Sequence, method: str | GridSpec, epsilon_safe: float,
 ) -> list[dict]:
     """Per scenario, {(N, label): n*} for each market size and labelled
-    market, from a scan down from n = N that closes each column at its
-    first risky round.  Round b holds the cells of band
-    ((N - 1) // n).bit_length() == b: n = N, then 2^-b <= n/N < 2^(1-b),
-    that is (N - 1) // 2^b < n <= (N - 1) // 2^(b-1).  The band depends on
-    n/N alone, so each correlation falls in one round.  A round passes the
-    columns still open at its start, in order of N, to ``_deltas``, so a
-    round that fits in one batch is one Phi2 call over all of them, and
-    memory is bounded by the batch, not the box."""
-    _check_box(market_sizes, markets, epsilon_safe)
-    cols = _columns(len(scenarios), market_sizes, len(markets))
+    market (chi and shift as in ``_deltas``), from a scan down from n = N
+    that closes each column at its first risky round.  Round b holds the
+    cells of band ((N - 1) // n).bit_length() == b: n = N, then
+    2^-b <= n/N < 2^(1-b), that is (N - 1) // 2^b < n <= (N - 1) // 2^(b-1).
+    The band depends on n/N alone, so each correlation falls in one round.
+    A round passes the columns still open at its start, in order of N, to
+    ``_deltas``, so a round that fits in one batch is one Phi2 call over all
+    of them, and memory is bounded by the batch, not the box."""
+    _check_box(market_sizes, chi, shift, epsilon_safe)
+    cols = _columns(len(scenarios), market_sizes, len(chi))
     size = cols[1]
     star = np.ones(cols.shape[1], dtype=int)
     for b in range(int(size.max(initial=1) - 1).bit_length() + 1):
@@ -269,7 +274,7 @@ def _scan(
         live = live[np.argsort(size[live], kind="stable")]
         top = size[live] - 1
         lo, hi = (top >> b) + 1, top >> (b - 1) if b else top + 1
-        for c, n, delta in _deltas(scenarios, markets, cols, live, lo, hi, method):
+        for c, n, delta in _deltas(scenarios, chi, shift, cols, live, lo, hi, method):
             risky = ~(delta <= epsilon_safe)
             np.maximum.at(star, c[risky], n[risky] + 1)
     return _levels(cols, star, labels, len(scenarios))
@@ -304,8 +309,7 @@ def critical_table(
     downward scan, so the grid method tabulates each correlation n/N at
     most once."""
     chis = [float(c) for c in chi_values]
-    markets = [MarketParams.from_chi(1, chi) for chi in chis]
-    return _scan(scenarios, market_sizes, chis, markets, method, epsilon_safe)
+    return _scan(scenarios, market_sizes, chis, chis, [0.0] * len(chis), method, epsilon_safe)
 
 
 def regime_sweep(
@@ -326,10 +330,10 @@ def regime_sweep(
     chis = [float(c) for c in chi_values]
     if not chis:
         raise ConfigError("chi_values must be non-empty")
-    markets = [MarketParams.from_chi(1, chi, drift=mu) for chi in chis]
-    _check_box(market_sizes, markets, epsilon_safe)
+    shift = [mu] * len(chis)
+    _check_box(market_sizes, chis, shift, epsilon_safe)
     cols = _columns(1, market_sizes, len(chis))
-    batches = _deltas([scenario], markets, cols, np.arange(cols.shape[1]), np.ones_like(cols[1]), cols[1], method)
+    batches = _deltas([scenario], chis, shift, cols, np.arange(cols.shape[1]), np.ones_like(cols[1]), cols[1], method)
     c, n, delta = map(np.concatenate, zip(*batches))
     _, size, m = cols[:, c]
     chi = np.array(chis)[m]
@@ -352,6 +356,6 @@ def mu_sensitivity(
 ) -> dict[float, int | None]:
     """Critical diversification as a function of the drift mu."""
     mus = [float(mu) for mu in mu_values]
-    markets = [market.with_drift(mu) for mu in mus]
-    (level,) = _scan([scenario], [market.market_size], mus, markets, method, epsilon_safe)
+    shift = [mu * market.horizon for mu in mus]
+    (level,) = _scan([scenario], [market.market_size], mus, [market.chi] * len(mus), shift, method, epsilon_safe)
     return {mu: level[(market.market_size, mu)] for mu in mus}

@@ -41,21 +41,8 @@ array-valued: arguments broadcast, the grid tabulates each distinct
 correlation once per call, and scalar arguments give a float.
 No table is kept between calls: a caller that queries one correlation many
 times keeps the ``CdfGrid`` that ``tabulate_cdf_grid`` returns and calls
-its ``lookup``.
-A table is sized from the (z1, z2) queries it must serve: it holds only
-the leading block of nodes they reach (the analysis queries the diagonal
-at z <= ~2, about a quarter of the default square), and of that block only
-the rows their bilinear lookups read: rows i and i + 1 of each query's
-cell (a sweep reads about a quarter of them, table1 about 3%).  Without
-queries it holds the whole square.  The table is filled a cache-sized
-block of rows at a time, with the axis-0 running sum carried from one
-block to the next through every row; only the axis-1 sums are restricted
-to the kept rows, and the only large array is the table of kept rows
-itself.  That fill is bit for bit the whole-array pass: density, corner
-mean and volume are elementwise with the same operations in the same
-order, and both cumulative sums add strictly in prefix order.  For the
-same reason a bounded table equals those rows of that corner of the full
-table bit for bit, and every lookup returns what the full table would.
+its ``lookup``; ``tabulate_cdf_grid`` explains how a table is sized from
+its queries and filled.
 Phi is Cephes ``ndtr`` (Moshier 1989, *Methods and Programs for
 Mathematical Functions*), the algorithm ``scipy.special.ndtr`` runs, ported
 to NumPy and ``math`` so levdiv needs numpy only; tests check it equals
@@ -447,12 +434,16 @@ _SCRATCH_BUDGET = 65_536
 def tabulate_cdf_grid(rho: float, spec: GridSpec = DEFAULT_GRID, queries=None) -> CdfGrid:
     """Build the cumulative tabulation for one correlation, sized from the
     (z1, z2) points ``queries`` it must serve: the leading square block of
-    nodes their cells reach, and of it only rows i and i + 1 of each
-    point's cell.  With no queries the table holds every node.
+    nodes their cells reach (the analysis queries the diagonal at z <= ~2,
+    about a quarter of the default square), and of it only rows i and i + 1
+    of each point's cell, the rows their bilinear lookups read (a sweep
+    reads about a quarter of them, table1 about 3%).  With no queries the
+    table holds every node.
 
     Steps: density at the grid nodes; per-cell mean of the four corner
     values; volume = mean density times squared cell width; cumulative
-    double sum.  The table is filled a block of rows at a time: each block
+    double sum.  The table is filled a cache-sized block of rows at a time,
+    so the only large array is the table of kept rows: each block
     evaluates its density rows (the previous block's last row carried
     over), forms its volumes and continues the axis-0 running sum from the
     previous block's last sum row; the axis-1 sums run only on the block's

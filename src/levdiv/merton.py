@@ -15,7 +15,7 @@ with correlation k/n (``correlation_law``) and joint PD Phi2(z, z, k/n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,9 +59,6 @@ class MarketParams:
         if not math.isfinite(chi) or chi < 0.0:
             raise DomainError(f"chi must be finite and >= 0, got {chi!r}")
         return cls(market_size=market_size, sigma=math.sqrt(2.0 * chi), horizon=1.0, drift=drift)
-
-    def with_drift(self, drift: float) -> "MarketParams":
-        return replace(self, drift=drift)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -111,29 +111,25 @@ class SimResult:
     terminal_values: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "pd1_hat": self.pd1_hat,
-                "pd2_hat": self.pd2_hat,
-                "joint_pd_hat": self.joint_pd_hat,
-                "se_pd1": self.se_pd1,
-                "se_pd2": self.se_pd2,
-                "se_joint": self.se_joint,
-                "realized_correlation": self.realized_correlation,
-                "paths_used": self.paths_used,
-                "seed_used": self.seed_used,
-            },
-            indent=2,
-        )
+        """Every field but ``terminal_values``, in declaration order."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "terminal_values"}
+        return json.dumps(doc, indent=2)
+
+
+def _fixed_books(config: SimConfig) -> tuple[range, range]:
+    """The books under a fixed overlap of k: bank 1 holds projects [0, n1)
+    and bank 2 [n1 - k, n1 - k + n2)."""
+    n1, n2 = (s.diversification for s in config.strategies)
+    start2 = n1 - config.overlap.shared
+    return range(n1), range(start2, start2 + n2)
 
 
 def select_holdings(config: SimConfig, path_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path holdings for both banks (sorted project indices).  Under a
-    fixed overlap of k, bank 1 takes [0, n1) and bank 2 [n1 - k, n1 - k + n2)."""
-    n1, n2 = (s.diversification for s in config.strategies)
+    """Per-path holdings for both banks (sorted project indices): the fixed
+    books of ``_fixed_books``, or a random draw from the path's stream 1."""
     if isinstance(config.overlap, FixedOverlap):
-        start2 = n1 - config.overlap.shared
-        return np.arange(n1), np.arange(start2, start2 + n2)
+        return tuple(np.array(book) for book in _fixed_books(config))
+    n1, n2 = (s.diversification for s in config.strategies)
     rng = path_rng(config.seed, path_index, stream=1)
     return _draw_holdings(rng, config.market.market_size, n1, n2)
 
@@ -169,12 +165,10 @@ def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -
     log_limits = np.array([[math.log(s.leverage)] for s in config.strategies])
     random_mode = isinstance(config.overlap, RandomSelection)
     n1, n2 = (s.diversification for s in config.strategies)
-    if not random_mode:
-        start2 = n1 - config.overlap.shared
-        fixed = (range(n1), range(start2, start2 + n2))
-    width = N if random_mode else start2 + n2  # projects drawn: the fixed books' prefix
+    fixed = None if random_mode else _fixed_books(config)
+    width = N if random_mode else fixed[1].stop  # projects drawn: the fixed books' prefix
     # banks holding the same projects have the same returns: compute them once
-    same_books = not random_mode and n1 == n2 == config.overlap.shared
+    same_books = not random_mode and fixed[0] == fixed[1]
     books = 1 if same_books else 2
 
     n_def = np.zeros(2, dtype=np.int64)

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critical_order import effective_critical
-from critical_reference import full_box_critical
+from critical_reference import full_box_critical, limit_critical
 from delta_reference import reference_delta
 
 from levdiv import (
@@ -27,6 +28,7 @@ from levdiv import (
     MarketParams,
     SimConfig,
     asset_correlation,
+    binorm_cdf,
     critical_diversification,
     default_chi_grid,
     delta_phi2,
@@ -39,6 +41,7 @@ from levdiv import (
 )
 from levdiv.analysis import critical_table
 from levdiv.cli import TABLE1_MARKET_SIZES, TABLE1_SCENARIOS, compute_table1
+from levdiv.merton import correlation_law, z_cells
 
 M10 = MarketParams.from_chi(10, 1.6)
 SCENARIO = LeverageScenario(0.10, 0.25)
@@ -156,6 +159,20 @@ class TestDeltaPhi2:
         grid = regime_sweep(scenario, sizes, chis_, method="grid")  # the same cells in the same order
         assert np.abs(grid.delta_phi2 - ref).max() <= 1e-5
 
+    @pytest.mark.parametrize("scenario", [SCENARIO, LeverageScenario(0.25, 0.5)])
+    def test_sweep_rows_are_evaluated_at_their_printed_chi(self, scenario):
+        # each row's delta, rebuilt from the chi it prints with the library's
+        # own z and Phi2 operations, must match bit for bit; sqrt(2 chi)^2 / 2
+        # is a neighbouring double for some grid values, and a row must not
+        # be evaluated there
+        chis_ = default_chi_grid()
+        assert any(0.5 * math.sqrt(2.0 * chi) ** 2 != chi for chi in chis_.tolist())
+        result = regime_sweep(scenario, [10, 40], chis_)
+        f = np.array([[scenario.f_normal], [scenario.f_abnormal]])
+        z = z_cells(f, result.n, result.chi, 0.0)
+        pd = binorm_cdf(z, z, correlation_law(result.n, result.market_size)[0], "oracle")
+        assert np.array_equal(result.delta_phi2, pd[1] - pd[0])
+
 
 class TestCriticalDiversification:
     def test_vanishing_chi_gives_one(self):
@@ -228,6 +245,21 @@ class TestCriticalDiversification:
             with pytest.raises(error, match="^" + re.escape(message) + "$") as info:
                 call()
             assert info.type is error
+
+    @pytest.mark.parametrize(
+        "chi, mu", [(math.inf, 0.0), (math.nan, 0.0), (1.6, math.nan), (1.6, -math.inf)],
+        ids=["chi-inf", "chi-nan", "mu-nan", "mu-inf"],
+    )
+    def test_non_finite_chi_or_drift_rejected(self, chi, mu):
+        # raw chi and mu reach the analysis with no MarketParams to check them
+        message = f"^chi and mu must be finite, got {(chi if mu == 0.0 else mu)!r}$"
+        with pytest.raises(DomainError, match=message):
+            regime_sweep(SCENARIO, [4], [chi], mu=mu)
+        with pytest.raises(DomainError, match=message):
+            if mu == 0.0:
+                critical_table([SCENARIO], [4], [chi])
+            else:
+                mu_sensitivity(SCENARIO, MarketParams.from_chi(4, chi), [0.0, mu])
 
     def test_zero_epsilon_is_valid(self):
         # zero demands delta_phi2 <= 0: met where both default probabilities
@@ -464,7 +496,7 @@ class TestCriticalReductions:
             market = MarketParams.from_chi(size, 0.4)
             scan = mu_sensitivity(SCENARIO, market, SCAN_DRIFTS, method, eps)
             assert scan == {
-                mu: full_box_critical(SCENARIO, market.with_drift(mu), method, eps) for mu in SCAN_DRIFTS
+                mu: full_box_critical(SCENARIO, replace(market, drift=mu), method, eps) for mu in SCAN_DRIFTS
             }
 
     @pytest.mark.parametrize("eps", [0.0, 1e-6, 0.2])
@@ -495,17 +527,39 @@ class TestCriticalReductions:
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-6])
     def test_finite_levels_do_not_rise_with_market_size(self, eps):
         # z does not depend on N, which enters only through rho = n/N, and
-        # delta at fixed n falls as rho does where z_n < z_a <= 0
+        # delta at fixed n falls as rho does where z_n < z_a <= 0, toward its
+        # rho -> 0 limit: so a cell risky in that limit is risky at every N
         rng = np.random.default_rng(20261019)
         chis_ = np.exp(rng.uniform(math.log(1e-3), math.log(9.0), size=12)).tolist()
         sizes = range(2, 81)
-        steps = []
-        for table in critical_table([SCENARIO, LeverageScenario(0.25, 0.5)], sizes, chis_, epsilon_safe=eps):
+        scenarios = [SCENARIO, LeverageScenario(0.25, 0.5)]
+        steps, bounded = [], 0
+        for scenario, table in zip(scenarios, critical_table(scenarios, sizes, chis_, epsilon_safe=eps)):
             for chi in chis_:
                 row = [table[(size, chi)] for size in sizes if table[(size, chi)] is not None]
                 steps += np.diff(row).tolist()
+                if chi <= math.log(1.0 / scenario.f_abnormal):  # z_a <= 0 at every n
+                    for size in sizes:
+                        # the limit over n <= N is at most N + 1, "none" encoded
+                        limit = limit_critical(scenario, chi, size, eps)
+                        assert effective_critical(table[(size, chi)], size) >= limit
+                        bounded += 1
         assert max(steps) <= 0
         assert min(steps) < 0
+        assert bounded == 1422
+
+    @pytest.mark.parametrize(
+        "scenario, chi, eps, sizes, levels, limit",
+        [
+            (SCENARIO, 1.6, 1e-2, [20, 40, 80, 160, 320, 640], [7, 6, 6, 5, 5, 5], 5),
+            (LeverageScenario(0.25, 0.5), 8.9, 1e-3, [640], [206], 153),
+        ],
+        ids=["reaches-limit", "above-limit"],
+    )
+    def test_large_markets_approach_the_limit(self, scenario, chi, eps, sizes, levels, limit):
+        (table,) = critical_table([scenario], sizes, [chi], epsilon_safe=eps)
+        assert [table[(size, chi)] for size in sizes] == levels
+        assert limit_critical(scenario, chi, sizes[-1], eps) == limit
 
     def test_table_batches_scenarios(self):
         scenarios = [SCENARIO, LeverageScenario(0.25, 0.5)]
@@ -596,8 +650,8 @@ class TestScanBatches:
         for size, chi in zip(sizes, chis_ + chis_):
             market = MarketParams.from_chi(size, chi)
             scan = mu_sensitivity(SCENARIO, market, drifts, method, eps)
-            assert scan == {mu: full_box_critical(SCENARIO, market.with_drift(mu), method, eps) for mu in drifts}
-            market = market.with_drift(drifts[0])
+            assert scan == {mu: full_box_critical(SCENARIO, replace(market, drift=mu), method, eps) for mu in drifts}
+            market = replace(market, drift=drifts[0])
             assert critical_diversification(SCENARIO, market, method, eps) == full_box_critical(
                 SCENARIO, market, method, eps
             )

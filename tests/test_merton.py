@@ -57,11 +57,6 @@ class TestMarketParams:
         with pytest.raises(DomainError):
             MarketParams(**kwargs)
 
-    def test_with_drift(self):
-        m = MarketParams.from_chi(10, 1.6).with_drift(-0.05)
-        assert m.drift == -0.05
-        assert m.chi == pytest.approx(1.6)
-
 
 class TestBankStrategy:
     @pytest.mark.parametrize("f", [0.0, 1.0, 1e-13, 1.0 - 1e-13, -0.2, 1.3])

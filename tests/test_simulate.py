@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo simulator."""
 
 import functools
+import json
 import math
 import os
 import sys
@@ -15,9 +16,11 @@ from levdiv import (
     ConfigError,
     DomainError,
     FixedOverlap,
+    LeverageScenario,
     MarketParams,
     RandomSelection,
     SimConfig,
+    delta_phi2,
     estimate_default_probs,
     individual_pd,
     path_rng,
@@ -313,9 +316,15 @@ class TestEstimates:
             assert 0.0 <= p <= 1.0
 
     def test_serialization(self):
+        # the keys and their order are a contract: bit-identity checks
+        # compare these strings; terminal values stay out
         cfg = make_config(paths=50)
-        res = estimate_default_probs(cfg)
-        doc = __import__("json").loads(res.to_json())
+        res = estimate_default_probs(cfg, collect_terminals=True)
+        doc = json.loads(res.to_json())
+        assert list(doc) == [
+            "pd1_hat", "pd2_hat", "joint_pd_hat", "se_pd1", "se_pd2", "se_joint",
+            "realized_correlation", "paths_used", "seed_used",
+        ]
         assert doc["paths_used"] == 50
         assert doc["seed_used"] == 123
 
@@ -343,6 +352,38 @@ class TestEstimates:
         res = estimate_default_probs(cfg)
         target = systemic_pd(strategy, market, overlap=RandomSelection())
         assert abs(res.joint_pd_hat - target) <= max(3.0 * res.se_joint, 0.005)
+
+
+@pytest.mark.parametrize(
+    "N, n, shared, f_normal, f_abnormal, seed",
+    [(16, 4, 1, 0.10, 0.25, 401), (20, 10, 5, 0.25, 0.50, 402)],
+    ids=["N16-n4-k1", "N20-n10-k5"],
+)
+def test_leverage_differential_matches_delta_phi2(N, n, shared, f_normal, f_abnormal, seed):
+    """The paper's differential delta_phi2 against one run's joint defaults
+    at both leverages on the same paths.  A bank defaults at f iff its
+    terminal assets are at most f, so per path J_a - J_n is 0 or 1 and
+    SE = sqrt(d (1 - d) / paths).  The overlap k has k/n = n/N, the paper's
+    correlation; 250 steps keep the discrete-rebalancing bias below the
+    noise (at 50 steps the first cell reads +3 SE).  Labels are checked at
+    a loose eps = 0.05 only: at eps = 1e-6, |delta - eps| is far below any
+    feasible SE, so Monte Carlo cannot check those labels."""
+    market = MarketParams.from_chi(N, 1.6)
+    strategy = BankStrategy(f_normal, n)
+    cfg = SimConfig(
+        market=market, strategies=(strategy, strategy), overlap=FixedOverlap(shared),
+        paths=40_000, steps_per_horizon=250, seed=seed,
+    )
+    res = estimate_default_probs(cfg, collect_terminals=True)
+    joint = [float((res.terminal_values <= f).all(axis=1).mean()) for f in (f_normal, f_abnormal)]
+    assert joint[0] == res.joint_pd_hat
+    d = joint[1] - joint[0]
+    se = math.sqrt(d * (1.0 - d) / cfg.paths)
+    target = delta_phi2(LeverageScenario(f_normal, f_abnormal), n, market)
+    assert abs(d - target) <= 3.0 * se  # measured -0.2 and -1.2 SE
+    eps = 0.05
+    assert abs(target - eps) > 3.0 * se
+    assert (d > eps) == (target > eps)
 
 
 def _bit_identity_config(N, n, shared, f2=0.25, n2=None, steps=50, paths=300):
