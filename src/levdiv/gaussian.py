@@ -53,12 +53,19 @@ arguments in [-709, -0.5], each by one ulp).
 Inputs of a few elements take a per-float path, larger ones a masked array
 path; both call the same Horner helpers.
 All functions are pure; ``CdfGrid`` instances are immutable after
-construction and safe to share between threads.
+construction and safe to share between threads.  The grid route of
+``binorm_cdf`` tabulates its distinct correlations on worker threads, one
+per usable CPU: each worker builds one table, looks up that correlation's
+cells and drops the table, so at most one table per worker is alive at a
+time.  Every value comes from its own correlation's table, so the thread
+count changes no bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -69,6 +76,12 @@ from .errors import ConfigError, DegenerateCorrelationError, DomainError, is_int
 # Grid tabulation is unusable this close to |rho| = 1; callers fall back to
 # the exact degenerate forms (see binorm_cdf).
 DEGENERATE_RHO_TOL = 1e-9
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _as_rho(rho) -> np.ndarray:
@@ -446,14 +459,18 @@ def tabulate_cdf_grid(rho: float, spec: GridSpec = DEFAULT_GRID, queries=None) -
     so the only large array is the table of kept rows: each block
     evaluates its density rows (the previous block's last row carried
     over), forms its volumes and continues the axis-0 running sum from the
-    previous block's last sum row; the axis-1 sums run only on the block's
-    kept rows, written straight into the table.  The fill stops at the
-    last kept row.  That is bit for bit the whole-array pass: density,
-    corner mean and volume are elementwise with the same operations in the
-    same order, and both cumulative sums add strictly in prefix order, so
-    neither the block size, the block's extent nor the kept rows change
-    any element.  A table is therefore those rows of the leading block of
-    the full one, and its lookups return what the full table would.
+    previous block's last sum row.  That sum is taken only at the block's
+    kept rows and its last row: each segment of rows up to one of them is
+    added onto the sum before it by one axis-0 reduce, which on a
+    C-contiguous block adds whole rows in order, a row at a time.  The
+    axis-1 sums run only on the kept rows, written straight into the
+    table.  The fill stops at the last kept row.  That is bit for bit the
+    whole-array pass: density, corner mean and volume are elementwise with
+    the same operations in the same order, and both cumulative sums add
+    strictly in prefix order, so neither the block size, the block's
+    extent nor the kept rows change any element.  A table is therefore
+    those rows of the leading block of the full one, and its lookups
+    return what the full table would.
 
     Every call tabulates afresh; no table is kept.  To query one
     correlation many times, keep the returned ``CdfGrid`` and call its
@@ -503,12 +520,19 @@ def tabulate_cdf_grid(rho: float, spec: GridSpec = DEFAULT_GRID, queries=None) -
         np.add(vol, g[1 : k + 1, 1:], out=vol)
         np.multiply(0.25, vol, out=vol)
         np.multiply(vol, area, out=vol)
-        # the axis-0 running sum over row views (the first block's carried row is zero)
-        for prev, row in zip(sums[:k], sums[1 : k + 1]):
-            np.add(prev, row, out=row)
         # the block's table rows lo + 1 .. lo + k sit at keep[a:b]
         a, b = np.searchsorted(keep, (lo + 1, lo + k + 1))
-        np.cumsum(sums[keep[a:b] - lo], axis=1, out=cdf[a:b, 1:])
+        kept = keep[a:b] - lo
+        # the axis-0 running sum, at the kept rows and the carried last row
+        # only (the first block's carried row is zero)
+        pos = 0
+        for r in (*kept.tolist(), k):
+            if r == pos + 1:
+                np.add(sums[pos], sums[r], out=sums[r])
+            elif r > pos:
+                sums[r] = np.add.reduce(sums[pos : r + 1], axis=0)
+            pos = r
+        np.cumsum(sums[kept], axis=1, out=cdf[a:b, 1:])
         g[0] = g[k]
         sums[0] = sums[k]
     for arr in (nodes, cdf, keep):
@@ -526,8 +550,9 @@ def binorm_cdf(z1, z2, rho, method: str | GridSpec = "oracle"):
     """Phi2 dispatcher; arguments broadcast.  ``method`` is the route:
     ``"oracle"``, ``"grid"`` (the ``DEFAULT_GRID`` tabulation) or a
     ``GridSpec`` to tabulate on.  A grid route tabulates each distinct
-    correlation once, each table sized from its own queries, and routes
-    correlations within DEGENERATE_RHO_TOL of +/-1 to the exact closed forms."""
+    correlation once, each table sized from its own queries, one worker
+    thread per usable CPU, and routes correlations within
+    DEGENERATE_RHO_TOL of +/-1 to the exact closed forms."""
     r = _as_rho(rho)
     if method == "oracle":
         return binorm_cdf_oracle(z1, z2, r)
@@ -536,10 +561,23 @@ def binorm_cdf(z1, z2, rho, method: str | GridSpec = "oracle"):
         raise ConfigError(f"unknown method {method!r}, expected 'grid', 'oracle' or a GridSpec")
     z1, z2, r = np.broadcast_arrays(np.asarray(z1, dtype=float), np.asarray(z2, dtype=float), r)
     out = np.empty(r.shape)
-    for value in np.unique(r):
+    values = np.unique(r)
+    closed = np.abs(values) > 1.0 - DEGENERATE_RHO_TOL
+    tabulated = values[~closed]
+
+    def cells(value):
         at = r == value
-        if abs(value) > 1.0 - DEGENERATE_RHO_TOL:
-            out[at] = binorm_cdf_oracle(z1[at], z2[at], 1.0 if value > 0 else -1.0)
-        else:
-            out[at] = binorm_cdf_grid(z1[at], z2[at], value, spec)
+        return at, binorm_cdf_grid(z1[at], z2[at], value, spec)
+
+    # one table per worker at a time: each returns only its looked-up values
+    with ThreadPoolExecutor(max(1, min(_usable_cpus(), tabulated.size))) as pool:
+        looked_up = pool.map(cells, tabulated)
+        # in correlation order, so an error is the one a serial pass meets first
+        for value, exact in zip(values, closed):
+            if exact:
+                at = r == value
+                out[at] = binorm_cdf_oracle(z1[at], z2[at], 1.0 if value > 0 else -1.0)
+            else:
+                at, got = next(looked_up)
+                out[at] = got
     return out if out.ndim else float(out)

@@ -17,13 +17,13 @@ from scipy.special import ndtr
 from levdiv import binorm_cdf
 
 
-def full_box_critical(scenario, market, method, epsilon_safe):
-    """Smallest n whose suffix [n, N] is safe, or None if n = N is risky."""
-    size, chi = market.market_size, market.chi
+def full_box_critical(scenario, size, chi, shift, method, epsilon_safe):
+    """Smallest n whose suffix [n, N] is safe, or None if n = N is risky,
+    for market size N = size at risk constant chi and shift mu T."""
     n = np.arange(1, size + 1, dtype=float)
     pd = []
     for f in (scenario.f_normal, scenario.f_abnormal):
-        z = -(math.log(1.0 / f) + market.drift * market.horizon - chi / n) / np.sqrt(2.0 * chi / n)
+        z = -(math.log(1.0 / f) + shift - chi / n) / np.sqrt(2.0 * chi / n)
         pd.append(binorm_cdf(z, z, n / size, method))
     safe_run = int(np.logical_and.accumulate((pd[1] - pd[0] <= epsilon_safe)[::-1]).sum())
     return size - safe_run + 1 if safe_run else None

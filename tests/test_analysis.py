@@ -484,7 +484,7 @@ class TestCriticalReductions:
         tables = critical_table(scenarios, SCAN_SIZES, SCAN_CHIS, method, eps)
         for scenario, table in zip(scenarios, tables):
             full = {
-                (size, chi): full_box_critical(scenario, MarketParams.from_chi(size, chi), method, eps)
+                (size, chi): full_box_critical(scenario, size, chi, 0.0, method, eps)
                 for size in SCAN_SIZES
                 for chi in SCAN_CHIS
             }
@@ -496,7 +496,8 @@ class TestCriticalReductions:
             market = MarketParams.from_chi(size, 0.4)
             scan = mu_sensitivity(SCENARIO, market, SCAN_DRIFTS, method, eps)
             assert scan == {
-                mu: full_box_critical(SCENARIO, replace(market, drift=mu), method, eps) for mu in SCAN_DRIFTS
+                mu: full_box_critical(SCENARIO, size, market.chi, mu * market.horizon, method, eps)
+                for mu in SCAN_DRIFTS
             }
 
     @pytest.mark.parametrize("eps", [0.0, 1e-6, 0.2])
@@ -507,7 +508,7 @@ class TestCriticalReductions:
         sizes, chis_ = [17, 3, 3, 1], [5.1, 1.6, 1.6, 0.4, 0.05, 0.001]
         sweep = regime_sweep(SCENARIO, sizes, chis_, method=method, epsilon_safe=eps)
         full = {
-            (size, chi): full_box_critical(SCENARIO, MarketParams.from_chi(size, chi), method, eps)
+            (size, chi): full_box_critical(SCENARIO, size, chi, 0.0, method, eps)
             for size in sizes
             for chi in chis_
         }
@@ -638,7 +639,7 @@ class TestScanBatches:
         tables = critical_table(scenarios, sizes, chis_, method, eps)
         for scenario, table in zip(scenarios, tables):
             assert table == {
-                (size, chi): full_box_critical(scenario, MarketParams.from_chi(size, chi), method, eps)
+                (size, chi): full_box_critical(scenario, size, chi, 0.0, method, eps)
                 for size in sizes
                 for chi in chis_
             }
@@ -650,10 +651,12 @@ class TestScanBatches:
         for size, chi in zip(sizes, chis_ + chis_):
             market = MarketParams.from_chi(size, chi)
             scan = mu_sensitivity(SCENARIO, market, drifts, method, eps)
-            assert scan == {mu: full_box_critical(SCENARIO, replace(market, drift=mu), method, eps) for mu in drifts}
+            assert scan == {
+                mu: full_box_critical(SCENARIO, size, market.chi, mu * market.horizon, method, eps) for mu in drifts
+            }
             market = replace(market, drift=drifts[0])
             assert critical_diversification(SCENARIO, market, method, eps) == full_box_critical(
-                SCENARIO, market, method, eps
+                SCENARIO, size, market.chi, market.drift * market.horizon, method, eps
             )
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-2])

@@ -6,10 +6,13 @@ adaptive-quadrature reference ``phi2_quad`` checks the Gauss-Legendre
 oracle on a large random sample.
 """
 
+import functools
 import math
 import os
 import subprocess
 import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -37,6 +40,7 @@ from levdiv import (
     regime_sweep,
     tabulate_cdf_grid,
 )
+from levdiv.cli import compute_table1
 from levdiv.gaussian import _CHUNK, _FLOAT_PATH_MAX, _GENZ_SPLIT, _ndtr, _ndtr_float, binorm_cdf_grid
 
 # small grid keeps module tests fast; the default 2000-cell grid is
@@ -563,6 +567,33 @@ class TestGrid:
             assert got.rows.tolist() == rows
             assert not (got.node_values.flags.writeable or got.rows.flags.writeable)
 
+    # the running sum is taken per segment between kept rows: at one row
+    # per block every segment is one row onto the sum carried from the block
+    # before, and in one block for the whole table each runs from one kept
+    # row to the next
+    @pytest.mark.parametrize("budget", ["one-row", "whole-table"])
+    @pytest.mark.parametrize(
+        "spec", [DEFAULT_GRID, SMALL_GRID, GridSpec(cells_per_axis=2)], ids=["default", "small", "two-cells"]
+    )
+    @pytest.mark.parametrize("rho", [-0.6, 0.3, 0.999])
+    def test_kept_rows_are_reference_rows_at_any_block_size(self, monkeypatch, spec, rho, budget):
+        nodes = spec.cells_per_axis + 1
+        monkeypatch.setattr(levdiv.gaussian, "_SCRATCH_BUDGET", {"one-row": 1, "whole-table": nodes * nodes}[budget])
+        self.test_kept_rows_are_reference_rows(spec, rho)
+
+    # a segment's running sum is one axis-0 reduce of its rows; it must add
+    # them in order, as the row-by-row loop and the reference's cumsum do.
+    # Rows spanning 24 orders of magnitude round differently in any other
+    # order.  One column would reduce pairwise, but a one-column table has
+    # one cell row, so its segments never hold more than two rows.
+    @pytest.mark.parametrize("shape", [(54, 1225), (300, 800), (3, 1225), (200, 2), (200, 9), (1000, 17)])
+    def test_axis0_reduce_adds_rows_in_order(self, shape):
+        rng = np.random.default_rng(7)
+        block = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, size=shape)
+        in_order = functools.reduce(np.add, block)
+        assert not np.array_equal(functools.reduce(np.add, block[::-1]), in_order)
+        assert np.array_equal(np.add.reduce(block, axis=0), in_order)
+
     def test_lookup_needs_kept_rows(self):
         full = tabulate_cdf_grid(0.3, SMALL_GRID)
         # cells 150 and 300 keep rows 150, 151, 300 and 301; z2 at the top
@@ -668,6 +699,75 @@ class TestGrid:
         assert after.misses - before == 2
         assert after.currsize == 0
         assert got.tolist() == [binorm_cdf(a, a, r, method=SMALL_GRID) for a, r in zip(z, rho)]
+
+
+class TestThreadedGrid:
+    # correlations n/20 with their diagonal thresholds, the closed forms at
+    # +/-1 among them, on the default grid
+    RHO = np.concatenate([np.arange(1, 21) / 20, [-1.0, -0.35]])
+    Z = np.linspace(-3.0, 2.0, RHO.size)
+
+    @staticmethod
+    def _at_workers(monkeypatch, workers, fn):
+        # workers=None leaves the real usable-CPU count
+        if workers is not None:
+            monkeypatch.setattr(levdiv.gaussian, "_usable_cpus", lambda: workers)
+        return fn()
+
+    def test_bits_do_not_depend_on_workers(self, monkeypatch):
+        # one worker per usable CPU, 2 and 3 workers, then more workers than
+        # correlations and cores, switching every few microseconds: a table
+        # or cell written by the wrong worker would change the bits
+        def run():
+            return binorm_cdf(self.Z, self.Z, self.RHO, "grid"), compute_table1("grid", 0.01)
+
+        cells, table = self._at_workers(monkeypatch, 1, run)
+        for workers in (None, 2, 3, self.RHO.size + 2 * (os.cpu_count() or 1)):
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                got_cells, got_table = self._at_workers(monkeypatch, workers, run)
+            finally:
+                sys.setswitchinterval(interval)
+            assert got_cells.tolist() == cells.tolist(), workers
+            assert got_table == table, workers
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_table_per_worker_at_a_time(self, monkeypatch, workers):
+        lock, live, peak = threading.Lock(), [0], [0]
+        real = levdiv.gaussian.tabulate_cdf_grid
+
+        def released():
+            with lock:
+                live[0] -= 1
+
+        def spy(*args):
+            grid = real(*args)
+            with lock:
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+            weakref.finalize(grid, released)
+            return grid
+
+        monkeypatch.setattr(levdiv.gaussian, "tabulate_cdf_grid", spy)
+        self._at_workers(monkeypatch, workers, lambda: binorm_cdf(self.Z, self.Z, self.RHO, "grid"))
+        assert 1 <= peak[0] <= workers
+        assert live[0] == 0
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_error_reaches_caller(self, monkeypatch, workers):
+        # the first error in correlation order, with the serial message:
+        # a NaN in a tabulated cell, then one in a closed-form cell below it
+        z = self.Z.copy()
+        z[[3, 9]] = np.nan
+        with pytest.raises(DomainError) as serial:
+            binorm_cdf_grid(z[3], 0.0, self.RHO[3])
+        with pytest.raises(DomainError) as threaded:
+            self._at_workers(monkeypatch, workers, lambda: binorm_cdf(z, self.Z, self.RHO, "grid"))
+        assert str(threaded.value) == str(serial.value) == "binorm_cdf_grid requires non-NaN coordinates"
+        z[-2] = np.nan  # rho = -1, the lowest correlation
+        with pytest.raises(DomainError, match="binorm_cdf_oracle requires finite coordinates"):
+            self._at_workers(monkeypatch, workers, lambda: binorm_cdf(z, self.Z, self.RHO, "grid"))
 
 
 class TestCorrelation:
