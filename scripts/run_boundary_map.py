@@ -7,8 +7,9 @@ Writes results/boundary_map_{scenario}.csv with columns N, chi, n_star,
 one row per (N, chi) in that order; n_star is "none" where even n = N is
 risky.  Prints per scenario how many columns have no safe level, are safe
 at every n, or have an interior boundary, and prints the elapsed time and
-the peak resident memory to stderr.  The scan holds one bounded batch of
-cells at a time, so its memory does not grow with the box.
+the peak resident memory to stderr.  The scan brackets each n* by Phi1
+alone and evaluates Phi2 only at the cells the bracket leaves open, one
+bounded batch at a time, so its memory does not grow with the box.
 """
 
 import csv

@@ -14,9 +14,14 @@ generator, ``_deltas``, evaluates the cells of every entry point at the
 chi and mu T each column is labelled with: from each column's n range it
 generates them in closed form, evaluates them in batches of a bounded
 number of cells and rejects a materially negative differential.  A sweep
-passes 1 <= n <= N and takes that maximum; critical levels scan down from
-n = N and close each column at its first risky round, so a dense boundary
-map needs about as much memory as a small one.
+passes 1 <= n <= N and takes that maximum.  A critical scan first brackets
+each n* by Phi1 alone: on the diagonal, delta is the integral of
+2 phi(t) Phi(c t) over [z_n, z_a] with c = sqrt((1 - rho) / (1 + rho)) in
+[0, 1] (Plackett 1954, Biometrika 41:351), and Phi(c t) lies between
+Phi(t) and 1/2, which gives bounds L <= delta <= U for any rho in [0, 1]
+(``_bounds``).  Cells the bounds decide need no Phi2, so the scan passes
+``_deltas`` only the cells its bracket leaves open, once, and a dense
+boundary map needs about as much memory as a small one.
 
 A regime sweep is held as columns: ``SweepResult`` keeps read-only arrays
 ``market_size``, ``n``, ``chi`` and ``delta_phi2`` with one entry per cell,
@@ -33,7 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, is_int
-from .gaussian import GridSpec, binorm_cdf
+from .gaussian import GridSpec, _grid_spec, _ndtr, binorm_cdf
 # asset_correlation, systemic_pd and z_score stay bound here, where perfbench/tracer.py wraps them
 from .merton import MarketParams, asset_correlation, correlation_law, systemic_pd, z_cells, z_score
 
@@ -63,6 +68,12 @@ class LeverageScenario:
 # both routes keep the differential above this: the Gauss-Legendre oracle is
 # within about 2e-16 of Phi2, and the grid tabulation is monotone in z
 _DELTA_SLACK = 1e-6
+
+# a critical scan's bracket decides a cell only when its Phi1 bound clears
+# epsilon_safe by this margin, which covers the Phi2 route's error: about
+# 1e-13 at worst for the oracle, the stated 1e-3 for a grid
+_ORACLE_MARGIN = 1e-12
+_GRID_MARGIN = 1e-3
 
 # cells per Phi2 call of any evaluation: bounds a batch's per-cell arrays,
 # the oracle's temporaries included, to about 16 MB; no output depends on it
@@ -250,33 +261,71 @@ def _levels(cols, star: np.ndarray, labels: Sequence, scenario_count: int) -> li
     return levels
 
 
+def _bounds(scenarios: Sequence[LeverageScenario], chi: Sequence, shift: Sequence, top: int):
+    """Phi1-only bounds L <= delta <= U at n = 1..top of each scenario s and
+    market m (chi and shift as in ``_deltas``), and delta at rho = 1, each as
+    an array indexed [s, m, n - 1].  With a = z_a(n), b = z_n(n),
+    x- = min(x, 0) and x+ = max(x, 0),
+
+        L = Phi(a-)^2 - Phi(b-)^2 + Phi(a+) - Phi(b+),
+        U = Phi(a-) - Phi(b-) + Phi(a+)^2 - Phi(b+)^2,
+
+    the integral of 2 phi(t) Phi(c t) over [b, a] with Phi(c t) replaced by
+    Phi(t) or 1/2 on each side of t = 0.  Neither depends on rho, so they
+    serve every market size N.  At rho = 1 delta is Phi(a) - Phi(b), the
+    closed form every Phi2 route takes there, with the same z and Phi bits."""
+    f = np.array([[sc.f_normal, sc.f_abnormal] for sc in scenarios]).reshape(-1, 2)
+    n = np.arange(1, top + 1)
+    chi, shift = np.asarray(chi, dtype=float)[:, None], np.asarray(shift, dtype=float)[:, None]
+    s = np.arange(len(f))[:, None, None]
+    pb, pa = (_ndtr(z_cells(f, n, chi, shift, at=(s, level))) for level in (0, 1))
+    # Phi(0) = 1/2 exactly, so Phi(x-) = min(Phi(x), 1/2) and Phi(x+) = max(Phi(x), 1/2)
+    lb, la, hb, ha = np.minimum(pb, 0.5), np.minimum(pa, 0.5), np.maximum(pb, 0.5), np.maximum(pa, 0.5)
+    return la * la - lb * lb + ha - hb, la - lb + ha * ha - hb * hb, pa - pb
+
+
+def _bracket(
+    scenarios: Sequence[LeverageScenario], chi: Sequence, shift: Sequence, cols, epsilon_safe: float, margin: float
+):
+    """Per column (s, N, m) of ``cols`` (see ``_columns``), lo <= n* <= hi
+    with n* = N + 1 for None, from ``_bounds``: lo is N + 1 where delta at
+    n = N is risky, else 1 + the largest n <= N with L > epsilon_safe +
+    margin; hi is 1 + the largest n <= N with U > epsilon_safe - margin (1
+    if none).  The cells lo <= n < min(hi, N) are the ones left open."""
+    s, size, m = cols
+    low, high, full = _bounds(scenarios, chi, shift, int(size.max(initial=1)))
+    n = np.arange(1, low.shape[-1] + 1)
+    # running maxima over n: at (s, m, N - 1), 1 + the largest n <= N past its threshold
+    lo, hi = (
+        1 + np.maximum.accumulate(np.where(bound > threshold, n, 0), axis=-1)[s, m, size - 1]
+        for bound, threshold in ((low, epsilon_safe + margin), (high, epsilon_safe - margin))
+    )
+    return np.where(full[s, m, size - 1] <= epsilon_safe, lo, size + 1), hi
+
+
 def _scan(
     scenarios: Sequence[LeverageScenario], market_sizes: Sequence[int], labels: Sequence,
     chi: Sequence, shift: Sequence, method: str | GridSpec, epsilon_safe: float,
 ) -> list[dict]:
     """Per scenario, {(N, label): n*} for each market size and labelled
-    market (chi and shift as in ``_deltas``), from a scan down from n = N
-    that closes each column at its first risky round.  Round b holds the
-    cells of band ((N - 1) // n).bit_length() == b: n = N, then
-    2^-b <= n/N < 2^(1-b), that is (N - 1) // 2^b < n <= (N - 1) // 2^(b-1).
-    The band depends on n/N alone, so each correlation falls in one round.
-    A round passes the columns still open at its start, in order of N, to
-    ``_deltas``, so a round that fits in one batch is one Phi2 call over all
-    of them, and memory is bounded by the batch, not the box."""
+    market (chi and shift as in ``_deltas``).  ``_bracket`` bounds each
+    column's n* by Phi1 alone, with a margin that covers the method's error,
+    and closes a column that is risky at n = N as None.  The cells it leaves
+    open, lo <= n < min(hi, N), go to ``_deltas`` in one pass, columns in
+    order of N, and n* is one more than the largest risky n among them, or
+    lo if none is.  Memory is bounded by the batch and the bounds, scenarios
+    x markets x max N doubles, not by the box."""
     _check_box(market_sizes, chi, shift, epsilon_safe)
+    margin = _ORACLE_MARGIN if _grid_spec(method) is None else _GRID_MARGIN
     cols = _columns(len(scenarios), market_sizes, len(chi))
     size = cols[1]
-    star = np.ones(cols.shape[1], dtype=int)
-    for b in range(int(size.max(initial=1) - 1).bit_length() + 1):
-        live = np.flatnonzero(star == 1)
-        # by N: columns of one size share their correlations, which the grid
-        # tabulates once per batch
-        live = live[np.argsort(size[live], kind="stable")]
-        top = size[live] - 1
-        lo, hi = (top >> b) + 1, top >> (b - 1) if b else top + 1
-        for c, n, delta in _deltas(scenarios, chi, shift, cols, live, lo, hi, method):
-            risky = ~(delta <= epsilon_safe)
-            np.maximum.at(star, c[risky], n[risky] + 1)
+    star, hi = _bracket(scenarios, chi, shift, cols, epsilon_safe, margin)
+    # by N: columns of one size share their correlations, which the grid
+    # tabulates once per batch
+    live = np.argsort(size, kind="stable")
+    for c, n, delta in _deltas(scenarios, chi, shift, cols, live, star[live], np.minimum(hi, size)[live] - 1, method):
+        risky = ~(delta <= epsilon_safe)
+        np.maximum.at(star, c[risky], n[risky] + 1)
     return _levels(cols, star, labels, len(scenarios))
 
 
@@ -306,8 +355,7 @@ def critical_table(
     epsilon_safe: float = EPSILON_SAFE,
 ) -> list[dict[tuple[int, float], int | None]]:
     """Critical diversification at every (N, chi), per scenario, from one
-    downward scan, so the grid method tabulates each correlation n/N at
-    most once."""
+    scan of the cells a Phi1-only bracket leaves open."""
     chis = [float(c) for c in chi_values]
     return _scan(scenarios, market_sizes, chis, chis, [0.0] * len(chis), method, epsilon_safe)
 

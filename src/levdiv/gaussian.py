@@ -546,6 +546,17 @@ def binorm_cdf_grid(z1, z2, rho: float, spec: GridSpec = DEFAULT_GRID):
     return tabulate_cdf_grid(rho, spec, (z1, z2)).lookup(z1, z2)
 
 
+def _grid_spec(method: str | GridSpec) -> GridSpec | None:
+    """The GridSpec a Phi2 ``method`` tabulates on, None for the oracle;
+    ConfigError for anything else."""
+    if method == "oracle":
+        return None
+    spec = DEFAULT_GRID if method == "grid" else method
+    if not isinstance(spec, GridSpec):
+        raise ConfigError(f"unknown method {method!r}, expected 'grid', 'oracle' or a GridSpec")
+    return spec
+
+
 def binorm_cdf(z1, z2, rho, method: str | GridSpec = "oracle"):
     """Phi2 dispatcher; arguments broadcast.  ``method`` is the route:
     ``"oracle"``, ``"grid"`` (the ``DEFAULT_GRID`` tabulation) or a
@@ -554,11 +565,9 @@ def binorm_cdf(z1, z2, rho, method: str | GridSpec = "oracle"):
     thread per usable CPU, and routes correlations within
     DEGENERATE_RHO_TOL of +/-1 to the exact closed forms."""
     r = _as_rho(rho)
-    if method == "oracle":
+    spec = _grid_spec(method)
+    if spec is None:
         return binorm_cdf_oracle(z1, z2, r)
-    spec = DEFAULT_GRID if method == "grid" else method
-    if not isinstance(spec, GridSpec):
-        raise ConfigError(f"unknown method {method!r}, expected 'grid', 'oracle' or a GridSpec")
     z1, z2, r = np.broadcast_arrays(np.asarray(z1, dtype=float), np.asarray(z2, dtype=float), r)
     out = np.empty(r.shape)
     values = np.unique(r)

@@ -29,14 +29,14 @@ def z_threshold(f, n, chi, drift=0.0, horizon=1.0):
     return -(np.log(1.0 / np.asarray(f, dtype=float)) + drift * horizon - chi / n) / np.sqrt(2.0 * chi / n)
 
 
-def reference_delta(f_normal, f_abnormal, n, market_size, chi):
-    """delta_phi2 at the cells (n, N, chi), given as arrays that broadcast,
-    for the leverage move f_normal -> f_abnormal at zero drift."""
+def reference_delta(f_normal, f_abnormal, n, market_size, chi, drift=0.0):
+    """delta_phi2 at the cells (n, N, chi, mu) at T = 1, for the leverage
+    move f_normal -> f_abnormal; all arguments are arrays that broadcast."""
     n, size, chi = np.broadcast_arrays(
         np.asarray(n, dtype=float), np.asarray(market_size, dtype=float), np.asarray(chi, dtype=float)
     )
-    lo = np.clip(z_threshold(f_normal, n, chi), -_Z_CLIP, _Z_CLIP)
-    hi = np.clip(z_threshold(f_abnormal, n, chi), -_Z_CLIP, _Z_CLIP)
+    lo = np.clip(z_threshold(f_normal, n, chi, drift), -_Z_CLIP, _Z_CLIP)
+    hi = np.clip(z_threshold(f_abnormal, n, chi, drift), -_Z_CLIP, _Z_CLIP)
     rho = n / size
     slope = np.sqrt((1.0 - rho) / (1.0 + rho))
     pieces = np.maximum(np.ceil((hi - lo) / _PIECE), 1.0)

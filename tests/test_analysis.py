@@ -40,7 +40,7 @@ from levdiv import (
     z_score,
 )
 from levdiv.analysis import critical_table
-from levdiv.cli import TABLE1_MARKET_SIZES, TABLE1_SCENARIOS, compute_table1
+from levdiv.cli import compute_table1
 from levdiv.merton import correlation_law, z_cells
 
 M10 = MarketParams.from_chi(10, 1.6)
@@ -67,8 +67,8 @@ JSON_SWEEPS = {
     "full-standard-box": lambda: regime_sweep(SCENARIO, [10, 20, 30, 40], default_chi_grid()),
 }
 
-# the scan's test box: N = 1, 2 and 3 span one, two and three bands, 17 and
-# 40 span six and seven; the chi reach n* = None, 1 and interior levels
+# the scan's test box: at N = 1 the one cell is n = N, where delta has a
+# closed form; the chi reach n* = None, 1 and interior levels
 SCAN_SIZES = [1, 2, 3, 17, 40]
 SCAN_CHIS = [0.001, 0.05, 0.4, 1.6, 5.1, 8.9]
 SCAN_DRIFTS = [-0.2, 0.0, 0.2]
@@ -402,20 +402,21 @@ class TestRegimeSweep:
         result = regime_sweep(SCENARIO, [10], [0.001])
         assert result.risky_fraction(10) == 0.0
 
-    # each entry point's first cell: n = 1 of a sweep's first column, n = N
-    # of a scan's first round, the one cell of delta_phi2
+    # each entry point's first evaluated cell: n = 1 of a sweep's first
+    # column, the first of the cells 2 <= n <= 3 that a scan's bracket leaves
+    # open at (N = 10, chi = 0.125, eps = 1e-6), the one cell of delta_phi2
     @pytest.mark.parametrize(
-        "evaluate, first_n",
+        "evaluate, cell",
         [
-            (lambda: regime_sweep(SCENARIO, [10], [0.001]), 1),
-            (lambda: critical_table([SCENARIO], [10], [0.001]), 10),
-            (lambda: mu_sensitivity(SCENARIO, MarketParams.from_chi(10, 0.001), [0.0]), 10),
-            (lambda: critical_diversification(SCENARIO, MarketParams.from_chi(10, 0.001)), 10),
-            (lambda: delta_phi2(SCENARIO, 3, MarketParams.from_chi(10, 0.001)), 3),
+            (lambda: regime_sweep(SCENARIO, [10], [0.001]), "N=10, n=1, chi=0.001"),
+            (lambda: critical_table([SCENARIO], [10], [0.125]), "N=10, n=2, chi=0.125"),
+            (lambda: mu_sensitivity(SCENARIO, MarketParams.from_chi(10, 0.125), [0.0]), "N=10, n=2, chi=0.125"),
+            (lambda: critical_diversification(SCENARIO, MarketParams.from_chi(10, 0.125)), "N=10, n=2, chi=0.125"),
+            (lambda: delta_phi2(SCENARIO, 3, MarketParams.from_chi(10, 0.001)), "N=10, n=3, chi=0.001"),
         ],
         ids=["regime_sweep", "critical_table", "mu_sensitivity", "critical_diversification", "delta_phi2"],
     )
-    def test_cell_rejects_materially_negative_delta(self, monkeypatch, evaluate, first_n):
+    def test_cell_rejects_materially_negative_delta(self, monkeypatch, evaluate, cell):
         import levdiv.analysis
 
         real = levdiv.analysis.binorm_cdf
@@ -429,7 +430,7 @@ class TestRegimeSweep:
         monkeypatch.setattr(levdiv.analysis, "binorm_cdf", shifted)
         shift = 1e-3
         # every cell goes negative; the first evaluated is named
-        with pytest.raises(DomainError, match=rf"slack at \(N=10, n={first_n}, chi=0\.001\)$"):
+        with pytest.raises(DomainError, match=rf"slack at \({re.escape(cell)}\)$"):
             evaluate()
         shift = 1e-9
         evaluate()
@@ -477,7 +478,8 @@ class TestCriticalReductions:
         assert scalar == result.critical_n
         assert critical_table([scenario], sizes, default_chi_grid()) == [result.critical_n]
 
-    @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-2, 0.2, 1.0])
+    # at eps = 0.05 the N = 1 column at chi = 8.9 is safe, and larger n are risky
+    @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-2, 0.05, 0.2, 1.0])
     @pytest.mark.parametrize("method", ["oracle", SMALL_GRID], ids=["oracle", "grid"])
     def test_scan_matches_full_box(self, method, eps):
         scenarios = [SCENARIO, LeverageScenario(0.25, 0.5)]
@@ -577,25 +579,23 @@ class TestScanWork:
         import levdiv.gaussian
 
         real_tabulate, real_phi2 = levdiv.gaussian.tabulate_cdf_grid, levdiv.analysis.binorm_cdf
-        rhos, rounds = [], []
+        rhos, calls = [], []
 
         def tabulate(rho, *args, **kwargs):
             rhos.append(rho)
             return real_tabulate(rho, *args, **kwargs)
 
         def phi2(*args, **kwargs):
-            rounds.append(args[2])
+            calls.append(args[2])
             return real_phi2(*args, **kwargs)
 
         monkeypatch.setattr(levdiv.gaussian, "tabulate_cdf_grid", tabulate)
         monkeypatch.setattr(levdiv.analysis, "binorm_cdf", phi2)
         compute_table1("grid", 0.01)
-        assert len(set(rhos)) == len(rhos) < 59  # the full box tabulates 59
+        assert len(set(rhos)) == len(rhos) <= 36  # the full box tabulates 59
+        # n = N has a closed form, so rho = 1 never reaches Phi2
         assert 1.0 not in rhos
-        # one Phi2 call per round; round b holds the correlations 2^-b <= n/N < 2^(1-b)
-        bands = [{math.ceil(-math.log2(rho)) for rho in np.ravel(rho_)} for rho_ in rounds]
-        assert bands == [{b} for b in range(len(rounds))]
-        assert 1 < len(rounds) <= (40 - 1).bit_length() + 1
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("method", ["oracle", "grid"])
     def test_no_columns_start_no_round(self, monkeypatch, method):
@@ -608,14 +608,104 @@ class TestScanWork:
         assert critical_table([SCENARIO, LeverageScenario(0.25, 0.5)], [10, 40], [], method) == [{}, {}]
         assert mu_sensitivity(SCENARIO, M10, [], method) == {}
 
+    def test_unknown_method_rejected_when_no_cell_is_open(self):
+        # the bracket decides chi = 0.001 without Phi2, which would otherwise
+        # have been the only place the method was checked
+        with pytest.raises(ConfigError, match="unknown method 'quad'"):
+            critical_table([SCENARIO], [10], [0.001], "quad")
 
-def _band(rho) -> set[int]:
-    """The scan rounds b of correlations n/N, 2^-b <= n/N < 2^(1-b)."""
-    return {math.ceil(-math.log2(r)) for r in np.ravel(rho).tolist()}
+
+class TestBracket:
+    """Phi1-only bounds on delta, and the bracket lo <= n* <= hi they give."""
+
+    def test_bounds_hold_against_integral_reference(self):
+        import levdiv.analysis
+
+        rng = np.random.default_rng(20261020)
+        scenarios = [LeverageScenario(*sorted(rng.uniform(0.02, 0.98, size=2))) for _ in range(8)]
+        chis_ = np.exp(rng.uniform(math.log(1e-3), math.log(9.0), size=6))
+        drifts = rng.uniform(-0.5, 0.5, size=6)
+        top = 500
+        low, high, full = levdiv.analysis._bounds(scenarios, chis_.tolist(), drifts.tolist(), top)
+        f = np.array([[sc.f_normal, sc.f_abnormal] for sc in scenarios])[:, None, None, :]
+        n = np.arange(1, top + 1)
+        z_a = z_cells(f[..., 1], n, chis_[:, None], drifts[:, None])
+        z_n = z_cells(f[..., 0], n, chis_[:, None], drifts[:, None])
+        # z on both sides of 0: below, straddling and above
+        assert (z_a < 0).any() and ((z_n < 0) & (z_a > 0)).any() and (z_n > 0).any()
+        # any market size N >= n: rho = 1, n/500 and a random one between; the
+        # reference sums up to 80 pieces, good to about 3e-15 where delta ~ 1
+        for size in (n, top, rng.integers(n, top + 1, size=(len(scenarios), len(chis_), top))):
+            ref = reference_delta(f[..., 0], f[..., 1], n, size, chis_[:, None], drifts[:, None])
+            assert (low - ref).max() <= 5e-15
+            assert (ref - high).max() <= 5e-15
+            if size is n:
+                assert np.abs(full - ref).max() <= 5e-15
+
+    @pytest.mark.parametrize("method", ["oracle", "grid"])
+    def test_full_overlap_cell_is_the_phi2_closed_form(self, method):
+        # a scan closes a column risky at n = N from _bounds, so its delta
+        # there must carry the bits of the Phi2 route it replaces
+        import levdiv.analysis
+
+        rng = np.random.default_rng(20261021)
+        for _ in range(20):
+            scenario = LeverageScenario(*sorted(rng.uniform(0.02, 0.98, size=2)))
+            size = int(rng.integers(1, 300))
+            market = MarketParams.from_chi(size, math.exp(rng.uniform(math.log(1e-3), math.log(9.0))))
+            market = replace(market, drift=rng.uniform(-0.5, 0.5))
+            full = levdiv.analysis._bounds([scenario], [market.chi], [market.drift], size)[2]
+            assert full[0, 0, -1] == delta_phi2(scenario, size, market, method)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-2, 0.05, 0.2, 1.0])
+    @pytest.mark.parametrize("method", ["oracle", SMALL_GRID], ids=["oracle", "grid"])
+    def test_bracket_holds_critical_level(self, method, eps):
+        from levdiv.analysis import _GRID_MARGIN, _ORACLE_MARGIN, _bracket, _columns
+
+        margin = _ORACLE_MARGIN if method == "oracle" else _GRID_MARGIN
+        scenarios = [SCENARIO, LeverageScenario(0.25, 0.5)]
+        cols = _columns(len(scenarios), SCAN_SIZES, len(SCAN_CHIS))
+        lo, hi = _bracket(scenarios, SCAN_CHIS, [0.0] * len(SCAN_CHIS), cols, eps, margin)
+        for s, size, m, low, high in zip(*cols.tolist(), lo.tolist(), hi.tolist()):
+            n_star = full_box_critical(scenarios[s], size, SCAN_CHIS[m], 0.0, method, eps)
+            assert low <= effective_critical(n_star, size) <= high
+        market = MarketParams.from_chi(40, 0.4)
+        shift = [mu * market.horizon for mu in SCAN_DRIFTS]
+        cols = _columns(1, [40], len(SCAN_DRIFTS))
+        lo, hi = _bracket([SCENARIO], [market.chi] * len(shift), shift, cols, eps, margin)
+        for mu, low, high in zip(shift, lo.tolist(), hi.tolist()):
+            n_star = full_box_critical(SCENARIO, 40, market.chi, mu, method, eps)
+            assert low <= effective_critical(n_star, 40) <= high
+
+    def test_bracket_decides_most_columns(self):
+        from levdiv.analysis import _ORACLE_MARGIN, _bracket, _columns
+
+        # N = 2..200 at 20 chi and eps 0.01: the bracket alone fixes n* in
+        # over a third of the columns
+        scenarios, chis_ = [SCENARIO, LeverageScenario(0.25, 0.5)], default_chi_grid(points=20)
+        cols = _columns(2, range(2, 201), len(chis_))
+        lo, hi = _bracket(scenarios, chis_, [0.0] * len(chis_), cols, 1e-2, _ORACLE_MARGIN)
+        closed = (lo > cols[1]) | (np.minimum(hi, cols[1]) <= lo)
+        assert closed.mean() > 1 / 3
+        assert (lo <= hi).all()
+
+    def test_dense_box_matches_sweep(self):
+        # every cell of N = 2..200 at 20 chi through one sweep per scenario;
+        # a column's n* is one more than its largest risky n
+        scenarios, sizes, chis_ = [SCENARIO, LeverageScenario(0.25, 0.5)], range(2, 201), default_chi_grid(points=20)
+        for scenario in scenarios:
+            sweep = regime_sweep(scenario, sizes, chis_)
+            for eps in (1e-6, 1e-3, 1e-2):
+                (table,) = critical_table([scenario], sizes, chis_, "oracle", eps)
+                star = {(size, chi): 1 for size in sizes for chi in chis_.tolist()}
+                risky = ~(sweep.delta_phi2 <= eps)
+                for key in zip(sweep.market_size[risky].tolist(), sweep.chi[risky].tolist(), sweep.n[risky].tolist()):
+                    star[key[:2]] = max(star[key[:2]], key[2] + 1)
+                assert table == {(size, chi): None if k > size else k for (size, chi), k in star.items()}
 
 
 class TestScanBatches:
-    """A scan's rounds are cut into bounded batches without moving any n*."""
+    """A scan's open cells are cut into bounded batches without moving any n*."""
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-3, 1e-2])
     @pytest.mark.parametrize("method", ["oracle", SMALL_GRID], ids=["oracle", "grid"])
@@ -632,8 +722,7 @@ class TestScanBatches:
             calls.append(np.asarray(rho))
             return real_phi2(z1, z2, rho, method)
 
-        budget = 3
-        monkeypatch.setattr(levdiv.analysis, "_SCAN_BUDGET", budget)
+        monkeypatch.setattr(levdiv.analysis, "_SCAN_BUDGET", 3)
         monkeypatch.setattr(levdiv.analysis, "binorm_cdf", phi2)
         scenarios = [SCENARIO, LeverageScenario(0.25, 0.5)]
         tables = critical_table(scenarios, sizes, chis_, method, eps)
@@ -643,11 +732,7 @@ class TestScanBatches:
                 for size in sizes
                 for chi in chis_
             }
-        # round 0 (n = N) has one cell per column: batches of several columns
-        assert any(rho.size == budget and (rho == 1.0).all() for rho in calls)
-        # a column's round is never cut, even past the budget
-        assert max(rho.size for rho in calls) > budget
-        assert all(len(_band(rho)) == 1 for rho in calls)
+        assert len(calls) > 1
         for size, chi in zip(sizes, chis_ + chis_):
             market = MarketParams.from_chi(size, chi)
             scan = mu_sensitivity(SCENARIO, market, drifts, method, eps)
@@ -658,37 +743,36 @@ class TestScanBatches:
             assert critical_diversification(SCENARIO, market, method, eps) == full_box_critical(
                 SCENARIO, size, market.chi, market.drift * market.horizon, method, eps
             )
+        assert not any((rho == 1.0).any() for rho in calls)
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-2])
     @pytest.mark.parametrize("method", ["oracle", "grid"])
-    def test_table1_makes_one_call_per_open_round(self, monkeypatch, method, eps):
+    def test_table1_makes_at_most_one_phi2_call(self, monkeypatch, method, eps):
         import levdiv.analysis
 
-        real_phi2, rounds = levdiv.analysis.binorm_cdf, []
+        real_phi2, calls = levdiv.analysis.binorm_cdf, []
 
         def phi2(z1, z2, rho, method):
-            rounds.append(_band(rho))
+            calls.append(rho)
             return real_phi2(z1, z2, rho, method)
 
         monkeypatch.setattr(levdiv.analysis, "binorm_cdf", phi2)
-        table = compute_table1(method, eps)
-        # a column takes part up to the round of its largest risky n, n* - 1,
-        # or of n = 1 when none is risky; round 0 alone when n = N is risky
-        last = [
-            0 if n_star is None else ((size - 1) // max(n_star - 1, 1)).bit_length()
-            for pair in TABLE1_SCENARIOS
-            for row in table[pair].values()
-            for size, n_star in zip(TABLE1_MARKET_SIZES, row)
-        ]
-        assert rounds == [{b} for b in range(max(last) + 1)]
+        compute_table1(method, eps)
+        assert len(calls) <= 1
 
     def test_scan_memory_does_not_grow_with_the_box(self):
-        # the N <= 200 box has 2.8 times the cells of the N <= 120 one
-        scenarios, peaks = [SCENARIO, LeverageScenario(0.25, 0.5)], []
-        for top in (120, 200):
+        from levdiv.analysis import _ORACLE_MARGIN, _SCAN_BUDGET, _bracket, _columns
+
+        # the N <= 800 box has 2.6 times the cells of the N <= 500 one, and
+        # each leaves more than one batch of cells open
+        scenarios, chis_, peaks = [SCENARIO, LeverageScenario(0.25, 0.5)], default_chi_grid(points=20), []
+        for top in (500, 800):
+            cols = _columns(2, range(2, top + 1), len(chis_))
+            lo, hi = _bracket(scenarios, chis_, [0.0] * len(chis_), cols, 1e-2, _ORACLE_MARGIN)
+            assert np.maximum(np.minimum(hi, cols[1]) - lo, 0).sum() > _SCAN_BUDGET
             tracemalloc.start()
             try:
-                critical_table(scenarios, range(2, top + 1), default_chi_grid(points=20), "oracle", 1e-2)
+                critical_table(scenarios, range(2, top + 1), chis_, "oracle", 1e-2)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
