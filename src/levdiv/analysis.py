@@ -40,7 +40,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, is_int
 from .gaussian import GridSpec, _grid_spec, _ndtr, binorm_cdf
 # asset_correlation, systemic_pd and z_score stay bound here, where perfbench/tracer.py wraps them
-from .merton import MarketParams, asset_correlation, correlation_law, systemic_pd, z_cells, z_score
+from .merton import MarketParams, asset_correlation, check_leverage, correlation_law, systemic_pd, z_cells, z_score
 
 EPSILON_SAFE = 1e-6
 
@@ -52,9 +52,8 @@ class LeverageScenario:
     f_abnormal: float
 
     def __post_init__(self) -> None:
-        for name, f in (("f_normal", self.f_normal), ("f_abnormal", self.f_abnormal)):
-            if not math.isfinite(f) or not 0.0 < f < 1.0:
-                raise DomainError(f"{name} must lie in (0, 1), got {f!r}")
+        check_leverage("f_normal", self.f_normal)
+        check_leverage("f_abnormal", self.f_abnormal)
         if self.f_abnormal <= self.f_normal:
             raise DomainError(
                 f"need f_abnormal > f_normal, got {self.f_abnormal} <= {self.f_normal}"
@@ -130,50 +129,23 @@ class SweepResult:
         return "N,n,chi,delta_phi2,regime\r\n" + "".join(parts)
 
     def to_json(self) -> str:
-        """The sweep as ``json.dumps(doc, indent=2)`` of its nested document.
-
-        The cell lists, nearly all of the bytes, are built per column as in
-        ``to_csv``: one ``repr`` per distinct chi, one f-string per cell
-        with a ``repr`` of its delta_phi2, constant labels.  The rest of the
-        document goes through ``json.dumps`` with a marker in place of each
-        market's list, which the built text replaces.
-        """
-        sizes = self.market_sizes()
-        chis, chi_at = np.unique(self.chi, return_inverse=True)
-        chi_text = [repr(chi) for chi in chis.tolist()]
+        """The sweep as ``json.dumps(doc, indent=2)`` of its nested document:
+        per market size, its cells in order and its n* keyed by ``repr(chi)``."""
         labels = ("safe", "risky")
-        indent = "\n" + " " * 10
-        cells = [
-            f'        {{{indent}"n": {n},{indent}"chi": {chi_text[c]},{indent}"delta_phi2": {d!r},'
-            f'{indent}"regime": "{labels[risky]}"\n        }}'
-            for n, c, d, risky in zip(
-                self.n.tolist(), chi_at.tolist(), self.delta_phi2.tolist(), self.risky.tolist()
-            )
-        ]
-        ends = np.searchsorted(self.market_size, sizes, side="right").tolist()
-        lists = [
-            "[\n" + ",\n".join(cells[lo:hi]) + "\n      ]" for lo, hi in zip([0, *ends], ends)
-        ]
-        marker = "\0cells"
+        markets = {size: {"cells": [], "critical_n_by_chi": {}} for size in self.market_sizes()}
+        for size, n, chi, delta, risky in zip(
+            self.market_size.tolist(), self.n.tolist(), self.chi.tolist(), self.delta_phi2.tolist(), self.risky.tolist()
+        ):
+            markets[size]["cells"].append({"n": n, "chi": chi, "delta_phi2": delta, "regime": labels[risky]})
+        for (size, chi), level in sorted(self.critical_n.items()):
+            markets[size]["critical_n_by_chi"][repr(chi)] = level
         doc = {
-            "scenario": {
-                "f_normal": self.scenario.f_normal,
-                "f_abnormal": self.scenario.f_abnormal,
-            },
+            "scenario": {"f_normal": self.scenario.f_normal, "f_abnormal": self.scenario.f_abnormal},
             "mu": self.mu,
             "epsilon_safe": self.epsilon_safe,
-            "markets": {
-                str(size): {
-                    "cells": marker,
-                    "critical_n_by_chi": {
-                        repr(chi): self.critical_n[(n_, chi)] for (n_, chi) in sorted(self.critical_n) if n_ == size
-                    },
-                }
-                for size in sizes
-            },
+            "markets": markets,  # json writes each int size key as str(size)
         }
-        head, *rest = json.dumps(doc, indent=2).split(json.dumps(marker))
-        return head + "".join(text + tail for text, tail in zip(lists, rest))
+        return json.dumps(doc, indent=2)
 
 
 def delta_phi2(

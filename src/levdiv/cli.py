@@ -160,7 +160,7 @@ def _market(p: dict[str, Any]) -> MarketParams:
             raise ConfigError("--T only applies with --sigma; chi fixes T = 1")
         return MarketParams.from_chi(p["N"], p["chi"], drift=p["mu"])
     if p["sigma"] is not None:
-        return MarketParams(p["N"], p["sigma"], horizon=p["T"], drift=p["mu"])
+        return MarketParams.from_sigma(p["N"], p["sigma"], horizon=p["T"], drift=p["mu"])
     raise ConfigError("one of --chi or --sigma is required")
 
 

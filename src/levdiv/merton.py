@@ -25,40 +25,53 @@ from .gaussian import GridSpec, binorm_cdf, phi1
 _F_BOUNDARY_TOL = 1e-12
 
 
+def check_leverage(name: str, f: float) -> None:
+    """The one leverage rule, for a bank and for a scenario: f must lie
+    more than _F_BOUNDARY_TOL inside (0, 1)."""
+    if not math.isfinite(f) or f <= _F_BOUNDARY_TOL or f >= 1.0 - _F_BOUNDARY_TOL:
+        raise DomainError(f"{name} must lie in ({_F_BOUNDARY_TOL}, 1 - {_F_BOUNDARY_TOL}), got {f!r}")
+
+
 @dataclass(frozen=True)
 class MarketParams:
-    """Shared market environment: N projects, GBM drift/volatility, horizon."""
+    """Shared market environment: N projects, the risk constant
+    chi = sigma^2 T / 2, the horizon T and the GBM drift."""
 
     market_size: int
-    sigma: float
+    chi: float
     horizon: float = 1.0
     drift: float = 0.0
 
     def __post_init__(self) -> None:
         if not is_int(self.market_size) or self.market_size < 1:
             raise DomainError(f"market_size must be an integer >= 1, got {self.market_size!r}")
-        for name in ("sigma", "horizon", "drift"):
+        for name in ("chi", "horizon", "drift"):
             if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
-        # sigma = 0 is allowed as the deterministic price limit; the analytic
-        # operations below require chi > 0 and reject it there.
-        if self.sigma < 0.0:
-            raise DomainError(f"sigma must be >= 0, got {self.sigma}")
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.horizon <= 0.0:
             raise DomainError(f"horizon must be > 0, got {self.horizon}")
+        # chi = 0 (sigma = 0) is allowed as the deterministic price limit; the
+        # analytic operations below require chi > 0 and reject it there.
+        if self.chi < 0.0:
+            raise DomainError(f"chi must be >= 0, got {self.chi}")
 
     @property
-    def chi(self) -> float:
-        """Market risk constant sigma^2 T / 2."""
-        return 0.5 * self.sigma**2 * self.horizon
+    def sigma(self) -> float:
+        """Project volatility sqrt(2 chi / T)."""
+        return math.sqrt(2.0 * self.chi / self.horizon)
 
     @classmethod
     def from_chi(cls, market_size: int, chi: float, drift: float = 0.0) -> "MarketParams":
-        """Canonical (sigma, T) representation of a chi-only parameterization:
-        T = 1, sigma = sqrt(2 chi)."""
-        if not math.isfinite(chi) or chi < 0.0:
-            raise DomainError(f"chi must be finite and >= 0, got {chi!r}")
-        return cls(market_size=market_size, sigma=math.sqrt(2.0 * chi), horizon=1.0, drift=drift)
+        """A market at risk constant chi with T = 1, so sigma = sqrt(2 chi)."""
+        return cls(market_size, chi, drift=drift)
+
+    @classmethod
+    def from_sigma(cls, market_size: int, sigma: float, horizon: float = 1.0, drift: float = 0.0) -> "MarketParams":
+        """A market with project volatility sigma over horizon T, stored as
+        chi = sigma^2 T / 2."""
+        if not math.isfinite(sigma) or sigma < 0.0:
+            raise DomainError(f"sigma must be finite and >= 0, got {sigma!r}")
+        return cls(market_size, 0.5 * sigma * sigma * horizon, horizon, drift)
 
 
 @dataclass(frozen=True)
@@ -69,11 +82,7 @@ class BankStrategy:
     diversification: int
 
     def __post_init__(self) -> None:
-        f = self.leverage
-        if not math.isfinite(f) or f <= _F_BOUNDARY_TOL or f >= 1.0 - _F_BOUNDARY_TOL:
-            raise DomainError(
-                f"leverage must lie strictly inside (0, 1), got {f!r}"
-            )
+        check_leverage("leverage", self.leverage)
         if not is_int(self.diversification) or self.diversification < 1:
             raise DomainError(
                 f"diversification must be an integer >= 1, got {self.diversification!r}"

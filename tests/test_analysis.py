@@ -92,6 +92,12 @@ class TestLeverageScenario:
             LeverageScenario(0.0, 0.5)
         with pytest.raises(DomainError):
             LeverageScenario(0.5, 1.0)
+        # BankStrategy's rule: within 1e-12 of either end is out
+        for f in (1e-13, 1.0 - 1e-13):
+            with pytest.raises(DomainError, match="^f_normal must lie in"):
+                LeverageScenario(f, 0.5)
+            with pytest.raises(DomainError, match="^f_abnormal must lie in"):
+                LeverageScenario(0.5, f)
 
 
 class TestSystemicPd:
@@ -236,7 +242,7 @@ class TestCriticalDiversification:
             lambda: regime_sweep(SCENARIO, sizes, [chi], epsilon_safe=eps),
         ]
         if sizes == [4]:  # a market's own size is always valid
-            market = MarketParams(4, sigma=math.sqrt(2.0 * chi))
+            market = MarketParams(4, chi)
             calls += [
                 lambda: critical_diversification(SCENARIO, market, SMALL_GRID, eps),
                 lambda: mu_sensitivity(SCENARIO, market, [-0.2, 0.0], epsilon_safe=eps),

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from levdiv import LeverageScenario, MarketParams, regime_sweep
 from levdiv.cli import COMMANDS, FLAGS, PUBLISHED_CRITICAL_N, build_parser, compute_table1, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -52,6 +53,27 @@ class TestScalarCommands:
         )
         assert code == 0
         assert json.loads(out)["pd"] == pytest.approx(0.0912875707, abs=1e-8)
+
+    def test_single_cell_commands_print_the_given_chi(self, capsys):
+        # the market stores chi as given: through sigma = sqrt(2 chi) it read 1.5999999999999999
+        commands = {
+            "pd": ("--f", "0.25", "--n", "5"),
+            "spd": ("--f", "0.25", "--n", "5"),
+            "delta": ("--f-normal", "0.1", "--f-abnormal", "0.25", "--n", "5"),
+            "critical-n": ("--f-normal", "0.1", "--f-abnormal", "0.25"),
+            "mu-scan": ("--f-normal", "0.1", "--f-abnormal", "0.25"),
+        }
+        docs = {}
+        for command, args in commands.items():
+            code, out, _ = run(capsys, command, *args, "--N", "10", "--chi", "1.6", "--output", "json")
+            assert code == 0
+            docs[command] = json.loads(out)
+            assert docs[command]["chi"] == 1.6
+        # and evaluates it: delta is the sweep's cell at its labelled chi
+        sweep = regime_sweep(LeverageScenario(0.1, 0.25), [10], [1.6])
+        assert docs["delta"]["delta_phi2"] == sweep.delta_phi2[4]
+        for sigma, horizon in ((1.7888543819998317, 1.0), (0.9, 2.0), (0.3, 0.25), (2.0, 0.5)):
+            assert MarketParams.from_sigma(10, sigma, horizon).chi == 0.5 * sigma * sigma * horizon
 
     def test_spd_and_delta(self, capsys):
         code, out, _ = run(

@@ -29,17 +29,18 @@ chis = st.floats(min_value=0.05, max_value=9.0, allow_nan=False)
 
 class TestMarketParams:
     def test_chi_from_sigma(self):
-        m = MarketParams(market_size=10, sigma=2.0, horizon=0.5)
-        assert m.chi == pytest.approx(1.0)
+        m = MarketParams.from_sigma(market_size=10, sigma=2.0, horizon=0.5)
+        assert m.chi == 1.0
+        assert m.sigma == 2.0
 
     def test_from_chi_canonical_mapping(self):
         m = MarketParams.from_chi(10, 1.6)
         assert m.horizon == 1.0
-        assert m.sigma == pytest.approx(math.sqrt(3.2))
-        assert m.chi == pytest.approx(1.6)
+        assert m.sigma == math.sqrt(3.2)
+        assert m.chi == 1.6
 
     def test_sigma_zero_allowed_but_analytics_reject(self):
-        m = MarketParams(market_size=5, sigma=0.0)
+        m = MarketParams.from_sigma(market_size=5, sigma=0.0)
         assert m.chi == 0.0
         with pytest.raises(DomainError):
             z_score(BankStrategy(0.5, 1), m)
@@ -47,15 +48,30 @@ class TestMarketParams:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(market_size=0, sigma=1.0),
-            dict(market_size=10, sigma=-1.0),
-            dict(market_size=10, sigma=1.0, horizon=0.0),
-            dict(market_size=10, sigma=float("nan")),
+            dict(market_size=0, chi=1.0),
+            dict(market_size=10, chi=-1.0),
+            dict(market_size=10, chi=1.0, horizon=0.0),
+            dict(market_size=10, chi=float("nan")),
+            dict(market_size=10, chi=float("inf")),
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(DomainError):
             MarketParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(market_size=10, sigma=-1.0),
+            dict(market_size=10, sigma=float("nan")),
+            dict(market_size=10, sigma=float("inf")),
+            dict(market_size=10, sigma=1.0, horizon=0.0),
+            dict(market_size=10, sigma=1.0, horizon=-1.0),
+        ],
+    )
+    def test_invalid_sigma_rejected(self, kwargs):
+        with pytest.raises(DomainError):
+            MarketParams.from_sigma(**kwargs)
 
 
 class TestBankStrategy:
@@ -186,7 +202,7 @@ def seeded_cells(seed, count=400, max_size=60):
         strategy = BankStrategy(float(rng.uniform(1e-6, 1.0 - 1e-6)), int(rng.integers(1, size + 1)))
         mu = float(rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 0.2))
         if i % 2:
-            market = MarketParams(size, float(rng.uniform(0.05, 3.0)), float(rng.uniform(0.1, 5.0)), mu)
+            market = MarketParams.from_sigma(size, float(rng.uniform(0.05, 3.0)), float(rng.uniform(0.1, 5.0)), mu)
         else:
             market = MarketParams.from_chi(size, float(rng.uniform(1e-3, 9.0)), drift=mu)
         cells.append((strategy, market))
@@ -216,7 +232,7 @@ class TestZCells:
 
     def test_broadcast_cells_match_scalar_cells(self):
         fs, ns = np.array([0.1, 0.25, 0.5, 0.1]), np.arange(1, 13)
-        market = MarketParams(12, 0.9, horizon=2.0, drift=-0.03)
+        market = MarketParams.from_sigma(12, 0.9, horizon=2.0, drift=-0.03)
         z = z_cells(fs[:, None], ns, market.chi, market.drift * market.horizon)
         assert z.shape == (4, 12)
         expected = [[z_score(BankStrategy(f, int(n)), market) for n in ns] for f in fs]

@@ -84,7 +84,7 @@ class TestSimulatePrices:
             assert np.all(prices > 0)
 
     def test_zero_volatility_is_deterministic_growth(self):
-        market = MarketParams(market_size=3, sigma=0.0, horizon=1.0, drift=0.07)
+        market = MarketParams.from_sigma(market_size=3, sigma=0.0, horizon=1.0, drift=0.07)
         cfg = make_config(
             market=market,
             strategies=(BankStrategy(0.25, 3), BankStrategy(0.25, 3)),
@@ -99,7 +99,7 @@ class TestSimulatePrices:
         assert prices[-1, 0] == pytest.approx(math.exp(0.07), rel=1e-12)
 
     def test_terminal_mean_matches_gbm_moment(self):
-        market = MarketParams(market_size=2, sigma=0.2, horizon=1.0, drift=0.05)
+        market = MarketParams.from_sigma(market_size=2, sigma=0.2, horizon=1.0, drift=0.05)
         cfg = make_config(
             market=market,
             strategies=(BankStrategy(0.25, 2), BankStrategy(0.25, 2)),
