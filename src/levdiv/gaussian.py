@@ -29,9 +29,9 @@ different routes:
   itself, as numpy's SIMD exp is slow on them; the bits are unchanged.
 
 * ``binorm_cdf_grid`` -- a tabulate-and-sum scheme on a uniform grid:
-  density at the cell corners, per-cell volume from the four-corner
-  average times the cell area, a cumulative double sum, and bilinear
-  lookup between the tabulated nodes.  Coarser (abs error <= 1e-3 at the
+  node (r, c) holds the 2D trapezoidal rule over [z_0, z_r] x [z_0, z_c]
+  (the cells' four-corner means times their area, summed), and lookups
+  interpolate bilinearly between nodes.  Coarser (abs error <= 1e-3 at the
   default grid, in practice ~1e-5) but independent of the quadrature
   route, so the two can cross-check each other.
 
@@ -436,8 +436,8 @@ def _extent(i: np.ndarray, j: np.ndarray) -> int:
 
 
 # Doubles in each scratch block of a tabulation (~0.5 MB, so a block of
-# density rows stays in cache while its corner means and sums are formed).
-# No output depends on it.
+# density rows stays in cache while its running sum is taken).  No output
+# depends on it.
 _SCRATCH_BUDGET = 65_536
 
 
@@ -450,27 +450,32 @@ def tabulate_cdf_grid(rho: float, spec: GridSpec = DEFAULT_GRID, queries=None) -
     nodes their cells reach (the analysis queries the diagonal at z <= ~2,
     about a quarter of the default square), and of it only rows i and i + 1
     of each point's cell, the rows their bilinear lookups read (a sweep
-    reads about a quarter of them, table1 about 3%).  With no queries the
+    reads about a quarter of them, table1 under 1%).  With no queries the
     table holds every node.
 
-    Steps: density at the grid nodes; per-cell mean of the four corner
-    values; volume = mean density times squared cell width; cumulative
-    double sum.  The table is filled a cache-sized block of rows at a time,
-    so the only large array is the table of kept rows: each block
-    evaluates its density rows (the previous block's last row carried
-    over), forms its volumes and continues the axis-0 running sum from the
-    previous block's last sum row.  That sum is taken only at the block's
-    kept rows and its last row: each segment of rows up to one of them is
-    added onto the sum before it by one axis-0 reduce, which on a
-    C-contiguous block adds whole rows in order, a row at a time.  The
-    axis-1 sums run only on the kept rows, written straight into the
-    table.  The fill stops at the last kept row.  That is bit for bit the
-    whole-array pass: density, corner mean and volume are elementwise with
-    the same operations in the same order, and both cumulative sums add
-    strictly in prefix order, so neither the block size, the block's
-    extent nor the kept rows change any element.  A table is therefore
-    those rows of the leading block of the full one, and its lookups
-    return what the full table would.
+    Node (r, c) is the product trapezoidal rule over [z_0, z_r] x [z_0, z_c]
+    (the cells' four-corner means times their area, summed).  With
+    Q_i = g_0 / 2 + g_1 + ... + g_i the running sum of density rows g_i,
+    row r's vertical trapezoid is T_r = Q_(r-1) + Q_r (T_0 = 0), and node
+    (r, c) sums the pairs T_r[j] + T_r[j + 1], j < c, times cell_width^2 / 4:
+    both sums are linear, so the vertical one is formed only at the rows a
+    table keeps.  The density is exp(-z2^2 / 2 - (sqrt(c) (z1 - rho z2))^2)
+    with c = 1 / (2 (1 - rho)(1 + rho)), four array passes with no division
+    and no quadratic form that cancels near |rho| = 1; its factor
+    1 / (2 pi sqrt((1 - rho)(1 + rho))) joins the final scale.
+
+    Density rows are made a cache-sized block at a time, so the only large
+    array is the table of kept rows.  The running sum is carried from block
+    to block and taken only at kept rows and the block's last row: each
+    segment of rows up to one of them is added onto the sum before it by
+    one axis-0 reduce, which on a C-contiguous block adds whole rows in
+    order.  A kept row's pair sums go straight into the table; one in-place
+    running sum along axis 1 and one scale finish it, and the fill stops at
+    the last kept row.  That is bit for bit the same arithmetic over whole
+    arrays (``tests/grid_reference.py``): both running sums add strictly in
+    prefix order, so neither the block size, the extent nor the kept rows
+    change any element, and a table's lookups return what the full table
+    would.
 
     Every call tabulates afresh; no table is kept.  To query one
     correlation many times, keep the returned ``CdfGrid`` and call its
@@ -489,52 +494,45 @@ def tabulate_cdf_grid(rho: float, spec: GridSpec = DEFAULT_GRID, queries=None) -
     nodes = np.linspace(spec.z_min, spec.z_max, spec.cells_per_axis + 1)[:extent]
     m = nodes.size
     keep = np.arange(m) if rows is None else rows
-    omr2 = 1.0 - rho * rho
-    z2 = nodes[None, :]
-    z2_sq = z2 * z2
-    norm = 2.0 * np.pi * np.sqrt(omr2)
-    area = spec.cell_width**2
+    omr2 = (1.0 - rho) * (1.0 + rho)
+    root_c = math.sqrt(0.5 / omr2)
+    u = root_c * nodes  # sqrt(c) z1, by row
+    v = root_c * rho * nodes  # sqrt(c) rho z2, by column
+    h = -0.5 * nodes * nodes  # -z2^2 / 2, by column
 
     def density(lo: int, out: np.ndarray) -> None:
-        # rows [lo, lo + len(out)) of exp(((2 rho z1 z2 - z1^2) - z2^2) / (2 omr2)) / norm
-        z1 = nodes[lo : lo + len(out), None]
-        np.multiply(2.0 * rho * z1, z2, out=out)
-        np.subtract(out, z1 * z1, out=out)
-        np.subtract(out, z2_sq, out=out)
-        np.divide(out, 2.0 * omr2, out=out)
+        # rows [lo, lo + len(out)) of the density times 2 pi sqrt(omr2)
+        np.subtract(u[lo : lo + len(out), None], v, out=out)
+        np.multiply(out, out, out=out)
+        np.subtract(h, out, out=out)
         np.exp(out, out=out)
-        np.divide(out, norm, out=out)
 
-    block = min(m - 1, max(1, _SCRATCH_BUDGET // m))  # cells per block
-    g = np.empty((block + 1, m))  # row 0 carries the previous block's last density row
-    sums = np.zeros((block + 1, m - 1))  # row 0 carries the previous block's last running sum
+    block = min(m - 1, max(1, _SCRATCH_BUDGET // m))  # density rows per block
+    g = np.empty((block + 1, m))  # row 0 carries Q at the previous block's last row
     cdf = np.zeros((keep.size, m))
     top = int(keep.max(initial=0))  # no row past the last kept one is needed
     density(0, g[:1])
+    g[0] *= 0.5  # Q_0
     for lo in range(0, top, block):
         k = min(block, top - lo)
         density(lo + 1, g[1 : k + 1])
-        vol = sums[1 : k + 1]
-        np.add(g[:k, :-1], g[1 : k + 1, :-1], out=vol)
-        np.add(vol, g[:k, 1:], out=vol)
-        np.add(vol, g[1 : k + 1, 1:], out=vol)
-        np.multiply(0.25, vol, out=vol)
-        np.multiply(vol, area, out=vol)
         # the block's table rows lo + 1 .. lo + k sit at keep[a:b]
         a, b = np.searchsorted(keep, (lo + 1, lo + k + 1))
         kept = keep[a:b] - lo
-        # the axis-0 running sum, at the kept rows and the carried last row
-        # only (the first block's carried row is zero)
+        # Q at each kept row and the row before it, in place of their
+        # density rows, then at the block's last row for the next block
         pos = 0
-        for r in (*kept.tolist(), k):
-            if r == pos + 1:
-                np.add(sums[pos], sums[r], out=sums[r])
-            elif r > pos:
-                sums[r] = np.add.reduce(sums[pos : r + 1], axis=0)
+        for r in kept.tolist():
+            if r - 1 > pos:
+                g[r - 1] = np.add.reduce(g[pos:r], axis=0)
+            np.add(g[r - 1], g[r], out=g[r])
             pos = r
-        np.cumsum(sums[kept], axis=1, out=cdf[a:b, 1:])
-        g[0] = g[k]
-        sums[0] = sums[k]
+        trapezoid = g[kept - 1]  # T_r = Q_(r-1) + Q_r
+        trapezoid += g[kept]
+        np.add(trapezoid[:, :-1], trapezoid[:, 1:], out=cdf[a:b, 1:])
+        g[0] = np.add.reduce(g[pos : k + 1], axis=0)
+    np.cumsum(cdf[:, 1:], axis=1, out=cdf[:, 1:])
+    cdf *= spec.cell_width**2 / (4.0 * _TWO_PI * math.sqrt(omr2))
     for arr in (nodes, cdf, keep):
         arr.setflags(write=False)
     return CdfGrid(spec=spec, rho=rho, axis_coordinates=nodes, node_values=cdf, rows=rows)

@@ -577,6 +577,22 @@ class TestCriticalReductions:
         assert tables == [critical_table([s], [10, 20], chis_, epsilon_safe=1e-3)[0] for s in scenarios]
 
 
+class TestRouteAgreement:
+    """The grid route, about 1e-5 from the oracle on the published boxes,
+    reaches the oracle's published decisions there."""
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3, 1e-2])
+    def test_table1_grid_is_table1_oracle(self, eps):
+        assert compute_table1("grid", eps) == compute_table1("oracle", eps)
+
+    def test_standard_box_grid_sweep_has_oracle_labels(self):
+        sizes, chis_ = [10, 20, 30, 40], default_chi_grid()
+        grid = regime_sweep(SCENARIO, sizes, chis_, method="grid", epsilon_safe=1e-6)
+        oracle = regime_sweep(SCENARIO, sizes, chis_, epsilon_safe=1e-6)
+        assert np.array_equal(grid.risky, oracle.risky)
+        assert grid.critical_n == oracle.critical_n
+
+
 class TestScanWork:
     """The critical-level scan evaluates only what n* depends on."""
 

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr as scipy_ndtr
 
 import oracle_reference
-from grid_reference import reference_tabulation
+from grid_reference import reference_tabulation, trapezoid_tabulation
 from quad_reference import binorm_pdf, phi2_quad
 
 from levdiv import (
@@ -521,6 +521,52 @@ class TestGrid:
                 got = binorm_cdf(z, z, rho, method=spec)
                 assert got.tolist() == full.tolist()
 
+    # the rule the table applies, with no vectorised reference: node (r, c)
+    # holds the 2D trapezoid sum over [z_0, z_r] x [z_0, z_c], weights 1/2 on
+    # the edges and 1/4 at the corners, of the normalised density.  Its
+    # exponent is written as the library writes it, since at rho = -0.99 an
+    # exponent near -64 carries tens of ulps of its own rounding in any other
+    # form.
+    @pytest.mark.parametrize("rho", [-0.99, 0.0, 0.5, 1.0 - 2e-9])
+    def test_tabulation_is_the_product_trapezoid_rule(self, rho):
+        spec = GridSpec(-2.0, 2.0, 5)
+        z = np.linspace(spec.z_min, spec.z_max, spec.cells_per_axis + 1).tolist()
+        omr2 = (1.0 - rho) * (1.0 + rho)
+        root_c = math.sqrt(0.5 / omr2)
+
+        def density(x, y):
+            return math.exp(-0.5 * y * y - (root_c * x - root_c * rho * y) ** 2) / (2.0 * math.pi * math.sqrt(omr2))
+
+        def weight(i, last):
+            return 0.5 if i in (0, last) else 1.0
+
+        got = tabulate_cdf_grid(rho, spec).node_values
+        for r in range(len(z)):
+            for c in range(len(z)):
+                want = 0.0
+                if r and c:  # row and column 0 bound an empty rectangle
+                    for i in range(r + 1):
+                        for j in range(c + 1):
+                            want += weight(i, r) * weight(j, c) * density(z[i], z[j]) * spec.cell_width**2
+                assert abs(got[r, c] - want) <= 4 * math.ulp(want), (r, c)
+
+    # the old corner-mean fill (reference_tabulation) is the accuracy anchor:
+    # the trapezoid fill sums the same volumes in another order.  Its tables
+    # reach about 228 on the two-cell spec, so the bound scales with them.
+    # At rho = 1 - 2e-9 the anchor's cancelling quadratic form carries up to
+    # 2e-6 relative density error, so that correlation is pinned by the
+    # trapezoid-rule test above instead.
+    @pytest.mark.parametrize(
+        "spec",
+        [SMALL_GRID, DEFAULT_GRID, GridSpec(cells_per_axis=2), GridSpec(-6.0, 6.0, 999)],
+        ids=["small", "default", "two-cells", "odd"],
+    )
+    def test_tabulation_matches_corner_mean_reference(self, spec):
+        for rho in (-0.99, -0.8, -0.6, -0.4, -0.3, 0.0, 0.05, 0.1, 0.3, 0.45, 0.5, 0.6, 0.7, 0.9, 0.95, 0.999):
+            got = tabulate_cdf_grid(rho, spec).node_values
+            want = reference_tabulation(rho, spec).node_values
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, want)), rho
+
     # the scratch budget at its default, at one row per block, and above the
     # whole table, each against one reference per table; at the default,
     # extents around isqrt(budget) give one block, one full block, and a full
@@ -538,7 +584,7 @@ class TestGrid:
         extents = [m for m in (2, 3, rows - 1, rows, rows + 1, rows + 2) if m < nodes] + [None]
         for rho in (-0.99, -0.3, 0.0, 0.05, 0.5, 0.9, 1.0 - 2e-9):
             for extent in extents:
-                want = reference_tabulation(rho, spec, extent)
+                want = trapezoid_tabulation(rho, spec, extent)
                 queries = None if extent is None else cell_centres(spec, range(extent - 1))
                 for budget, doubles in budgets.items():
                     monkeypatch.setattr(levdiv.gaussian, "_SCRATCH_BUDGET", doubles)
@@ -560,7 +606,7 @@ class TestGrid:
         for cells in ([0], [last], [half], [0, last], sorted({1, half // 3, half // 2, half}), range(half + 1)):
             extent = max(cells) + 2
             if extent not in references:
-                references[extent] = reference_tabulation(rho, spec, extent).node_values
+                references[extent] = trapezoid_tabulation(rho, spec, extent).node_values
             rows = sorted({*cells, *(c + 1 for c in cells)})
             got = tabulate_cdf_grid(rho, spec, cell_centres(spec, cells))
             assert np.array_equal(got.node_values, references[extent][rows]), (extent, rows)
@@ -584,8 +630,8 @@ class TestGrid:
     # a segment's running sum is one axis-0 reduce of its rows; it must add
     # them in order, as the row-by-row loop and the reference's cumsum do.
     # Rows spanning 24 orders of magnitude round differently in any other
-    # order.  One column would reduce pairwise, but a one-column table has
-    # one cell row, so its segments never hold more than two rows.
+    # order.  One column would reduce pairwise, but a density block has a
+    # column per node, so at least two.
     @pytest.mark.parametrize("shape", [(54, 1225), (300, 800), (3, 1225), (200, 2), (200, 9), (1000, 17)])
     def test_axis0_reduce_adds_rows_in_order(self, shape):
         rng = np.random.default_rng(7)
