@@ -166,13 +166,15 @@ def delta_phi2(
 
 
 def _check_box(market_sizes: Sequence[int], chi: Sequence, shift: Sequence, epsilon_safe: float) -> None:
-    """Check a box up front, in this order: its market sizes, each market's
-    chi and shift mu T, epsilon_safe."""
+    """Check a box up front, in this order: its market sizes, that it has
+    markets, each market's chi and shift mu T, epsilon_safe."""
     if len(market_sizes) == 0:
         raise ConfigError("market_sizes must be non-empty")
     for size in market_sizes:
         if not is_int(size) or size < 1:
             raise ConfigError(f"market sizes must be integers >= 1, got {size!r}")
+    if len(chi) == 0:
+        raise ConfigError("a box needs at least one market (chi/mu value)")
     for value in (*chi, *shift):
         if not math.isfinite(value):
             raise DomainError(f"chi and mu must be finite, got {value!r}")
@@ -286,7 +288,10 @@ def _scan(
     open, lo <= n < min(hi, N), go to ``_deltas`` in one pass, columns in
     order of N, and n* is one more than the largest risky n among them, or
     lo if none is.  Memory is bounded by the batch and the bounds, scenarios
-    x markets x max N doubles, not by the box."""
+    x markets x max N doubles, not by the box.  An empty scenario list is
+    rejected before the box's own checks."""
+    if len(scenarios) == 0:
+        raise ConfigError("scenarios must be non-empty")
     _check_box(market_sizes, chi, shift, epsilon_safe)
     margin = _ORACLE_MARGIN if _grid_spec(method) is None else _GRID_MARGIN
     cols = _columns(len(scenarios), market_sizes, len(chi))
@@ -348,8 +353,6 @@ def regime_sweep(
     repeated sweeps produce identical results.
     """
     chis = [float(c) for c in chi_values]
-    if not chis:
-        raise ConfigError("chi_values must be non-empty")
     shift = [mu] * len(chis)
     _check_box(market_sizes, chis, shift, epsilon_safe)
     cols = _columns(1, market_sizes, len(chis))

@@ -50,8 +50,6 @@ scipy's bit for bit.  Its exp(-x^2) goes through ``math.exp``, which is
 libm's, as in Cephes: numpy's SIMD ``exp`` can differ from libm in the
 last bit (with numpy 2.4 on an AVX-512 Xeon: 91,823 of 2e6 uniform
 arguments in [-709, -0.5], each by one ulp).
-Inputs of a few elements take a per-float path, larger ones a masked array
-path; both call the same Horner helpers.
 All functions are pure; ``CdfGrid`` instances are immutable after
 construction and safe to share between threads.  The grid route of
 ``binorm_cdf`` tabulates its distinct correlations on worker threads, one
@@ -154,15 +152,11 @@ _ERF_U = (
 # ln(DBL_MAX): past it exp(-x^2) underflows and erfc(x) is taken as 0
 _MAXLOG = 7.09782712893383996843e2
 _SQRT1_2 = math.sqrt(0.5)
-# inputs up to this many elements take the per-float path: below it the
-# array path's fixed cost of about a hundred ufunc calls dominates (the two
-# cost the same near 50 elements)
-_FLOAT_PATH_MAX = 32
 
 
 def _polevl(x, coefs, monic: bool = False):
     """Horner's rule in Cephes' order: polevl starts at c0, p1evl (monic)
-    at x + c0.  Floats or arrays."""
+    at x + c0."""
     y = x + coefs[0] if monic else coefs[0]
     for c in coefs[1:]:
         y = y * x + c
@@ -180,26 +174,14 @@ def _erfc_tail(z, exp_neg_z2, num, den):
     return exp_neg_z2 * _polevl(z, num) / _polevl(z, den, monic=True)
 
 
-def _ndtr_float(a: float) -> float:
-    """Cephes ndtr on one float."""
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * _erf(x)
-    if z < 1.0:
-        y = 0.5 * (1.0 - _erf(z))
-    elif z * z <= _MAXLOG:
-        pair = (_ERFC_P, _ERFC_Q) if z < 8.0 else (_ERFC_R, _ERFC_S)
-        y = 0.5 * _erfc_tail(z, math.exp(-z * z), *pair)
-    else:
-        return math.nan if z != z else (1.0 if x > 0.0 else 0.0)
-    return 1.0 - y if x > 0.0 else y
-
-
-def _ndtr_array(a: np.ndarray) -> np.ndarray:
-    """_ndtr_float elementwise by masks: each branch runs only on its own
-    elements, through the same helpers, so every element gets its bits."""
-    x = a * _SQRT1_2
+def _ndtr(a):
+    """Standard normal CDF, Cephes ndtr: bit for bit scipy.special.ndtr.
+    Each branch runs by masks on its own elements only, so every element
+    gets its bits.  Arrays keep their shape; a scalar gives a float."""
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:  # the oracle's branches often pass empty subsets
+        return np.empty(a.shape)
+    x = np.atleast_1d(a) * _SQRT1_2
     z = np.abs(x)
     y = np.full(x.shape, np.nan)
     core = z < _SQRT1_2
@@ -218,18 +200,7 @@ def _ndtr_array(a: np.ndarray) -> np.ndarray:
             y[m] = 0.5 * _erfc_tail(t, e, num, den)
     y[zz > _MAXLOG] = 0.0
     np.subtract(1.0, y, out=y, where=(x > 0.0) & ~core)
-    return y
-
-
-def _ndtr(a):
-    """Standard normal CDF, Cephes ndtr: bit for bit scipy.special.ndtr.
-    Arrays keep their shape; a scalar gives a float."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 0:
-        return _ndtr_float(float(a))
-    if a.size > _FLOAT_PATH_MAX:
-        return _ndtr_array(a)
-    return np.array([_ndtr_float(v) for v in a.ravel().tolist()]).reshape(a.shape)
+    return y if a.ndim else float(y[0])
 
 
 def phi1(z: float) -> float:
@@ -239,7 +210,7 @@ def phi1(z: float) -> float:
     z = float(z)
     if not math.isfinite(z):
         raise DomainError(f"phi1 requires a finite argument, got {z!r}")
-    return _ndtr_float(z)
+    return _ndtr(z)
 
 
 # 20-point Gauss-Legendre rule, nodes shifted from [-1, 1] to [0, 2]
@@ -366,19 +337,19 @@ class CdfGrid:
 
     ``node_values[r, j]`` holds the accumulated volume over the cells below
     and left of node (axis_coordinates[rows[r]], axis_coordinates[j]);
-    ``rows`` is None when the table holds every row, so row r is node r.
-    Node row 0 and column 0 are zero by construction.  A table sized from
-    its queries covers only the leading square block of the spec's nodes
-    they reach, and of that block only the rows in ``rows``, those their
-    cells read (see ``tabulate_cdf_grid``); a lookup whose cell reaches past
-    the block or needs a row not held raises DomainError.
+    ``rows`` is strictly increasing.  Node row 0 and column 0 are zero by
+    construction.  A table sized from its queries covers only the leading
+    square block of the spec's nodes they reach, and of that block only the
+    rows in ``rows``, those their cells read (see ``tabulate_cdf_grid``); a
+    lookup whose cell reaches past the block or needs a row not held raises
+    DomainError.
     """
 
     spec: GridSpec
     rho: float
     axis_coordinates: np.ndarray
     node_values: np.ndarray
-    rows: np.ndarray | None = None
+    rows: np.ndarray
 
     def lookup(self, z1, z2):
         """Bilinear interpolation of the tabulation; out-of-range points
@@ -394,18 +365,16 @@ class CdfGrid:
                 f"lookup reaches node {extent - 1}, past the "
                 f"{nodes}-node tabulated block"
             )
-        if self.rows is not None:
-            held = np.zeros(nodes, dtype=bool)
-            held[self.rows] = True
-            if not (held[i] & held[i + 1]).all():
-                raise DomainError("lookup needs a node row that was not tabulated")
-            # rows is strictly increasing, so node row i + 1 sits right after node row i
-            i = np.searchsorted(self.rows, i)
+        # rows is strictly increasing: node rows i and i + 1 are both held
+        # exactly when table row r + 1 holds node row i + 1
+        r = np.searchsorted(self.rows, i)
+        if not ((r + 1 < self.rows.size).all() and (self.rows[r + 1] == i + 1).all()):
+            raise DomainError("lookup needs a node row that was not tabulated")
         v = (
-            vals[i, j] * (1.0 - tx) * (1.0 - ty)
-            + vals[i + 1, j] * tx * (1.0 - ty)
-            + vals[i, j + 1] * (1.0 - tx) * ty
-            + vals[i + 1, j + 1] * tx * ty
+            vals[r, j] * (1.0 - tx) * (1.0 - ty)
+            + vals[r + 1, j] * tx * (1.0 - ty)
+            + vals[r, j + 1] * (1.0 - tx) * ty
+            + vals[r + 1, j + 1] * tx * ty
         )
         v = np.clip(v, 0.0, 1.0)
         return v if v.ndim else float(v)
@@ -451,7 +420,7 @@ def tabulate_cdf_grid(rho: float, spec: GridSpec = DEFAULT_GRID, queries=None) -
     about a quarter of the default square), and of it only rows i and i + 1
     of each point's cell, the rows their bilinear lookups read (a sweep
     reads about a quarter of them, table1 under 1%).  With no queries the
-    table holds every node.
+    table holds every node, and its ``rows`` are arange(m).
 
     Node (r, c) is the product trapezoidal rule over [z_0, z_r] x [z_0, z_c]
     (the cells' four-corner means times their area, summed).  With
@@ -493,7 +462,7 @@ def tabulate_cdf_grid(rho: float, spec: GridSpec = DEFAULT_GRID, queries=None) -
         )
     nodes = np.linspace(spec.z_min, spec.z_max, spec.cells_per_axis + 1)[:extent]
     m = nodes.size
-    keep = np.arange(m) if rows is None else rows
+    rows = np.arange(m) if rows is None else rows
     omr2 = (1.0 - rho) * (1.0 + rho)
     root_c = math.sqrt(0.5 / omr2)
     u = root_c * nodes  # sqrt(c) z1, by row
@@ -509,16 +478,16 @@ def tabulate_cdf_grid(rho: float, spec: GridSpec = DEFAULT_GRID, queries=None) -
 
     block = min(m - 1, max(1, _SCRATCH_BUDGET // m))  # density rows per block
     g = np.empty((block + 1, m))  # row 0 carries Q at the previous block's last row
-    cdf = np.zeros((keep.size, m))
-    top = int(keep.max(initial=0))  # no row past the last kept one is needed
+    cdf = np.zeros((rows.size, m))
+    top = int(rows.max(initial=0))  # no row past the last kept one is needed
     density(0, g[:1])
     g[0] *= 0.5  # Q_0
     for lo in range(0, top, block):
         k = min(block, top - lo)
         density(lo + 1, g[1 : k + 1])
-        # the block's table rows lo + 1 .. lo + k sit at keep[a:b]
-        a, b = np.searchsorted(keep, (lo + 1, lo + k + 1))
-        kept = keep[a:b] - lo
+        # the block's table rows lo + 1 .. lo + k sit at rows[a:b]
+        a, b = np.searchsorted(rows, (lo + 1, lo + k + 1))
+        kept = rows[a:b] - lo
         # Q at each kept row and the row before it, in place of their
         # density rows, then at the block's last row for the next block
         pos = 0
@@ -533,7 +502,7 @@ def tabulate_cdf_grid(rho: float, spec: GridSpec = DEFAULT_GRID, queries=None) -
         g[0] = np.add.reduce(g[pos : k + 1], axis=0)
     np.cumsum(cdf[:, 1:], axis=1, out=cdf[:, 1:])
     cdf *= spec.cell_width**2 / (4.0 * _TWO_PI * math.sqrt(omr2))
-    for arr in (nodes, cdf, keep):
+    for arr in (nodes, cdf, rows):
         arr.setflags(write=False)
     return CdfGrid(spec=spec, rho=rho, axis_coordinates=nodes, node_values=cdf, rows=rows)
 
@@ -558,10 +527,11 @@ def _grid_spec(method: str | GridSpec) -> GridSpec | None:
 def binorm_cdf(z1, z2, rho, method: str | GridSpec = "oracle"):
     """Phi2 dispatcher; arguments broadcast.  ``method`` is the route:
     ``"oracle"``, ``"grid"`` (the ``DEFAULT_GRID`` tabulation) or a
-    ``GridSpec`` to tabulate on.  A grid route tabulates each distinct
-    correlation once, each table sized from its own queries, one worker
-    thread per usable CPU, and routes correlations within
-    DEGENERATE_RHO_TOL of +/-1 to the exact closed forms."""
+    ``GridSpec`` to tabulate on.  A grid route makes each distinct
+    correlation one task of one ordered map over one worker thread per
+    usable CPU: a correlation within DEGENERATE_RHO_TOL of +/-1 takes the
+    exact closed form, any other is tabulated once, its table sized from
+    its own queries."""
     r = _as_rho(rho)
     spec = _grid_spec(method)
     if spec is None:
@@ -569,22 +539,17 @@ def binorm_cdf(z1, z2, rho, method: str | GridSpec = "oracle"):
     z1, z2, r = np.broadcast_arrays(np.asarray(z1, dtype=float), np.asarray(z2, dtype=float), r)
     out = np.empty(r.shape)
     values = np.unique(r)
-    closed = np.abs(values) > 1.0 - DEGENERATE_RHO_TOL
-    tabulated = values[~closed]
 
     def cells(value):
         at = r == value
+        if abs(value) > 1.0 - DEGENERATE_RHO_TOL:
+            return at, binorm_cdf_oracle(z1[at], z2[at], 1.0 if value > 0 else -1.0)
         return at, binorm_cdf_grid(z1[at], z2[at], value, spec)
 
-    # one table per worker at a time: each returns only its looked-up values
-    with ThreadPoolExecutor(max(1, min(_usable_cpus(), tabulated.size))) as pool:
-        looked_up = pool.map(cells, tabulated)
-        # in correlation order, so an error is the one a serial pass meets first
-        for value, exact in zip(values, closed):
-            if exact:
-                at = r == value
-                out[at] = binorm_cdf_oracle(z1[at], z2[at], 1.0 if value > 0 else -1.0)
-            else:
-                at, got = next(looked_up)
-                out[at] = got
+    # one table per worker at a time: each returns only its looked-up values.
+    # map yields and raises in correlation order, so an error is the one a
+    # serial pass meets first
+    with ThreadPoolExecutor(max(1, min(_usable_cpus(), values.size))) as pool:
+        for at, got in pool.map(cells, values):
+            out[at] = got
     return out if out.ndim else float(out)

@@ -33,7 +33,7 @@ def reference_tabulation(rho: float, spec: GridSpec, extent: int | None = None) 
     np.cumsum(volumes, axis=1, out=volumes)
     nodes.setflags(write=False)
     cdf.setflags(write=False)
-    return CdfGrid(spec=spec, rho=rho, axis_coordinates=nodes, node_values=cdf)
+    return CdfGrid(spec=spec, rho=rho, axis_coordinates=nodes, node_values=cdf, rows=np.arange(nodes.size))
 
 
 def trapezoid_tabulation(rho: float, spec: GridSpec, extent: int | None = None) -> CdfGrid:
@@ -58,4 +58,4 @@ def trapezoid_tabulation(rho: float, spec: GridSpec, extent: int | None = None) 
     cdf *= spec.cell_width**2 / (4.0 * 2.0 * math.pi * math.sqrt(omr2))
     nodes.setflags(write=False)
     cdf.setflags(write=False)
-    return CdfGrid(spec=spec, rho=rho, axis_coordinates=nodes, node_values=cdf)
+    return CdfGrid(spec=spec, rho=rho, axis_coordinates=nodes, node_values=cdf, rows=np.arange(nodes.size))

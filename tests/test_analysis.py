@@ -214,39 +214,43 @@ class TestCriticalDiversification:
         with pytest.raises(DomainError, match="epsilon_safe"):
             mu_sensitivity(SCENARIO, M10, [0.0], epsilon_safe=eps)
 
-    # bad market sizes come first, then chi <= 0 (as from --sigma 0), then a
-    # NaN or negative epsilon_safe; each entry point raises the first one
+    # bad market sizes come first, then an empty chi or mu axis, then chi <= 0
+    # (as from --sigma 0), then a NaN or negative epsilon_safe; each entry
+    # point raises the first one
     @pytest.mark.parametrize(
         "sizes, chi, eps, error, message",
         [
-            ([0], 1.6, 1e-6, ConfigError, "market sizes must be integers >= 1, got 0"),
-            ([True], 1.6, 1e-6, ConfigError, "market sizes must be integers >= 1, got True"),
-            ([2.5], 1.6, 1e-6, ConfigError, "market sizes must be integers >= 1, got 2.5"),
-            ([], 1.6, 1e-6, ConfigError, "market_sizes must be non-empty"),
-            ([4], 0.0, 1e-6, DomainError, "delta_phi2 requires chi > 0 (sigma > 0 and T > 0)"),
-            ([4], 1.6, float("nan"), DomainError, "epsilon_safe must be finite and >= 0, got nan"),
-            ([4], 1.6, -1.0, DomainError, "epsilon_safe must be finite and >= 0, got -1.0"),
-            ([4, 0], 0.0, float("nan"), ConfigError, "market sizes must be integers >= 1, got 0"),
-            ([], 0.0, -1.0, ConfigError, "market_sizes must be non-empty"),
-            ([4], 0.0, float("nan"), DomainError, "delta_phi2 requires chi > 0 (sigma > 0 and T > 0)"),
+            ([0], [1.6], 1e-6, ConfigError, "market sizes must be integers >= 1, got 0"),
+            ([True], [1.6], 1e-6, ConfigError, "market sizes must be integers >= 1, got True"),
+            ([2.5], [1.6], 1e-6, ConfigError, "market sizes must be integers >= 1, got 2.5"),
+            ([], [1.6], 1e-6, ConfigError, "market_sizes must be non-empty"),
+            ([4], [0.0], 1e-6, DomainError, "delta_phi2 requires chi > 0 (sigma > 0 and T > 0)"),
+            ([4], [1.6], float("nan"), DomainError, "epsilon_safe must be finite and >= 0, got nan"),
+            ([4], [1.6], -1.0, DomainError, "epsilon_safe must be finite and >= 0, got -1.0"),
+            ([4, 0], [0.0], float("nan"), ConfigError, "market sizes must be integers >= 1, got 0"),
+            ([], [0.0], -1.0, ConfigError, "market_sizes must be non-empty"),
+            ([4], [0.0], float("nan"), DomainError, "delta_phi2 requires chi > 0 (sigma > 0 and T > 0)"),
+            ([4], [], float("nan"), ConfigError, "a box needs at least one market (chi/mu value)"),
+            ([0], [], float("nan"), ConfigError, "market sizes must be integers >= 1, got 0"),
         ],
         ids=[
             "size-0", "size-true", "size-float", "no-sizes", "chi-0", "eps-nan", "eps-negative",
             "size-before-chi-and-eps", "no-sizes-before-chi-and-eps", "chi-before-eps",
+            "no-markets-before-eps", "size-before-no-markets",
         ],
     )
     def test_bad_inputs_rejected_in_order(self, sizes, chi, eps, error, message):
         calls = [
-            lambda: critical_table([SCENARIO], sizes, [chi], epsilon_safe=eps),
-            lambda: critical_table([SCENARIO], sizes, [chi], SMALL_GRID, eps),
-            lambda: regime_sweep(SCENARIO, sizes, [chi], epsilon_safe=eps),
+            lambda: critical_table([SCENARIO], sizes, chi, epsilon_safe=eps),
+            lambda: critical_table([SCENARIO], sizes, chi, SMALL_GRID, eps),
+            lambda: regime_sweep(SCENARIO, sizes, chi, epsilon_safe=eps),
         ]
         if sizes == [4]:  # a market's own size is always valid
-            market = MarketParams(4, chi)
-            calls += [
-                lambda: critical_diversification(SCENARIO, market, SMALL_GRID, eps),
-                lambda: mu_sensitivity(SCENARIO, market, [-0.2, 0.0], epsilon_safe=eps),
-            ]
+            # with no chi, the drift scan gets an empty mu axis instead
+            market = MarketParams(4, chi[0] if chi else 1.6)
+            calls.append(lambda: mu_sensitivity(SCENARIO, market, [-0.2, 0.0] if chi else [], epsilon_safe=eps))
+            if chi:  # a single market always has its chi
+                calls.append(lambda: critical_diversification(SCENARIO, market, SMALL_GRID, eps))
         for call in calls:
             with pytest.raises(error, match="^" + re.escape(message) + "$") as info:
                 call()
@@ -627,8 +631,15 @@ class TestScanWork:
             raise AssertionError("a round was started")
 
         monkeypatch.setattr(levdiv.analysis, "binorm_cdf", phi2)
-        assert critical_table([SCENARIO, LeverageScenario(0.25, 0.5)], [10, 40], [], method) == [{}, {}]
-        assert mu_sensitivity(SCENARIO, M10, [], method) == {}
+        # a box with no columns is rejected before any round: no scenario
+        # (first, before the market sizes), or no chi or mu value
+        with pytest.raises(ConfigError, match="^scenarios must be non-empty$"):
+            critical_table([], [0], [0.4, 1.6], method)
+        no_markets = "^" + re.escape("a box needs at least one market (chi/mu value)") + "$"
+        with pytest.raises(ConfigError, match=no_markets):
+            critical_table([SCENARIO, LeverageScenario(0.25, 0.5)], [10, 40], [], method)
+        with pytest.raises(ConfigError, match=no_markets):
+            mu_sensitivity(SCENARIO, M10, [], method)
 
     def test_unknown_method_rejected_when_no_cell_is_open(self):
         # the bracket decides chi = 0.001 without Phi2, which would otherwise

@@ -188,6 +188,16 @@ class TestMalformedInput:
         assert code == 2
         assert err.startswith("error:") and "'ten'" in err
 
+    def test_empty_config_list_is_usage_error(self, capsys, tmp_path):
+        # a scan over no drift prints no level: a usage error, not a success
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"mu_values": []}))
+        argv = ("mu-scan", "--f-normal", "0.1", "--f-abnormal", "0.25", "--N", "20", "--chi", "1.6")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "at least one market (chi/mu value)" in err
+
     def test_malformed_int_list_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([

@@ -41,7 +41,7 @@ from levdiv import (
     tabulate_cdf_grid,
 )
 from levdiv.cli import compute_table1
-from levdiv.gaussian import _CHUNK, _FLOAT_PATH_MAX, _GENZ_SPLIT, _ndtr, _ndtr_float, binorm_cdf_grid
+from levdiv.gaussian import _CHUNK, _GENZ_SPLIT, _ndtr, binorm_cdf_grid
 
 # small grid keeps module tests fast; the default 2000-cell grid is
 # exercised by the acceptance suite
@@ -128,16 +128,19 @@ class TestNdtrPort:
         assert (edge == 0.0).any() and (edge > 0.0).any()  # both sides sampled
         assert np.array_equal(_ndtr(self.points), ref, equal_nan=True)
 
-    def test_float_path_bitwise(self):
-        sample = np.concatenate([self.points[:100_000], self.points[10**6 :]])
-        got = np.array([_ndtr_float(a) for a in sample.tolist()])
-        assert np.array_equal(got, scipy_ndtr(sample), equal_nan=True)
-        # small arrays take the float path through _ndtr itself
-        small = sample[: sample.size // _FLOAT_PATH_MAX * _FLOAT_PATH_MAX].reshape(-1, _FLOAT_PATH_MAX)
-        got = np.array([_ndtr(row) for row in small])
-        assert np.array_equal(got, scipy_ndtr(small), equal_nan=True)
+    def test_small_inputs_bitwise(self):
+        # the oracle's branches pass _ndtr rows of a few cells and scalars;
+        # each costs tens of microseconds, so the scalar sample is bounded
+        edges = self.points[10**6 :]
+        sample = np.concatenate([self.points[:100_000], edges])
+        rows = sample[: sample.size // 32 * 32].reshape(-1, 32)
+        got = np.array([_ndtr(row) for row in rows])
+        assert np.array_equal(got, scipy_ndtr(rows), equal_nan=True)
+        scalars = np.concatenate([self.points[:2000], edges])
+        got = np.array([_ndtr(a) for a in scalars.tolist()])
+        assert np.array_equal(got, scipy_ndtr(scalars), equal_nan=True)
 
-    @pytest.mark.parametrize("size", [1, _FLOAT_PATH_MAX, _FLOAT_PATH_MAX + 1, 1000])
+    @pytest.mark.parametrize("size", [1, 32, 33, 1000])
     @pytest.mark.parametrize("shape", ["1d", "2d"])
     def test_keeps_shape(self, size, shape):
         a = np.linspace(-9.0, 9.0, 2 * size)
@@ -503,12 +506,16 @@ class TestGrid:
     @pytest.mark.parametrize("spec", [SMALL_GRID, DEFAULT_GRID], ids=["small", "default"])
     @pytest.mark.parametrize("rho", [-0.4, 0.05, 0.7, 0.95])
     def test_bounded_tabulation_is_leading_block(self, spec, rho):
-        full = tabulate_cdf_grid(rho, spec).node_values
-        for m in (2, spec.cells_per_axis // 2 + 1, spec.cells_per_axis + 1):
-            block = tabulate_cdf_grid(rho, spec, cell_centres(spec, range(m - 1)))
+        full = tabulate_cdf_grid(rho, spec)
+        nodes = spec.cells_per_axis + 1
+        blocks = [
+            (tabulate_cdf_grid(rho, spec, cell_centres(spec, range(m - 1))), m)
+            for m in (2, spec.cells_per_axis // 2 + 1, nodes)
+        ]
+        for block, m in [*blocks, (full, nodes)]:  # a full table holds its rows explicitly too
             assert block.node_values.shape == (m, m)
-            assert block.rows.tolist() == list(range(m))
-            assert np.array_equal(block.node_values, full[:m, :m])
+            assert np.array_equal(block.rows, np.arange(m)) and not block.rows.flags.writeable
+            assert np.array_equal(block.node_values, full.node_values[:m, :m])
 
     @pytest.mark.parametrize("spec", [SMALL_GRID, DEFAULT_GRID], ids=["small", "default"])
     def test_bounded_lookup_matches_full_grid(self, spec):
@@ -657,6 +664,11 @@ class TestGrid:
                 grid.lookup(SMALL_GRID.z_min + row * SMALL_GRID.cell_width, 0.0)
         with pytest.raises(DomainError, match="not tabulated"):
             grid.lookup(np.array([z, 50.0]), np.zeros(2))
+        # no queries keep no rows: a lookup in the first cell finds none
+        empty = tabulate_cdf_grid(0.3, SMALL_GRID, ([], []))
+        centre = SMALL_GRID.z_min + SMALL_GRID.cell_width / 2
+        with pytest.raises(DomainError, match="not tabulated"):
+            empty.lookup(centre, centre)
 
     def test_grid_call_tabulates_rows_its_cells_read(self, monkeypatch):
         tables = []
@@ -802,10 +814,12 @@ class TestThreadedGrid:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_worker_error_reaches_caller(self, monkeypatch, workers):
-        # the first error in correlation order, with the serial message:
-        # a NaN in a tabulated cell, then one in a closed-form cell below it
+        # the first error in correlation order, with the serial message: NaNs
+        # in two tabulated cells and in the rho = 1 closed-form cell above
+        # them, then one in the rho = -1 closed-form cell below them all
         z = self.Z.copy()
-        z[[3, 9]] = np.nan
+        z[[3, 9, 19]] = np.nan
+        assert self.RHO[19] == 1.0
         with pytest.raises(DomainError) as serial:
             binorm_cdf_grid(z[3], 0.0, self.RHO[3])
         with pytest.raises(DomainError) as threaded:
