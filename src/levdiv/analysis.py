@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, is_int
-from .gaussian import GridSpec, _grid_spec, _ndtr, binorm_cdf
+from .gaussian import GridSpec, _error_bound, _ndtr, binorm_cdf
 # asset_correlation, systemic_pd and z_score stay bound here, where perfbench/tracer.py wraps them
 from .merton import MarketParams, asset_correlation, check_leverage, correlation_law, systemic_pd, z_cells, z_score
 
@@ -64,15 +64,11 @@ class LeverageScenario:
         return self.f_abnormal - self.f_normal
 
 
-# both routes keep the differential above this: the Gauss-Legendre oracle is
-# within about 2e-16 of Phi2, and the grid tabulation is monotone in z
-_DELTA_SLACK = 1e-6
-
-# a critical scan's bracket decides a cell only when its Phi1 bound clears
-# epsilon_safe by this margin, which covers the Phi2 route's error: about
-# 1e-13 at worst for the oracle, the stated 1e-3 for a grid
-_ORACLE_MARGIN = 1e-12
-_GRID_MARGIN = 1e-3
+# the rounding level of a difference of two Phi2 values in [0, 1], a few
+# ulps of 1: neither route decreases in z but by rounding (lookups step down
+# by at most 3.3e-16, the oracle by 1.1e-16), so a delta below -_DELTA_SLACK
+# is a defect, not noise
+_DELTA_SLACK = 1e-15
 
 # cells per Phi2 call of any evaluation: bounds a batch's per-cell arrays,
 # the oracle's temporaries included, to about 16 MB; no output depends on it
@@ -283,7 +279,7 @@ def _scan(
 ) -> list[dict]:
     """Per scenario, {(N, label): n*} for each market size and labelled
     market (chi and shift as in ``_deltas``).  ``_bracket`` bounds each
-    column's n* by Phi1 alone, with a margin that covers the method's error,
+    column's n* by Phi1 alone, with the method's stated error bound as margin,
     and closes a column that is risky at n = N as None.  The cells it leaves
     open, lo <= n < min(hi, N), go to ``_deltas`` in one pass, columns in
     order of N, and n* is one more than the largest risky n among them, or
@@ -293,10 +289,9 @@ def _scan(
     if len(scenarios) == 0:
         raise ConfigError("scenarios must be non-empty")
     _check_box(market_sizes, chi, shift, epsilon_safe)
-    margin = _ORACLE_MARGIN if _grid_spec(method) is None else _GRID_MARGIN
     cols = _columns(len(scenarios), market_sizes, len(chi))
     size = cols[1]
-    star, hi = _bracket(scenarios, chi, shift, cols, epsilon_safe, margin)
+    star, hi = _bracket(scenarios, chi, shift, cols, epsilon_safe, _error_bound(method))
     # by N: columns of one size share their correlations, which the grid
     # tabulates once per batch
     live = np.argsort(size, kind="stable")

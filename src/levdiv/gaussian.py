@@ -28,16 +28,19 @@ different routes:
   The arcsine rule zeroes lanes whose exp is +0.0 (exponent < -745.2) by
   itself, as numpy's SIMD exp is slow on them; the bits are unchanged.
 
-* ``binorm_cdf_grid`` -- a tabulate-and-sum scheme on a uniform grid:
-  node (r, c) holds the 2D trapezoidal rule over [z_0, z_r] x [z_0, z_c]
-  (the cells' four-corner means times their area, summed), and lookups
-  interpolate bilinearly between nodes.  Coarser (abs error <= 1e-3 at the
-  default grid, in practice ~1e-5) but independent of the quadrature
-  route, so the two can cross-check each other.
+* ``binorm_cdf_grid`` -- Phi2(z, z, rho) on the diagonal, where every Phi2
+  of two identical banks lies: node (r, c) of a uniform grid holds the 2D
+  trapezoidal rule over [z_0, z_r] x [z_0, z_c], and a lookup at (z, z)
+  interpolates bilinearly between the corners of its cell, (i, i),
+  (i + 1, i + 1) and, by symmetry, (i + 1, i) twice.  So a table is one 1-D
+  run of nodes per correlation.  Coarser (abs error <= 1e-3 at the default
+  grid, in practice ~1e-5) but independent of the quadrature route, so the
+  two can cross-check each other.
 
 ``binorm_cdf`` takes the route as one argument, ``method``: "oracle",
-"grid" (``DEFAULT_GRID``) or a ``GridSpec``.  Both routes are
-array-valued: arguments broadcast, the grid tabulates each distinct
+"grid" (``DEFAULT_GRID``) or a ``GridSpec``; ``_error_bound`` gives the
+route's stated accuracy.  Both routes are array-valued: arguments
+broadcast, the grid takes z1 = z2 only and tabulates each distinct
 correlation once per call, and scalar arguments give a float.
 No table is kept between calls: a caller that queries one correlation many
 times keeps the ``CdfGrid`` that ``tabulate_cdf_grid`` returns and calls
@@ -298,6 +301,10 @@ def _phi2_near_degenerate(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.nda
     return out
 
 
+# the oracle's stated bound on |error|; the module docstring gives 1.7e-13 measured
+_ORACLE_BOUND = 1e-12
+
+
 def binorm_cdf_oracle(z1, z2, rho):
     """Phi2(z1, z2, rho) to near double precision; arguments broadcast.
 
@@ -333,75 +340,58 @@ def binorm_cdf_oracle(z1, z2, rho):
 
 @dataclass(frozen=True)
 class CdfGrid:
-    """Tabulated cumulative volumes of the bivariate density on a GridSpec.
+    """Tabulated cumulative volumes of the bivariate density along the
+    diagonal z1 = z2 of a GridSpec.
 
-    ``node_values[r, j]`` holds the accumulated volume over the cells below
-    and left of node (axis_coordinates[rows[r]], axis_coordinates[j]);
-    ``rows`` is strictly increasing.  Node row 0 and column 0 are zero by
-    construction.  A table sized from its queries covers only the leading
-    square block of the spec's nodes they reach, and of that block only the
-    rows in ``rows``, those their cells read (see ``tabulate_cdf_grid``); a
-    lookup whose cell reaches past the block or needs a row not held raises
-    DomainError.
+    With V(r, c) the volume accumulated over the cells below and left of
+    node (axis_coordinates[r], axis_coordinates[c]), ``node_values`` is one
+    1-D table: entry 2r holds V(r, r) and entry 2r + 1 holds V(r + 1, r),
+    which by symmetry is also V(r, r + 1); V(0, 0) = V(1, 0) = 0.  A table
+    sized from its queries covers only the leading nodes their cells reach
+    (see ``tabulate_cdf_grid``); a lookup whose cell reaches past them
+    raises DomainError.
     """
 
     spec: GridSpec
     rho: float
     axis_coordinates: np.ndarray
     node_values: np.ndarray
-    rows: np.ndarray
 
-    def lookup(self, z1, z2):
-        """Bilinear interpolation of the tabulation; out-of-range points
-        are clamped to the grid boundary and results clipped to [0, 1].
-        Array-valued in (z1, z2); scalar coordinates give a float."""
-        vals = self.node_values
-        i, tx = _cell_index(self.spec, np.asarray(z1, dtype=float))
-        j, ty = _cell_index(self.spec, np.asarray(z2, dtype=float))
-        extent = _extent(i, j)
-        nodes = self.axis_coordinates.size
+    def lookup(self, z):
+        """Phi2(z, z, rho): the bilinear interpolant at (z, z), which in
+        cell i at fraction t is V(i, i) (1 - t)^2 + 2 V(i + 1, i) t (1 - t)
+        + V(i + 1, i + 1) t^2.  Out-of-range points are clamped to the grid
+        boundary and results clipped to [0, 1].  Array-valued in z; a
+        scalar gives a float."""
+        i, t = _cell_index(self.spec, np.asarray(z, dtype=float))
+        extent, nodes = _extent(i), self.axis_coordinates.size
         if extent > nodes:
             raise DomainError(
                 f"lookup reaches node {extent - 1}, past the "
                 f"{nodes}-node tabulated block"
             )
-        # rows is strictly increasing: node rows i and i + 1 are both held
-        # exactly when table row r + 1 holds node row i + 1
-        r = np.searchsorted(self.rows, i)
-        if not ((r + 1 < self.rows.size).all() and (self.rows[r + 1] == i + 1).all()):
-            raise DomainError("lookup needs a node row that was not tabulated")
-        v = (
-            vals[r, j] * (1.0 - tx) * (1.0 - ty)
-            + vals[r + 1, j] * tx * (1.0 - ty)
-            + vals[r, j + 1] * (1.0 - tx) * ty
-            + vals[r + 1, j + 1] * tx * ty
-        )
+        vals, k, s = self.node_values, 2 * i, 1.0 - t
+        v = vals[k] * s * s + 2.0 * vals[k + 1] * t * s + vals[k + 2] * t * t
         v = np.clip(v, 0.0, 1.0)
         return v if v.ndim else float(v)
 
 
+def _check_not_nan(*coordinates: np.ndarray) -> None:
+    if any(np.isnan(z).any() for z in coordinates):
+        raise DomainError("binorm_cdf_grid requires non-NaN coordinates")
+
+
 def _cell_index(spec: GridSpec, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cell index of each (clamped) coordinate and its fraction within the cell."""
-    if np.isnan(z).any():
-        raise DomainError("binorm_cdf_grid requires non-NaN coordinates")
+    _check_not_nan(z)
     f = (np.clip(z, spec.z_min, spec.z_max) - spec.z_min) / spec.cell_width
     i = np.minimum(f.astype(np.intp), spec.cells_per_axis - 1)
     return i, f - i
 
 
-def _query_pair(queries) -> tuple[np.ndarray, np.ndarray]:
-    """The (z1, z2) coordinate arrays a table is sized from."""
-    try:
-        z1, z2 = queries
-        return np.asarray(z1, dtype=float), np.asarray(z2, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"queries must be a pair (z1, z2) of real coordinates, got {queries!r}") from exc
-
-
-def _extent(i: np.ndarray, j: np.ndarray) -> int:
-    """Nodes per axis a lookup of cells (i, j) reads: the corners of the
-    highest cell on either axis, so the block stays square."""
-    return int(max(i.max(initial=0), j.max(initial=0))) + 2
+def _extent(i: np.ndarray) -> int:
+    """Nodes per axis a lookup of cells i reads: the corners of the highest."""
+    return int(i.max(initial=0)) + 2
 
 
 # Doubles in each scratch block of a tabulation (~0.5 MB, so a block of
@@ -413,47 +403,43 @@ _SCRATCH_BUDGET = 65_536
 # Stores nothing.  The decorator stays only for the benchmark harness: it
 # calls cache_clear() and counts tabulations from cache_info().misses.
 @lru_cache(maxsize=0)
-def tabulate_cdf_grid(rho: float, spec: GridSpec = DEFAULT_GRID, queries=None) -> CdfGrid:
-    """Build the cumulative tabulation for one correlation, sized from the
-    (z1, z2) points ``queries`` it must serve: the leading square block of
-    nodes their cells reach (the analysis queries the diagonal at z <= ~2,
-    about a quarter of the default square), and of it only rows i and i + 1
-    of each point's cell, the rows their bilinear lookups read (a sweep
-    reads about a quarter of them, table1 under 1%).  With no queries the
-    table holds every node, and its ``rows`` are arange(m).
+def tabulate_cdf_grid(rho: float, spec: GridSpec = DEFAULT_GRID, z=None) -> CdfGrid:
+    """Build the diagonal tabulation for one correlation, sized from the
+    coordinates ``z`` it must serve: the leading nodes up to the corners of
+    the highest cell they reach (the analysis queries z <= ~2, about 5/8 of
+    the default axis).  With no z the table holds every node.
 
-    Node (r, c) is the product trapezoidal rule over [z_0, z_r] x [z_0, z_c]
-    (the cells' four-corner means times their area, summed).  With
-    Q_i = g_0 / 2 + g_1 + ... + g_i the running sum of density rows g_i,
-    row r's vertical trapezoid is T_r = Q_(r-1) + Q_r (T_0 = 0), and node
-    (r, c) sums the pairs T_r[j] + T_r[j + 1], j < c, times cell_width^2 / 4:
-    both sums are linear, so the vertical one is formed only at the rows a
-    table keeps.  The density is exp(-z2^2 / 2 - (sqrt(c) (z1 - rho z2))^2)
+    V(r, c) is the product trapezoidal rule over [z_0, z_r] x [z_0, z_c]
+    (the cells' four-corner means times their area, summed).  The density
+    D is symmetric, so the two values a diagonal lookup reads come from its
+    upper triangle.  With h the cell width, P_c = D[0, c] / 2 + D[1, c] +
+    ... + D[c - 1, c] the sum of column c above the diagonal, E_0 =
+    D[0, 0] / 4 and E_a = D[a, a] + 2 P_a for a >= 1:
+
+        V(r, r) / h^2 = E_0 + ... + E_(r-1) + D[r, r] / 4 + P_r,
+        V(r + 1, r) / h^2 = V(r, r) / h^2 + (P_r + D[r, r] / 2) / 2
+                            + (P_(r+1) - D[r, r + 1] / 2) / 2,
+
+    for r >= 1.  The density is exp(-z2^2 / 2 - (sqrt(c) (z1 - rho z2))^2)
     with c = 1 / (2 (1 - rho)(1 + rho)), four array passes with no division
     and no quadratic form that cancels near |rho| = 1; its factor
     1 / (2 pi sqrt((1 - rho)(1 + rho))) joins the final scale.
 
-    Density rows are made a cache-sized block at a time, so the only large
-    array is the table of kept rows.  The running sum is carried from block
-    to block and taken only at kept rows and the block's last row: each
-    segment of rows up to one of them is added onto the sum before it by
-    one axis-0 reduce, which on a C-contiguous block adds whole rows in
-    order.  A kept row's pair sums go straight into the table; one in-place
-    running sum along axis 1 and one scale finish it, and the fill stops at
-    the last kept row.  That is bit for bit the same arithmetic over whole
-    arrays (``tests/grid_reference.py``): both running sums add strictly in
-    prefix order, so neither the block size, the extent nor the kept rows
-    change any element, and a table's lookups return what the full table
-    would.
-
-    Every call tabulates afresh; no table is kept.  To query one
-    correlation many times, keep the returned ``CdfGrid`` and call its
-    ``lookup``.
+    Density rows are made a cache-sized block at a time, from the block's
+    first row's column on, so about half the square is evaluated and every
+    array that grows with the table is 1-D.  P_c is the running sum of the
+    rows from half of row 0, read at row c - 1: a block zeroes its entries
+    on and below the diagonal and adds its rows onto the sum carried in by
+    one axis-0 reduce, which on a C-contiguous block of two or more columns
+    adds whole rows in order (zeros change no bit).  So the fill is bit for
+    bit the same arithmetic over whole arrays (``tests/grid_reference.py``),
+    whatever the block size or extent, and a table's lookups return what
+    the full table would.
     """
-    extent = rows = None
-    if queries is not None:  # coordinates are checked before the correlation
-        i, j = (_cell_index(spec, z)[0] for z in _query_pair(queries))
-        extent, rows = _extent(i, j), np.union1d(i, i + 1)
+    extent = None
+    if z is not None:  # coordinates are checked before the correlation
+        # the largest sizes the table, and is NaN if any coordinate is
+        extent = _extent(_cell_index(spec, np.max(np.asarray(z, dtype=float), initial=-math.inf))[0])
     rho = float(_as_rho(rho))
     if abs(rho) > 1.0 - DEGENERATE_RHO_TOL:
         raise DegenerateCorrelationError(
@@ -462,55 +448,58 @@ def tabulate_cdf_grid(rho: float, spec: GridSpec = DEFAULT_GRID, queries=None) -
         )
     nodes = np.linspace(spec.z_min, spec.z_max, spec.cells_per_axis + 1)[:extent]
     m = nodes.size
-    rows = np.arange(m) if rows is None else rows
     omr2 = (1.0 - rho) * (1.0 + rho)
     root_c = math.sqrt(0.5 / omr2)
     u = root_c * nodes  # sqrt(c) z1, by row
     v = root_c * rho * nodes  # sqrt(c) rho z2, by column
     h = -0.5 * nodes * nodes  # -z2^2 / 2, by column
-
-    def density(lo: int, out: np.ndarray) -> None:
-        # rows [lo, lo + len(out)) of the density times 2 pi sqrt(omr2)
-        np.subtract(u[lo : lo + len(out), None], v, out=out)
-        np.multiply(out, out, out=out)
-        np.subtract(h, out, out=out)
-        np.exp(out, out=out)
-
-    block = min(m - 1, max(1, _SCRATCH_BUDGET // m))  # density rows per block
-    g = np.empty((block + 1, m))  # row 0 carries Q at the previous block's last row
-    cdf = np.zeros((rows.size, m))
-    top = int(rows.max(initial=0))  # no row past the last kept one is needed
-    density(0, g[:1])
-    g[0] *= 0.5  # Q_0
-    for lo in range(0, top, block):
-        k = min(block, top - lo)
-        density(lo + 1, g[1 : k + 1])
-        # the block's table rows lo + 1 .. lo + k sit at rows[a:b]
-        a, b = np.searchsorted(rows, (lo + 1, lo + k + 1))
-        kept = rows[a:b] - lo
-        # Q at each kept row and the row before it, in place of their
-        # density rows, then at the block's last row for the next block
-        pos = 0
-        for r in kept.tolist():
-            if r - 1 > pos:
-                g[r - 1] = np.add.reduce(g[pos:r], axis=0)
-            np.add(g[r - 1], g[r], out=g[r])
-            pos = r
-        trapezoid = g[kept - 1]  # T_r = Q_(r-1) + Q_r
-        trapezoid += g[kept]
-        np.add(trapezoid[:, :-1], trapezoid[:, 1:], out=cdf[a:b, 1:])
-        g[0] = np.add.reduce(g[pos : k + 1], axis=0)
-    np.cumsum(cdf[:, 1:], axis=1, out=cdf[:, 1:])
-    cdf *= spec.cell_width**2 / (4.0 * _TWO_PI * math.sqrt(omr2))
-    for arr in (nodes, cdf, rows):
+    diag, upper, above = np.empty(m), np.empty(m - 1), np.empty(m)  # D[r, r], D[r, r + 1], P_r
+    most = max(1, min(m, math.isqrt(_SCRATCH_BUDGET)))  # rows a block can have
+    strictly_upper = np.arange(most)[:, None] < np.arange(most)  # by row and column within a block
+    scratch = np.zeros(min(max(_SCRATCH_BUDGET, m), m * m) + m)  # the running sum is 0 before row 0
+    lo = 0
+    while lo < m:
+        w = m - lo  # columns lo .. m - 1
+        k = min(w, max(1, _SCRATCH_BUDGET // w))  # density rows lo .. lo + k - 1
+        g = scratch[: (k + 1) * w].reshape(k + 1, w)  # row 0 carries the running sum at row lo - 1
+        rows = g[1:]  # times 2 pi sqrt(omr2)
+        np.subtract(u[lo : lo + k, None], v[lo:], out=rows)
+        np.multiply(rows, rows, out=rows)
+        np.subtract(h[lo:], rows, out=rows)
+        np.exp(rows, out=rows)
+        diag[lo : lo + k] = rows.diagonal()
+        upper[lo : lo + k] = rows[:, 1:].diagonal()
+        if w == 1:  # the last node's own density is all the table needs of it
+            break
+        if lo == 0:
+            rows[0] *= 0.5
+        # zero the block's first k columns from the diagonal down: the
+        # reduce then adds, down each column c, just the rows above c
+        rows[:, :k] *= strictly_upper[:k, :k]
+        sums = np.add.reduce(g, axis=0)
+        above[lo + 1 : lo + k + 1] = sums[1 : k + 1]
+        scratch[: w - k] = sums[k:]  # the running sum at row lo + k - 1, for the next block
+        lo += k
+    steps = np.concatenate(([0.25 * diag[0]], diag[1:-1] + 2.0 * above[1:-1]))  # E_a
+    table = np.zeros(2 * m - 1)
+    on, off = table[::2], table[1::2]  # V(r, r) and V(r + 1, r), times 1 / h^2
+    on[1:] = np.cumsum(steps) + 0.25 * diag[1:] + above[1:]
+    off[1:] = on[1:-1] + 0.5 * (above[1:-1] + 0.5 * diag[1:-1]) + 0.5 * (above[2:] - 0.5 * upper[1:])
+    table *= spec.cell_width**2 / (_TWO_PI * math.sqrt(omr2))
+    for arr in (nodes, table):
         arr.setflags(write=False)
-    return CdfGrid(spec=spec, rho=rho, axis_coordinates=nodes, node_values=cdf, rows=rows)
+    return CdfGrid(spec=spec, rho=rho, axis_coordinates=nodes, node_values=table)
 
 
-def binorm_cdf_grid(z1, z2, rho: float, spec: GridSpec = DEFAULT_GRID):
-    """Phi2 via the grid tabulation of one correlation, sized from the
-    queries (abs error <= 1e-3 at the default spec); array-valued in (z1, z2)."""
-    return tabulate_cdf_grid(rho, spec, (z1, z2)).lookup(z1, z2)
+# the grid's stated bound on |error| at the default spec; in practice about 1e-5
+_GRID_BOUND = 1e-3
+
+
+def binorm_cdf_grid(z, rho: float, spec: GridSpec = DEFAULT_GRID):
+    """Phi2(z, z, rho) via the diagonal tabulation of one correlation,
+    sized from z (abs error <= _GRID_BOUND at the default spec);
+    array-valued in z."""
+    return tabulate_cdf_grid(rho, spec, z).lookup(z)
 
 
 def _grid_spec(method: str | GridSpec) -> GridSpec | None:
@@ -524,27 +513,36 @@ def _grid_spec(method: str | GridSpec) -> GridSpec | None:
     return spec
 
 
+def _error_bound(method: str | GridSpec) -> float:
+    """The stated bound on |Phi2 error| of a ``method``'s route."""
+    return _ORACLE_BOUND if _grid_spec(method) is None else _GRID_BOUND
+
+
 def binorm_cdf(z1, z2, rho, method: str | GridSpec = "oracle"):
     """Phi2 dispatcher; arguments broadcast.  ``method`` is the route:
     ``"oracle"``, ``"grid"`` (the ``DEFAULT_GRID`` tabulation) or a
-    ``GridSpec`` to tabulate on.  A grid route makes each distinct
-    correlation one task of one ordered map over one worker thread per
-    usable CPU: a correlation within DEGENERATE_RHO_TOL of +/-1 takes the
-    exact closed form, any other is tabulated once, its table sized from
-    its own queries."""
+    ``GridSpec`` to tabulate on.  A grid route serves only the diagonal
+    z1 = z2: a NaN coordinate is a DomainError, then any z1 != z2 a
+    ConfigError.  It makes each distinct correlation one task of one
+    ordered map over one worker thread per usable CPU: a correlation within
+    DEGENERATE_RHO_TOL of +/-1 takes the exact closed form, any other is
+    tabulated once, its table sized from its own queries."""
     r = _as_rho(rho)
     spec = _grid_spec(method)
     if spec is None:
         return binorm_cdf_oracle(z1, z2, r)
-    z1, z2, r = np.broadcast_arrays(np.asarray(z1, dtype=float), np.asarray(z2, dtype=float), r)
+    z, z2, r = np.broadcast_arrays(np.asarray(z1, dtype=float), np.asarray(z2, dtype=float), r)
+    _check_not_nan(z, z2)
+    if not np.array_equal(z, z2):
+        raise ConfigError("the grid route tabulates only the diagonal z1 = z2")
     out = np.empty(r.shape)
     values = np.unique(r)
 
     def cells(value):
         at = r == value
         if abs(value) > 1.0 - DEGENERATE_RHO_TOL:
-            return at, binorm_cdf_oracle(z1[at], z2[at], 1.0 if value > 0 else -1.0)
-        return at, binorm_cdf_grid(z1[at], z2[at], value, spec)
+            return at, binorm_cdf_oracle(z[at], z[at], 1.0 if value > 0 else -1.0)
+        return at, binorm_cdf_grid(z[at], value, spec)
 
     # one table per worker at a time: each returns only its looked-up values.
     # map yields and raises in correlation order, so an error is the one a

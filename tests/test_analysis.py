@@ -442,7 +442,11 @@ class TestRegimeSweep:
         # every cell goes negative; the first evaluated is named
         with pytest.raises(DomainError, match=rf"slack at \({re.escape(cell)}\)$"):
             evaluate()
+        # the slack is the rounding level of a Phi2 difference, far below 1e-9
         shift = 1e-9
+        with pytest.raises(DomainError, match="negative beyond numerical slack"):
+            evaluate()
+        shift = levdiv.analysis._DELTA_SLACK / 2
         evaluate()
 
     @pytest.mark.parametrize("method", ["oracle", SMALL_GRID], ids=["oracle", "grid"])
@@ -693,9 +697,10 @@ class TestBracket:
     @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-2, 0.05, 0.2, 1.0])
     @pytest.mark.parametrize("method", ["oracle", SMALL_GRID], ids=["oracle", "grid"])
     def test_bracket_holds_critical_level(self, method, eps):
-        from levdiv.analysis import _GRID_MARGIN, _ORACLE_MARGIN, _bracket, _columns
+        from levdiv.analysis import _bracket, _columns
+        from levdiv.gaussian import _error_bound
 
-        margin = _ORACLE_MARGIN if method == "oracle" else _GRID_MARGIN
+        margin = _error_bound(method)
         scenarios = [SCENARIO, LeverageScenario(0.25, 0.5)]
         cols = _columns(len(scenarios), SCAN_SIZES, len(SCAN_CHIS))
         lo, hi = _bracket(scenarios, SCAN_CHIS, [0.0] * len(SCAN_CHIS), cols, eps, margin)
@@ -711,13 +716,14 @@ class TestBracket:
             assert low <= effective_critical(n_star, 40) <= high
 
     def test_bracket_decides_most_columns(self):
-        from levdiv.analysis import _ORACLE_MARGIN, _bracket, _columns
+        from levdiv.analysis import _bracket, _columns
+        from levdiv.gaussian import _ORACLE_BOUND
 
         # N = 2..200 at 20 chi and eps 0.01: the bracket alone fixes n* in
         # over a third of the columns
         scenarios, chis_ = [SCENARIO, LeverageScenario(0.25, 0.5)], default_chi_grid(points=20)
         cols = _columns(2, range(2, 201), len(chis_))
-        lo, hi = _bracket(scenarios, chis_, [0.0] * len(chis_), cols, 1e-2, _ORACLE_MARGIN)
+        lo, hi = _bracket(scenarios, chis_, [0.0] * len(chis_), cols, 1e-2, _ORACLE_BOUND)
         closed = (lo > cols[1]) | (np.minimum(hi, cols[1]) <= lo)
         assert closed.mean() > 1 / 3
         assert (lo <= hi).all()
@@ -794,14 +800,15 @@ class TestScanBatches:
         assert len(calls) <= 1
 
     def test_scan_memory_does_not_grow_with_the_box(self):
-        from levdiv.analysis import _ORACLE_MARGIN, _SCAN_BUDGET, _bracket, _columns
+        from levdiv.analysis import _SCAN_BUDGET, _bracket, _columns
+        from levdiv.gaussian import _ORACLE_BOUND
 
         # the N <= 800 box has 2.6 times the cells of the N <= 500 one, and
         # each leaves more than one batch of cells open
         scenarios, chis_, peaks = [SCENARIO, LeverageScenario(0.25, 0.5)], default_chi_grid(points=20), []
         for top in (500, 800):
             cols = _columns(2, range(2, top + 1), len(chis_))
-            lo, hi = _bracket(scenarios, chis_, [0.0] * len(chis_), cols, 1e-2, _ORACLE_MARGIN)
+            lo, hi = _bracket(scenarios, chis_, [0.0] * len(chis_), cols, 1e-2, _ORACLE_BOUND)
             assert np.maximum(np.minimum(hi, cols[1]) - lo, 0).sum() > _SCAN_BUDGET
             tracemalloc.start()
             try:
@@ -824,6 +831,21 @@ class TestMuSensitivity:
         scan = mu_sensitivity(SCENARIO, market, [-0.2, 0.0, 0.2])
         enc = {mu: effective_critical(v, 10) for mu, v in scan.items()}
         assert enc[-0.2] >= enc[0.0] >= enc[0.2]
+
+    # columns whose levels are finite at every drift, eps 0.01: crashing
+    # markets need more diversification, booming ones less
+    @pytest.mark.parametrize(
+        "scenario, size, levels",
+        [
+            (LeverageScenario(0.10, 0.25), 40, [9, 7, 6, 5, 4]),
+            (LeverageScenario(0.25, 0.50), 200, [56, 27, 17, 12, 9]),
+        ],
+    )
+    @pytest.mark.parametrize("method", ["oracle", "grid"])
+    def test_drift_ordering_on_finite_levels(self, scenario, size, levels, method):
+        drifts = [-0.3, -0.15, 0.0, 0.15, 0.3]
+        scan = mu_sensitivity(scenario, MarketParams.from_chi(size, 1.6), drifts, method, 0.01)
+        assert list(scan.values()) == levels
 
     def test_drift_does_not_mutate_market(self):
         market = MarketParams.from_chi(10, 0.4)

@@ -23,7 +23,13 @@ from hypothesis import strategies as st
 from scipy.special import ndtr as scipy_ndtr
 
 import oracle_reference
-from grid_reference import reference_tabulation, trapezoid_tabulation
+from grid_reference import (
+    diagonal_entries,
+    diagonal_nodes,
+    diagonal_tabulation,
+    reference_tabulation,
+    trapezoid_tabulation,
+)
 from quad_reference import binorm_pdf, phi2_quad
 
 from levdiv import (
@@ -445,57 +451,57 @@ class TestOracleRulesMatchReference:
             assert not np.exp(x).view(np.int64).any()
 
 
-def cell_centres(spec: GridSpec, cells) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal queries at the centres of the given cells: their table is the
-    leading max(cells) + 2 nodes per axis, holding rows i and i + 1 of each."""
-    z = spec.z_min + (np.asarray(cells, dtype=float) + 0.5) * spec.cell_width
-    return z, z
+def cell_centres(spec: GridSpec, cells) -> np.ndarray:
+    """Diagonal coordinates at the centres of the given cells: their table
+    is the leading max(cells) + 2 nodes."""
+    return spec.z_min + (np.asarray(cells, dtype=float) + 0.5) * spec.cell_width
 
 
 class TestGrid:
     def test_independence_point(self):
-        assert binorm_cdf_grid(0.0, 0.0, 0.0, SMALL_GRID) == pytest.approx(0.25, abs=1e-3)
+        assert binorm_cdf_grid(0.0, 0.0, SMALL_GRID) == pytest.approx(0.25, abs=1e-3)
 
     def test_arcsine_point(self):
-        assert binorm_cdf_grid(0.0, 0.0, 0.5, SMALL_GRID) == pytest.approx(1 / 3, abs=1e-3)
+        assert binorm_cdf_grid(0.0, 0.5, SMALL_GRID) == pytest.approx(1 / 3, abs=1e-3)
 
     def test_factorization_point(self):
-        assert binorm_cdf_grid(1.5, -0.3, 0.0, SMALL_GRID) == pytest.approx(
-            phi1(1.5) * phi1(-0.3), abs=1e-3
-        )
+        got = binorm_cdf_grid([1.5, -0.3], 0.0, SMALL_GRID)
+        assert got == pytest.approx([phi1(1.5) ** 2, phi1(-0.3) ** 2], abs=1e-3)
 
     def test_matches_oracle(self):
+        z = np.array([-2.0, 0.5, 0.3, 1.7, -1.1, -0.25, 2.4])
         for rho in (-0.8, -0.3, 0.0, 0.4, 0.9):
-            for z1, z2 in [(-2.0, 0.5), (0.3, 0.3), (1.7, -1.1), (-0.25, 2.4)]:
-                assert binorm_cdf_grid(z1, z2, rho, SMALL_GRID) == pytest.approx(
-                    binorm_cdf_oracle(z1, z2, rho), abs=1e-3
-                )
+            assert binorm_cdf_grid(z, rho, SMALL_GRID) == pytest.approx(binorm_cdf_oracle(z, z, rho), abs=1e-3)
 
     def test_convergence_under_refinement(self):
-        points = [(-1.5, 0.4), (0.2, 0.2), (1.0, -0.8)]
+        z = np.array([-1.5, 0.4, 0.2, 1.0, -0.8])
         errs = []
         for cells in (100, 200, 400, 800):
             spec = GridSpec(cells_per_axis=cells)
-            errs.append(
-                max(
-                    abs(binorm_cdf_grid(z1, z2, 0.45, spec) - binorm_cdf_oracle(z1, z2, 0.45))
-                    for z1, z2 in points
-                )
-            )
+            errs.append(np.abs(binorm_cdf_grid(z, 0.45, spec) - binorm_cdf_oracle(z, z, 0.45)).max())
         assert all(a >= b for a, b in zip(errs, errs[1:]))
 
     def test_clamping_and_bounds(self):
-        assert binorm_cdf_grid(-50.0, 0.0, 0.2, SMALL_GRID) == pytest.approx(0.0, abs=1e-6)
-        assert binorm_cdf_grid(50.0, 50.0, 0.2, SMALL_GRID) == pytest.approx(1.0, abs=1e-3)
-        assert 0.0 <= binorm_cdf_grid(50.0, 50.0, 0.2, SMALL_GRID) <= 1.0
+        assert binorm_cdf_grid(-50.0, 0.2, SMALL_GRID) == pytest.approx(0.0, abs=1e-6)
+        assert binorm_cdf_grid(50.0, 0.2, SMALL_GRID) == pytest.approx(1.0, abs=1e-3)
+        assert 0.0 <= binorm_cdf_grid(50.0, 0.2, SMALL_GRID) <= 1.0
 
     def test_tabulation_invariants(self):
-        grid = tabulate_cdf_grid(0.3, SMALL_GRID)
-        vals = grid.node_values
-        assert np.all(np.diff(vals, axis=0) >= 0)
-        assert np.all(np.diff(vals, axis=1) >= 0)
+        vals = tabulate_cdf_grid(0.3, SMALL_GRID).node_values
+        assert vals.shape == (2 * SMALL_GRID.cells_per_axis + 1,)
+        assert vals[:2].tolist() == [0.0, 0.0]  # V(0, 0) and V(1, 0) bound empty rectangles
         assert vals.min() >= 0.0
         assert vals.max() <= 1.0 + 1e-3
+
+    # V(r, r) <= V(r + 1, r) <= V(r + 1, r + 1): the table is one
+    # non-decreasing sequence, so a lookup's three nodes never fall
+    @pytest.mark.parametrize(
+        "spec", [SMALL_GRID, DEFAULT_GRID, GridSpec(cells_per_axis=2)], ids=["small", "default", "two-cells"]
+    )
+    def test_node_values_never_fall_along_the_diagonal(self, spec):
+        for rho in (-0.99, -0.6, 0.0, 0.3, 0.9, 0.999, 1.0 - 2e-9):
+            vals = tabulate_cdf_grid(rho, spec).node_values
+            assert (vals[:-2:2] <= vals[1::2]).all() and (vals[1::2] <= vals[2::2]).all(), rho
 
     def test_tabulation_deterministic(self):
         a = tabulate_cdf_grid(0.3, SMALL_GRID)
@@ -512,10 +518,10 @@ class TestGrid:
             (tabulate_cdf_grid(rho, spec, cell_centres(spec, range(m - 1))), m)
             for m in (2, spec.cells_per_axis // 2 + 1, nodes)
         ]
-        for block, m in [*blocks, (full, nodes)]:  # a full table holds its rows explicitly too
-            assert block.node_values.shape == (m, m)
-            assert np.array_equal(block.rows, np.arange(m)) and not block.rows.flags.writeable
-            assert np.array_equal(block.node_values, full.node_values[:m, :m])
+        for block, m in [*blocks, (full, nodes)]:
+            assert block.axis_coordinates.size == m
+            assert block.node_values.shape == (2 * m - 1,)
+            assert np.array_equal(block.node_values, full.node_values[: 2 * m - 1])
 
     @pytest.mark.parametrize("spec", [SMALL_GRID, DEFAULT_GRID], ids=["small", "default"])
     def test_bounded_lookup_matches_full_grid(self, spec):
@@ -524,16 +530,16 @@ class TestGrid:
         diagonal = np.linspace(-3.0, 2.1, 50)
         for rho in (0.1, 0.6):
             for z in (diagonal, np.append(diagonal, -50.0), np.array([spec.z_max, 9.5, 50.0])):
-                full = tabulate_cdf_grid(rho, spec).lookup(z, z)
+                full = tabulate_cdf_grid(rho, spec).lookup(z)
                 got = binorm_cdf(z, z, rho, method=spec)
                 assert got.tolist() == full.tolist()
 
     # the rule the table applies, with no vectorised reference: node (r, c)
     # holds the 2D trapezoid sum over [z_0, z_r] x [z_0, z_c], weights 1/2 on
-    # the edges and 1/4 at the corners, of the normalised density.  Its
-    # exponent is written as the library writes it, since at rho = -0.99 an
-    # exponent near -64 carries tens of ulps of its own rounding in any other
-    # form.
+    # the edges and 1/4 at the corners, of the normalised density, and the
+    # table holds the nodes (r, r) and (r + 1, r).  Its exponent is written
+    # as the library writes it, since at rho = -0.99 an exponent near -64
+    # carries tens of ulps of its own rounding in any other form.
     @pytest.mark.parametrize("rho", [-0.99, 0.0, 0.5, 1.0 - 2e-9])
     def test_tabulation_is_the_product_trapezoid_rule(self, rho):
         spec = GridSpec(-2.0, 2.0, 5)
@@ -548,20 +554,20 @@ class TestGrid:
             return 0.5 if i in (0, last) else 1.0
 
         got = tabulate_cdf_grid(rho, spec).node_values
-        for r in range(len(z)):
-            for c in range(len(z)):
-                want = 0.0
-                if r and c:  # row and column 0 bound an empty rectangle
-                    for i in range(r + 1):
-                        for j in range(c + 1):
-                            want += weight(i, r) * weight(j, c) * density(z[i], z[j]) * spec.cell_width**2
-                assert abs(got[r, c] - want) <= 4 * math.ulp(want), (r, c)
+        for entry, (r, c) in enumerate(diagonal_nodes(len(z))):
+            want = 0.0
+            if r and c:  # row and column 0 bound an empty rectangle
+                for i in range(r + 1):
+                    for j in range(c + 1):
+                        want += weight(i, r) * weight(j, c) * density(z[i], z[j]) * spec.cell_width**2
+            assert abs(got[entry] - want) <= 4 * math.ulp(want), (r, c)
 
-    # the old corner-mean fill (reference_tabulation) is the accuracy anchor:
-    # the trapezoid fill sums the same volumes in another order.  Its tables
-    # reach about 228 on the two-cell spec, so the bound scales with them.
-    # At rho = 1 - 2e-9 the anchor's cancelling quadratic form carries up to
-    # 2e-6 relative density error, so that correlation is pinned by the
+    # the old corner-mean fill (reference_tabulation) is the accuracy anchor,
+    # and the old square trapezoid fill a second one: the diagonal fill sums
+    # the same volumes in another order.  Tables reach about 228 on the
+    # two-cell spec, so the bound scales with them.  At rho = 1 - 2e-9 the
+    # corner-mean anchor's cancelling quadratic form carries up to 2e-6
+    # relative density error, so that correlation is pinned by the
     # trapezoid-rule test above instead.
     @pytest.mark.parametrize(
         "spec",
@@ -571,14 +577,14 @@ class TestGrid:
     def test_tabulation_matches_corner_mean_reference(self, spec):
         for rho in (-0.99, -0.8, -0.6, -0.4, -0.3, 0.0, 0.05, 0.1, 0.3, 0.45, 0.5, 0.6, 0.7, 0.9, 0.95, 0.999):
             got = tabulate_cdf_grid(rho, spec).node_values
-            want = reference_tabulation(rho, spec).node_values
-            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, want)), rho
+            for anchor in (reference_tabulation, trapezoid_tabulation):
+                want = diagonal_entries(anchor(rho, spec))
+                assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, want)), (anchor.__name__, rho)
 
     # the scratch budget at its default, at one row per block, and above the
     # whole table, each against one reference per table; at the default,
     # extents around isqrt(budget) give one block, one full block, and a full
-    # block plus a ragged one.  A bounded table serves diagonal queries at
-    # every cell of its block, so it holds every row.
+    # block plus a ragged one
     @pytest.mark.parametrize(
         "spec",
         [SMALL_GRID, DEFAULT_GRID, GridSpec(cells_per_axis=2), GridSpec(-6.0, 6.0, 999)],
@@ -591,55 +597,42 @@ class TestGrid:
         extents = [m for m in (2, 3, rows - 1, rows, rows + 1, rows + 2) if m < nodes] + [None]
         for rho in (-0.99, -0.3, 0.0, 0.05, 0.5, 0.9, 1.0 - 2e-9):
             for extent in extents:
-                want = trapezoid_tabulation(rho, spec, extent)
-                queries = None if extent is None else cell_centres(spec, range(extent - 1))
+                want = diagonal_tabulation(rho, spec, extent)
+                z = None if extent is None else cell_centres(spec, range(extent - 1))
                 for budget, doubles in budgets.items():
                     monkeypatch.setattr(levdiv.gaussian, "_SCRATCH_BUDGET", doubles)
-                    got = tabulate_cdf_grid(rho, spec, queries)
+                    got = tabulate_cdf_grid(rho, spec, z)
                     assert np.array_equal(got.node_values, want.node_values), (rho, extent, budget)
                     assert np.array_equal(got.axis_coordinates, want.axis_coordinates)
                     assert not (got.node_values.flags.writeable or got.axis_coordinates.flags.writeable)
 
+    # the highest cell alone sizes a table, whichever others are queried:
+    # the first and last cells of the full axis and of a half block, both
+    # together, scattered cells, and every cell of the half block
+    @pytest.mark.parametrize("budget", ["default", "one-row", "whole-table"])
     @pytest.mark.parametrize(
         "spec", [DEFAULT_GRID, SMALL_GRID, GridSpec(cells_per_axis=2)], ids=["default", "small", "two-cells"]
     )
     @pytest.mark.parametrize("rho", [-0.6, 0.3, 0.999])
-    def test_kept_rows_are_reference_rows(self, spec, rho):
-        # the first and last cells of the full square and of a half block,
-        # both together, scattered cells, and every cell of the half block
+    def test_table_is_sized_by_its_highest_cell(self, monkeypatch, spec, rho, budget):
+        nodes = spec.cells_per_axis + 1
+        doubles = {"default": levdiv.gaussian._SCRATCH_BUDGET, "one-row": 1, "whole-table": nodes * nodes}[budget]
+        monkeypatch.setattr(levdiv.gaussian, "_SCRATCH_BUDGET", doubles)
         last = spec.cells_per_axis - 1
         half = last // 2
         references = {}
         for cells in ([0], [last], [half], [0, last], sorted({1, half // 3, half // 2, half}), range(half + 1)):
             extent = max(cells) + 2
             if extent not in references:
-                references[extent] = trapezoid_tabulation(rho, spec, extent).node_values
-            rows = sorted({*cells, *(c + 1 for c in cells)})
-            got = tabulate_cdf_grid(rho, spec, cell_centres(spec, cells))
-            assert np.array_equal(got.node_values, references[extent][rows]), (extent, rows)
-            assert got.rows.tolist() == rows
-            assert not (got.node_values.flags.writeable or got.rows.flags.writeable)
+                references[extent] = diagonal_tabulation(rho, spec, extent).node_values
+            got = tabulate_cdf_grid(rho, spec, cell_centres(spec, cells)[::-1])
+            assert np.array_equal(got.node_values, references[extent]), extent
 
-    # the running sum is taken per segment between kept rows: at one row
-    # per block every segment is one row onto the sum carried from the block
-    # before, and in one block for the whole table each runs from one kept
-    # row to the next
-    @pytest.mark.parametrize("budget", ["one-row", "whole-table"])
-    @pytest.mark.parametrize(
-        "spec", [DEFAULT_GRID, SMALL_GRID, GridSpec(cells_per_axis=2)], ids=["default", "small", "two-cells"]
-    )
-    @pytest.mark.parametrize("rho", [-0.6, 0.3, 0.999])
-    def test_kept_rows_are_reference_rows_at_any_block_size(self, monkeypatch, spec, rho, budget):
-        nodes = spec.cells_per_axis + 1
-        monkeypatch.setattr(levdiv.gaussian, "_SCRATCH_BUDGET", {"one-row": 1, "whole-table": nodes * nodes}[budget])
-        self.test_kept_rows_are_reference_rows(spec, rho)
-
-    # a segment's running sum is one axis-0 reduce of its rows; it must add
-    # them in order, as the row-by-row loop and the reference's cumsum do.
-    # Rows spanning 24 orders of magnitude round differently in any other
-    # order.  One column would reduce pairwise, but a density block has a
-    # column per node, so at least two.
-    @pytest.mark.parametrize("shape", [(54, 1225), (300, 800), (3, 1225), (200, 2), (200, 9), (1000, 17)])
+    # the running sum is one axis-0 reduce per block; it must add the rows
+    # in order, as the reference's cumsum does.  Rows spanning 24 orders of
+    # magnitude round differently in any other order.  One column would
+    # reduce pairwise, but a block has at least two.
+    @pytest.mark.parametrize("shape", [(54, 1225), (300, 800), (257, 256), (3, 1225), (200, 2), (200, 9), (1000, 17)])
     def test_axis0_reduce_adds_rows_in_order(self, shape):
         rng = np.random.default_rng(7)
         block = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, size=shape)
@@ -647,30 +640,16 @@ class TestGrid:
         assert not np.array_equal(functools.reduce(np.add, block[::-1]), in_order)
         assert np.array_equal(np.add.reduce(block, axis=0), in_order)
 
-    def test_lookup_needs_kept_rows(self):
+    def test_lookup_types(self):
         full = tabulate_cdf_grid(0.3, SMALL_GRID)
-        # cells 150 and 300 keep rows 150, 151, 300 and 301; z2 at the top
-        # edge keeps the whole square
-        z1 = cell_centres(SMALL_GRID, [150, 300])[0]
-        grid = tabulate_cdf_grid(0.3, SMALL_GRID, (z1, np.full(2, SMALL_GRID.z_max)))
-        assert grid.rows.tolist() == [150, 151, 300, 301]
-        z = z1[0]  # in cell 150: rows 150 and 151
-        got = grid.lookup(z, np.linspace(-3.0, 8.0, 9))
-        assert got.tolist() == full.lookup(z, np.linspace(-3.0, 8.0, 9)).tolist()
-        for value in (grid.lookup(z, 0.4), grid.lookup(np.array(z), np.array(0.4))):
-            assert type(value) is float and value == full.lookup(z, 0.4)
-        for row in (149.5, 151.5, 299.5, 301.5):  # cells whose rows are not both kept
-            with pytest.raises(DomainError, match="not tabulated"):
-                grid.lookup(SMALL_GRID.z_min + row * SMALL_GRID.cell_width, 0.0)
-        with pytest.raises(DomainError, match="not tabulated"):
-            grid.lookup(np.array([z, 50.0]), np.zeros(2))
-        # no queries keep no rows: a lookup in the first cell finds none
-        empty = tabulate_cdf_grid(0.3, SMALL_GRID, ([], []))
-        centre = SMALL_GRID.z_min + SMALL_GRID.cell_width / 2
-        with pytest.raises(DomainError, match="not tabulated"):
-            empty.lookup(centre, centre)
+        z = cell_centres(SMALL_GRID, [150, 300])
+        got = full.lookup(z)
+        assert isinstance(got, np.ndarray) and got.shape == (2,)
+        for value in (full.lookup(z[0]), full.lookup(np.array(z[0]))):
+            assert type(value) is float and value == got[0]
+        assert full.lookup(np.array([[z[0]], [z[1]]])).tolist() == [[got[0]], [got[1]]]
 
-    def test_grid_call_tabulates_rows_its_cells_read(self, monkeypatch):
+    def test_grid_call_tabulates_nodes_its_cells_read(self, monkeypatch):
         tables = []
 
         def spy(*args):
@@ -678,20 +657,27 @@ class TestGrid:
             return tables[-1]
 
         monkeypatch.setattr(levdiv.gaussian, "tabulate_cdf_grid", spy)
-        z1 = SMALL_GRID.z_min + np.array([10.5, 10.25, 40.5, 399.5]) * SMALL_GRID.cell_width
-        binorm_cdf_grid(z1, np.zeros(4), 0.3, SMALL_GRID)
-        assert tables[-1].rows.tolist() == [10, 11, 40, 41, 399, 400]
-        assert binorm_cdf_grid([], [], 0.3, SMALL_GRID).shape == (0,)
-        assert tables[-1].node_values.shape == (0, 2)
+        z = SMALL_GRID.z_min + np.array([10.5, 40.25, 40.5, 3.5]) * SMALL_GRID.cell_width
+        binorm_cdf_grid(z, 0.3, SMALL_GRID)
+        assert tables[-1].axis_coordinates.size == 42
+        assert binorm_cdf_grid([], 0.3, SMALL_GRID).shape == (0,)
+        assert tables[-1].node_values.shape == (3,)  # no coordinates: one cell
 
     def test_lookup_past_bounded_block_rejected(self):
         grid = tabulate_cdf_grid(0.3, SMALL_GRID, cell_centres(SMALL_GRID, range(99)))
         inside = SMALL_GRID.z_min + 98.5 * SMALL_GRID.cell_width
-        assert grid.lookup(inside, inside) == tabulate_cdf_grid(0.3, SMALL_GRID).lookup(inside, inside)
+        assert grid.lookup(inside) == tabulate_cdf_grid(0.3, SMALL_GRID).lookup(inside)
         with pytest.raises(DomainError, match="past the 100-node"):
-            grid.lookup(inside, inside + SMALL_GRID.cell_width)
-        with pytest.raises(DomainError):
-            grid.lookup(np.array([0.0, 50.0]), np.zeros(2))
+            grid.lookup(inside + SMALL_GRID.cell_width)
+        with pytest.raises(DomainError, match="past the 100-node"):
+            grid.lookup(np.array([0.0, 50.0]))
+        # no coordinates size the table to the first cell
+        first = tabulate_cdf_grid(0.3, SMALL_GRID, [])
+        assert first.lookup(SMALL_GRID.z_min + 0.5 * SMALL_GRID.cell_width) == grid.lookup(
+            SMALL_GRID.z_min + 0.5 * SMALL_GRID.cell_width
+        )
+        with pytest.raises(DomainError, match="past the 2-node"):
+            first.lookup(SMALL_GRID.z_min + 1.5 * SMALL_GRID.cell_width)
 
     @pytest.mark.parametrize("rho", [float("nan"), 1.5, -1.5])
     def test_tabulation_rejects_correlation_outside_domain(self, rho):
@@ -699,34 +685,38 @@ class TestGrid:
             tabulate_cdf_grid(rho, SMALL_GRID)
 
     def test_nan_coordinates_rejected(self):
-        # the lookup and the dispatcher share one check, before any NaN
-        # reaches the integer cell index
+        # the lookup, the table and the dispatcher share one check, before
+        # any NaN reaches the integer cell index
         grid = tabulate_cdf_grid(0.3, SMALL_GRID)
-        for z1, z2 in [(float("nan"), 0.0), (0.0, float("nan")), ([0.0, float("nan")], [0.0, 0.0])]:
+        for z in (float("nan"), [0.0, float("nan")]):
             with pytest.raises(DomainError, match="non-NaN"):
-                grid.lookup(z1, z2)
+                grid.lookup(z)
             with pytest.raises(DomainError, match="non-NaN"):
-                binorm_cdf(z1, z2, 0.3, method=SMALL_GRID)
-            # a table checks its queries before its correlation
+                binorm_cdf(z, z, 0.3, method=SMALL_GRID)
+            # a table checks its coordinates before its correlation
             for rho in (1.5, 1.0 - 1e-12):
                 with pytest.raises(DomainError, match="non-NaN"):
-                    tabulate_cdf_grid(rho, SMALL_GRID, (z1, z2))
+                    tabulate_cdf_grid(rho, SMALL_GRID, z)
+        # a NaN is a domain error before it is an off-diagonal point
+        for z1, z2 in [(float("nan"), 0.0), (0.0, float("nan")), ([0.0, float("nan")], [1.0, 1.0])]:
+            with pytest.raises(DomainError, match="non-NaN"):
+                binorm_cdf(z1, z2, 0.3, method=SMALL_GRID)
 
-    @pytest.mark.parametrize(
-        "queries",
-        [(0.0,), [0.0], (0.0, 0.0, 0.0), np.zeros(3), 5.0, "ab", ("a", "b"), ([1 + 1j], [0.0]), ([0.0], {})],
-        ids=["one", "list-one", "three", "flat-array", "scalar", "string", "strings", "complex", "dict"],
-    )
-    def test_malformed_queries_rejected(self, queries):
-        # a table is sized only from a pair of real coordinate arrays, checked
-        # before the correlation
-        for rho in (0.3, 1.5):
-            with pytest.raises(ConfigError, match="queries must be a pair"):
-                tabulate_cdf_grid(rho, SMALL_GRID, queries)
+    def test_off_diagonal_grid_query_rejected(self):
+        # every grid correlation, the closed forms at +/-1 among them, serves
+        # only z1 = z2; the oracle stays general
+        for rho in (0.3, 1.0, -1.0, [0.3, 1.0]):
+            for z1, z2 in [(0.1, 0.2), ([0.0, 1.0], [0.0, 1.5]), (-50.0, -60.0)]:
+                with pytest.raises(ConfigError, match="diagonal z1 = z2"):
+                    binorm_cdf(z1, z2, rho, method=SMALL_GRID)
+                binorm_cdf(z1, z2, rho)
+        # arguments broadcast before the check
+        z = np.linspace(-1.0, 1.0, 3)
+        assert binorm_cdf(z, z[None, :], 0.3, SMALL_GRID).tolist() == [binorm_cdf(z, z, 0.3, SMALL_GRID).tolist()]
 
     def test_degenerate_rho_rejected(self):
         with pytest.raises(DegenerateCorrelationError):
-            binorm_cdf_grid(0.0, 0.0, 1.0 - 1e-12, SMALL_GRID)
+            binorm_cdf_grid(0.0, 1.0 - 1e-12, SMALL_GRID)
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ConfigError):
@@ -735,8 +725,8 @@ class TestGrid:
             GridSpec(cells_per_axis=1)
 
     def test_dispatcher_routes_degenerate_to_closed_form(self):
-        assert binorm_cdf(0.4, 1.2, 1.0, method="grid") == phi1(0.4)
-        assert binorm_cdf(0.4, 1.2, -1.0, method="grid") == 1.0 - phi1(-0.4) - phi1(-1.2)
+        assert binorm_cdf(0.4, 0.4, 1.0, method="grid") == phi1(0.4)
+        assert binorm_cdf(0.4, 0.4, -1.0, method="grid") == 1.0 - phi1(-0.4) - phi1(-0.4)
         for method in ("simpson", 400, None, "Grid"):
             with pytest.raises(ConfigError, match="expected 'grid', 'oracle' or a GridSpec"):
                 binorm_cdf(0.0, 0.0, 0.3, method=method)
@@ -746,6 +736,15 @@ class TestGrid:
         z = np.linspace(-3.0, 2.0, 7)
         rho = np.array([0.0, 0.25, 0.5, 0.75, 0.99, 1.0, -1.0])
         assert binorm_cdf(z, z, rho, method=DEFAULT_GRID).tolist() == binorm_cdf(z, z, rho, method="grid").tolist()
+
+    def test_each_route_states_one_bound(self):
+        # the oracle's measured error is at most 1.7e-13; the grid keeps its
+        # documented 1e-3 at any spec
+        assert levdiv.gaussian._error_bound("oracle") == 1e-12
+        for method in ("grid", DEFAULT_GRID, SMALL_GRID):
+            assert levdiv.gaussian._error_bound(method) == 1e-3
+        with pytest.raises(ConfigError, match="unknown method"):
+            levdiv.gaussian._error_bound("quad")
 
     def test_dispatcher_groups_by_correlation(self):
         # one tabulation per distinct correlation below 1, and none kept
@@ -814,20 +813,29 @@ class TestThreadedGrid:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_worker_error_reaches_caller(self, monkeypatch, workers):
-        # the first error in correlation order, with the serial message: NaNs
-        # in two tabulated cells and in the rho = 1 closed-form cell above
-        # them, then one in the rho = -1 closed-form cell below them all
+        # the first error in correlation order: two tabulated correlations
+        # fail, then the rho = 1 closed-form cell, which rejects an infinite
+        # coordinate, then the rho = -1 one below them all
+        real = levdiv.gaussian.binorm_cdf_grid
+
+        def failing(z, rho, spec):
+            if rho in (self.RHO[3], self.RHO[9]):
+                raise DomainError(f"failed at {rho}")
+            return real(z, rho, spec)
+
+        monkeypatch.setattr(levdiv.gaussian, "binorm_cdf_grid", failing)
         z = self.Z.copy()
-        z[[3, 9, 19]] = np.nan
+        z[19] = math.inf
         assert self.RHO[19] == 1.0
-        with pytest.raises(DomainError) as serial:
-            binorm_cdf_grid(z[3], 0.0, self.RHO[3])
-        with pytest.raises(DomainError) as threaded:
-            self._at_workers(monkeypatch, workers, lambda: binorm_cdf(z, self.Z, self.RHO, "grid"))
-        assert str(threaded.value) == str(serial.value) == "binorm_cdf_grid requires non-NaN coordinates"
-        z[-2] = np.nan  # rho = -1, the lowest correlation
+        with pytest.raises(DomainError, match=r"^failed at 0\.2$"):
+            self._at_workers(monkeypatch, workers, lambda: binorm_cdf(z, z, self.RHO, "grid"))
+        z[-2] = -math.inf  # rho = -1, the lowest correlation
         with pytest.raises(DomainError, match="binorm_cdf_oracle requires finite coordinates"):
-            self._at_workers(monkeypatch, workers, lambda: binorm_cdf(z, self.Z, self.RHO, "grid"))
+            self._at_workers(monkeypatch, workers, lambda: binorm_cdf(z, z, self.RHO, "grid"))
+        # a NaN anywhere is rejected before any worker starts
+        z[5] = np.nan
+        with pytest.raises(DomainError, match="^binorm_cdf_grid requires non-NaN coordinates$"):
+            self._at_workers(monkeypatch, workers, lambda: binorm_cdf(z, z, self.RHO, "grid"))
 
 
 class TestCorrelation:
