@@ -65,9 +65,9 @@ class LeverageScenario:
 
 
 # the rounding level of a difference of two Phi2 values in [0, 1], a few
-# ulps of 1: neither route decreases in z but by rounding (lookups step down
-# by at most 3.3e-16, the oracle by 1.1e-16), so a delta below -_DELTA_SLACK
-# is a defect, not noise
+# ulps of 1: neither route decreases in z but by rounding (linear lookups
+# step down by at most 2.2e-16, the oracle by 1.1e-16), so a delta below
+# -_DELTA_SLACK is a defect, not noise
 _DELTA_SLACK = 1e-15
 
 # cells per Phi2 call of any evaluation: bounds a batch's per-cell arrays,

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError, is_int
-from .gaussian import _usable_cpus
 from .merton import BankStrategy, FixedOverlap, MarketParams, OverlapMode, RandomSelection, check_overlap
 
 # Paths per chunk.  It fixes the order in which the moment sums are added,
@@ -137,6 +137,12 @@ def select_holdings(config: SimConfig, path_index: int) -> tuple[np.ndarray, np.
 def _draw_holdings(rng, N: int, n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
     # random selection, from a generator on the path's stream 1
     return np.sort(rng.permutation(N)[:n1]), np.sort(rng.permutation(N)[:n2])
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -> SimResult:

@@ -6,13 +6,10 @@ adaptive-quadrature reference ``phi2_quad`` checks the Gauss-Legendre
 oracle on a large random sample.
 """
 
-import functools
 import math
 import os
 import subprocess
 import sys
-import threading
-import weakref
 
 import numpy as np
 import pytest
@@ -23,13 +20,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr as scipy_ndtr
 
 import oracle_reference
-from grid_reference import (
-    diagonal_entries,
-    diagonal_nodes,
-    diagonal_tabulation,
-    reference_tabulation,
-    trapezoid_tabulation,
-)
+from grid_reference import reference_tabulation
 from quad_reference import binorm_pdf, phi2_quad
 
 from levdiv import (
@@ -46,7 +37,6 @@ from levdiv import (
     regime_sweep,
     tabulate_cdf_grid,
 )
-from levdiv.cli import compute_table1
 from levdiv.gaussian import _CHUNK, _GENZ_SPLIT, _ndtr, binorm_cdf_grid
 
 # small grid keeps module tests fast; the default 2000-cell grid is
@@ -457,6 +447,12 @@ def cell_centres(spec: GridSpec, cells) -> np.ndarray:
     return spec.z_min + (np.asarray(cells, dtype=float) + 0.5) * spec.cell_width
 
 
+# specs and correlations that the table's exactness tests sweep
+GRID_SPECS = [SMALL_GRID, DEFAULT_GRID, GridSpec(cells_per_axis=2), GridSpec(-6.0, 6.0, 999)]
+GRID_SPEC_IDS = ["small", "default", "two-cells", "odd"]
+GRID_RHOS = [-0.99, -0.4, -0.3, 0.0, 0.05, 0.5, 0.7, 0.9, 0.95, 1.0 - 2e-9]
+
+
 class TestGrid:
     def test_independence_point(self):
         assert binorm_cdf_grid(0.0, 0.0, SMALL_GRID) == pytest.approx(0.25, abs=1e-3)
@@ -488,20 +484,20 @@ class TestGrid:
 
     def test_tabulation_invariants(self):
         vals = tabulate_cdf_grid(0.3, SMALL_GRID).node_values
-        assert vals.shape == (2 * SMALL_GRID.cells_per_axis + 1,)
-        assert vals[:2].tolist() == [0.0, 0.0]  # V(0, 0) and V(1, 0) bound empty rectangles
+        assert vals.shape == (SMALL_GRID.cells_per_axis + 1,)
+        assert vals[0] == 0.0  # V(z_0) integrates over an empty interval
         assert vals.min() >= 0.0
         assert vals.max() <= 1.0 + 1e-3
 
-    # V(r, r) <= V(r + 1, r) <= V(r + 1, r + 1): the table is one
-    # non-decreasing sequence, so a lookup's three nodes never fall
+    # the slope the table sums is non-negative, so V never falls from node
+    # to node, and a lookup's two nodes bracket its value
     @pytest.mark.parametrize(
         "spec", [SMALL_GRID, DEFAULT_GRID, GridSpec(cells_per_axis=2)], ids=["small", "default", "two-cells"]
     )
     def test_node_values_never_fall_along_the_diagonal(self, spec):
         for rho in (-0.99, -0.6, 0.0, 0.3, 0.9, 0.999, 1.0 - 2e-9):
             vals = tabulate_cdf_grid(rho, spec).node_values
-            assert (vals[:-2:2] <= vals[1::2]).all() and (vals[1::2] <= vals[2::2]).all(), rho
+            assert (vals[:-1] <= vals[1:]).all(), rho
 
     def test_tabulation_deterministic(self):
         a = tabulate_cdf_grid(0.3, SMALL_GRID)
@@ -509,19 +505,20 @@ class TestGrid:
         assert a is not b  # no table is kept between calls
         assert np.array_equal(a.node_values, b.node_values)
 
-    @pytest.mark.parametrize("spec", [SMALL_GRID, DEFAULT_GRID], ids=["small", "default"])
-    @pytest.mark.parametrize("rho", [-0.4, 0.05, 0.7, 0.95])
+    # a table sized from its queries is bit for bit the leading block of
+    # the full one: two nodes, three, half the axis, all but one, all
+    @pytest.mark.parametrize("spec", GRID_SPECS, ids=GRID_SPEC_IDS)
+    @pytest.mark.parametrize("rho", GRID_RHOS)
     def test_bounded_tabulation_is_leading_block(self, spec, rho):
         full = tabulate_cdf_grid(rho, spec)
         nodes = spec.cells_per_axis + 1
-        blocks = [
-            (tabulate_cdf_grid(rho, spec, cell_centres(spec, range(m - 1))), m)
-            for m in (2, spec.cells_per_axis // 2 + 1, nodes)
-        ]
-        for block, m in [*blocks, (full, nodes)]:
+        for m in sorted({2, 3, nodes // 2 + 1, nodes - 1, nodes}):
+            block = tabulate_cdf_grid(rho, spec, cell_centres(spec, range(m - 1)))
             assert block.axis_coordinates.size == m
-            assert block.node_values.shape == (2 * m - 1,)
-            assert np.array_equal(block.node_values, full.node_values[: 2 * m - 1])
+            assert block.node_values.shape == (m,)
+            assert np.array_equal(block.node_values, full.node_values[:m])
+            assert np.array_equal(block.axis_coordinates, full.axis_coordinates[:m])
+            assert not (block.node_values.flags.writeable or block.axis_coordinates.flags.writeable)
 
     @pytest.mark.parametrize("spec", [SMALL_GRID, DEFAULT_GRID], ids=["small", "default"])
     def test_bounded_lookup_matches_full_grid(self, spec):
@@ -534,111 +531,50 @@ class TestGrid:
                 got = binorm_cdf(z, z, rho, method=spec)
                 assert got.tolist() == full.tolist()
 
-    # the rule the table applies, with no vectorised reference: node (r, c)
-    # holds the 2D trapezoid sum over [z_0, z_r] x [z_0, z_c], weights 1/2 on
-    # the edges and 1/4 at the corners, of the normalised density, and the
-    # table holds the nodes (r, r) and (r + 1, r).  Its exponent is written
-    # as the library writes it, since at rho = -0.99 an exponent near -64
-    # carries tens of ulps of its own rounding in any other form.
+    # the rule the table applies, with no vectorised reference: node r
+    # holds the trapezoid sum over the cells below it of Plackett's slope
+    # 2 phi(t) Phi(c t), with exp from math and Phi from phi1
     @pytest.mark.parametrize("rho", [-0.99, 0.0, 0.5, 1.0 - 2e-9])
-    def test_tabulation_is_the_product_trapezoid_rule(self, rho):
+    def test_tabulation_is_the_cumulative_trapezoid_rule(self, rho):
         spec = GridSpec(-2.0, 2.0, 5)
         z = np.linspace(spec.z_min, spec.z_max, spec.cells_per_axis + 1).tolist()
-        omr2 = (1.0 - rho) * (1.0 + rho)
-        root_c = math.sqrt(0.5 / omr2)
+        c = math.sqrt((1.0 - rho) / (1.0 + rho))
 
-        def density(x, y):
-            return math.exp(-0.5 * y * y - (root_c * x - root_c * rho * y) ** 2) / (2.0 * math.pi * math.sqrt(omr2))
-
-        def weight(i, last):
-            return 0.5 if i in (0, last) else 1.0
+        def slope(t):
+            return 2.0 * math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi) * phi1(c * t)
 
         got = tabulate_cdf_grid(rho, spec).node_values
-        for entry, (r, c) in enumerate(diagonal_nodes(len(z))):
+        for r in range(len(z)):
             want = 0.0
-            if r and c:  # row and column 0 bound an empty rectangle
-                for i in range(r + 1):
-                    for j in range(c + 1):
-                        want += weight(i, r) * weight(j, c) * density(z[i], z[j]) * spec.cell_width**2
-            assert abs(got[entry] - want) <= 4 * math.ulp(want), (r, c)
+            for a in range(r):
+                want += 0.5 * spec.cell_width * (slope(z[a]) + slope(z[a + 1]))
+            assert abs(got[r] - want) <= 4 * math.ulp(want), r
 
-    # the old corner-mean fill (reference_tabulation) is the accuracy anchor,
-    # and the old square trapezoid fill a second one: the diagonal fill sums
-    # the same volumes in another order.  Tables reach about 228 on the
-    # two-cell spec, so the bound scales with them.  At rho = 1 - 2e-9 the
-    # corner-mean anchor's cancelling quadratic form carries up to 2e-6
-    # relative density error, so that correlation is pinned by the
-    # trapezoid-rule test above instead.
-    @pytest.mark.parametrize(
-        "spec",
-        [SMALL_GRID, DEFAULT_GRID, GridSpec(cells_per_axis=2), GridSpec(-6.0, 6.0, 999)],
-        ids=["small", "default", "two-cells", "odd"],
-    )
-    def test_tabulation_matches_corner_mean_reference(self, spec):
-        for rho in (-0.99, -0.8, -0.6, -0.4, -0.3, 0.0, 0.05, 0.1, 0.3, 0.45, 0.5, 0.6, 0.7, 0.9, 0.95, 0.999):
+    # scipy's ndtr and cumulative_trapezoid, which round in another order:
+    # the running sums drift apart by at most 24 ulps of the value (default
+    # spec, near V = 1), so the bound is 32
+    @pytest.mark.parametrize("spec", GRID_SPECS, ids=GRID_SPEC_IDS)
+    def test_tabulation_matches_scipy_reference(self, spec):
+        for rho in (-0.9999, -0.99, -0.8, -0.4, 0.0, 0.05, 0.3, 0.5, 0.7, 0.9, 0.95, 0.999, 0.99999, 1.0 - 2e-9):
             got = tabulate_cdf_grid(rho, spec).node_values
-            for anchor in (reference_tabulation, trapezoid_tabulation):
-                want = diagonal_entries(anchor(rho, spec))
-                assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, want)), (anchor.__name__, rho)
-
-    # the scratch budget at its default, at one row per block, and above the
-    # whole table, each against one reference per table; at the default,
-    # extents around isqrt(budget) give one block, one full block, and a full
-    # block plus a ragged one
-    @pytest.mark.parametrize(
-        "spec",
-        [SMALL_GRID, DEFAULT_GRID, GridSpec(cells_per_axis=2), GridSpec(-6.0, 6.0, 999)],
-        ids=["small", "default", "two-cells", "odd"],
-    )
-    def test_blocked_tabulation_is_bit_identical(self, monkeypatch, spec):
-        nodes = spec.cells_per_axis + 1
-        rows = math.isqrt(levdiv.gaussian._SCRATCH_BUDGET)
-        budgets = {"default": levdiv.gaussian._SCRATCH_BUDGET, "one-row": 1, "whole-table": nodes * nodes}
-        extents = [m for m in (2, 3, rows - 1, rows, rows + 1, rows + 2) if m < nodes] + [None]
-        for rho in (-0.99, -0.3, 0.0, 0.05, 0.5, 0.9, 1.0 - 2e-9):
-            for extent in extents:
-                want = diagonal_tabulation(rho, spec, extent)
-                z = None if extent is None else cell_centres(spec, range(extent - 1))
-                for budget, doubles in budgets.items():
-                    monkeypatch.setattr(levdiv.gaussian, "_SCRATCH_BUDGET", doubles)
-                    got = tabulate_cdf_grid(rho, spec, z)
-                    assert np.array_equal(got.node_values, want.node_values), (rho, extent, budget)
-                    assert np.array_equal(got.axis_coordinates, want.axis_coordinates)
-                    assert not (got.node_values.flags.writeable or got.axis_coordinates.flags.writeable)
+            want = reference_tabulation(rho, spec)
+            assert np.all(np.abs(got - want) <= 32 * np.spacing(want)), rho
 
     # the highest cell alone sizes a table, whichever others are queried:
     # the first and last cells of the full axis and of a half block, both
     # together, scattered cells, and every cell of the half block
-    @pytest.mark.parametrize("budget", ["default", "one-row", "whole-table"])
     @pytest.mark.parametrize(
         "spec", [DEFAULT_GRID, SMALL_GRID, GridSpec(cells_per_axis=2)], ids=["default", "small", "two-cells"]
     )
     @pytest.mark.parametrize("rho", [-0.6, 0.3, 0.999])
-    def test_table_is_sized_by_its_highest_cell(self, monkeypatch, spec, rho, budget):
-        nodes = spec.cells_per_axis + 1
-        doubles = {"default": levdiv.gaussian._SCRATCH_BUDGET, "one-row": 1, "whole-table": nodes * nodes}[budget]
-        monkeypatch.setattr(levdiv.gaussian, "_SCRATCH_BUDGET", doubles)
+    def test_table_is_sized_by_its_highest_cell(self, spec, rho):
+        full = tabulate_cdf_grid(rho, spec).node_values
         last = spec.cells_per_axis - 1
         half = last // 2
-        references = {}
         for cells in ([0], [last], [half], [0, last], sorted({1, half // 3, half // 2, half}), range(half + 1)):
             extent = max(cells) + 2
-            if extent not in references:
-                references[extent] = diagonal_tabulation(rho, spec, extent).node_values
             got = tabulate_cdf_grid(rho, spec, cell_centres(spec, cells)[::-1])
-            assert np.array_equal(got.node_values, references[extent]), extent
-
-    # the running sum is one axis-0 reduce per block; it must add the rows
-    # in order, as the reference's cumsum does.  Rows spanning 24 orders of
-    # magnitude round differently in any other order.  One column would
-    # reduce pairwise, but a block has at least two.
-    @pytest.mark.parametrize("shape", [(54, 1225), (300, 800), (257, 256), (3, 1225), (200, 2), (200, 9), (1000, 17)])
-    def test_axis0_reduce_adds_rows_in_order(self, shape):
-        rng = np.random.default_rng(7)
-        block = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, size=shape)
-        in_order = functools.reduce(np.add, block)
-        assert not np.array_equal(functools.reduce(np.add, block[::-1]), in_order)
-        assert np.array_equal(np.add.reduce(block, axis=0), in_order)
+            assert np.array_equal(got.node_values, full[:extent]), extent
 
     def test_lookup_types(self):
         full = tabulate_cdf_grid(0.3, SMALL_GRID)
@@ -661,7 +597,7 @@ class TestGrid:
         binorm_cdf_grid(z, 0.3, SMALL_GRID)
         assert tables[-1].axis_coordinates.size == 42
         assert binorm_cdf_grid([], 0.3, SMALL_GRID).shape == (0,)
-        assert tables[-1].node_values.shape == (3,)  # no coordinates: one cell
+        assert tables[-1].node_values.shape == (2,)  # no coordinates: one cell
 
     def test_lookup_past_bounded_block_rejected(self):
         grid = tabulate_cdf_grid(0.3, SMALL_GRID, cell_centres(SMALL_GRID, range(99)))
@@ -757,85 +693,52 @@ class TestGrid:
         assert after.currsize == 0
         assert got.tolist() == [binorm_cdf(a, a, r, method=SMALL_GRID) for a, r in zip(z, rho)]
 
-
-class TestThreadedGrid:
-    # correlations n/20 with their diagonal thresholds, the closed forms at
-    # +/-1 among them, on the default grid
-    RHO = np.concatenate([np.arange(1, 21) / 20, [-1.0, -0.35]])
-    Z = np.linspace(-3.0, 2.0, RHO.size)
-
-    @staticmethod
-    def _at_workers(monkeypatch, workers, fn):
-        # workers=None leaves the real usable-CPU count
-        if workers is not None:
-            monkeypatch.setattr(levdiv.gaussian, "_usable_cpus", lambda: workers)
-        return fn()
-
-    def test_bits_do_not_depend_on_workers(self, monkeypatch):
-        # one worker per usable CPU, 2 and 3 workers, then more workers than
-        # correlations and cores, switching every few microseconds: a table
-        # or cell written by the wrong worker would change the bits
-        def run():
-            return binorm_cdf(self.Z, self.Z, self.RHO, "grid"), compute_table1("grid", 0.01)
-
-        cells, table = self._at_workers(monkeypatch, 1, run)
-        for workers in (None, 2, 3, self.RHO.size + 2 * (os.cpu_count() or 1)):
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-5)
-            try:
-                got_cells, got_table = self._at_workers(monkeypatch, workers, run)
-            finally:
-                sys.setswitchinterval(interval)
-            assert got_cells.tolist() == cells.tolist(), workers
-            assert got_table == table, workers
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_one_table_per_worker_at_a_time(self, monkeypatch, workers):
-        lock, live, peak = threading.Lock(), [0], [0]
-        real = levdiv.gaussian.tabulate_cdf_grid
-
-        def released():
-            with lock:
-                live[0] -= 1
-
-        def spy(*args):
-            grid = real(*args)
-            with lock:
-                live[0] += 1
-                peak[0] = max(peak[0], live[0])
-            weakref.finalize(grid, released)
-            return grid
-
-        monkeypatch.setattr(levdiv.gaussian, "tabulate_cdf_grid", spy)
-        self._at_workers(monkeypatch, workers, lambda: binorm_cdf(self.Z, self.Z, self.RHO, "grid"))
-        assert 1 <= peak[0] <= workers
-        assert live[0] == 0
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_worker_error_reaches_caller(self, monkeypatch, workers):
-        # the first error in correlation order: two tabulated correlations
-        # fail, then the rho = 1 closed-form cell, which rejects an infinite
-        # coordinate, then the rho = -1 one below them all
+    def test_error_reaches_caller_in_correlation_order(self, monkeypatch):
+        # correlations n/20 with their diagonal thresholds, the closed forms
+        # at +/-1 among them: the first error in ascending correlation order
+        # wins.  Two tabulated correlations fail, then the rho = 1
+        # closed-form cell, which rejects an infinite coordinate, then the
+        # rho = -1 one below them all
+        rho = np.concatenate([np.arange(1, 21) / 20, [-1.0, -0.35]])
         real = levdiv.gaussian.binorm_cdf_grid
 
-        def failing(z, rho, spec):
-            if rho in (self.RHO[3], self.RHO[9]):
-                raise DomainError(f"failed at {rho}")
-            return real(z, rho, spec)
+        def failing(z, value, spec):
+            if value in (rho[3], rho[9]):
+                raise DomainError(f"failed at {value}")
+            return real(z, value, spec)
 
         monkeypatch.setattr(levdiv.gaussian, "binorm_cdf_grid", failing)
-        z = self.Z.copy()
+        z = np.linspace(-3.0, 2.0, rho.size)
         z[19] = math.inf
-        assert self.RHO[19] == 1.0
+        assert rho[19] == 1.0
         with pytest.raises(DomainError, match=r"^failed at 0\.2$"):
-            self._at_workers(monkeypatch, workers, lambda: binorm_cdf(z, z, self.RHO, "grid"))
+            binorm_cdf(z, z, rho, "grid")
         z[-2] = -math.inf  # rho = -1, the lowest correlation
         with pytest.raises(DomainError, match="binorm_cdf_oracle requires finite coordinates"):
-            self._at_workers(monkeypatch, workers, lambda: binorm_cdf(z, z, self.RHO, "grid"))
-        # a NaN anywhere is rejected before any worker starts
+            binorm_cdf(z, z, rho, "grid")
+        # a NaN anywhere is rejected before any table is built
         z[5] = np.nan
+        before = tabulate_cdf_grid.cache_info().misses
         with pytest.raises(DomainError, match="^binorm_cdf_grid requires non-NaN coordinates$"):
-            self._at_workers(monkeypatch, workers, lambda: binorm_cdf(z, z, self.RHO, "grid"))
+            binorm_cdf(z, z, rho, "grid")
+        assert tabulate_cdf_grid.cache_info().misses == before
+
+    # the slope 2 phi(t) Phi(c t) stays smooth as rho -> 1, so the table
+    # holds there: measured about 3.2e-6 from the oracle
+    @pytest.mark.parametrize("rho", [0.99999, 0.999999, 1.0 - 2e-9])
+    def test_grid_holds_near_unit_correlation(self, rho):
+        z = np.linspace(-3.0, 2.0, 501)
+        assert np.abs(binorm_cdf(z, z, rho, "grid") - binorm_cdf_oracle(z, z, rho)).max() <= 1e-5
+
+    # the grid's 1e-3 bound covers rho in [-0.9999, 1] at the default spec,
+    # closed forms at +/-1 included; past -0.9999, Phi(c t) nears a step at
+    # t = 0 and the error tends to h phi(0) / 2 = 1.6e-3
+    def test_grid_bound_holds_over_its_correlation_range(self):
+        bound = levdiv.gaussian._error_bound("grid")
+        z = np.linspace(-8.5, 8.5, 3401)
+        for rho in (-0.9999, -0.999, -0.99, -0.9, -0.5, 0.0, 0.3, 0.5, 0.9, 0.99, 0.999999, 1.0 - 2e-9, 1.0):
+            err = np.abs(binorm_cdf(z, z, rho, "grid") - binorm_cdf_oracle(z, z, rho)).max()
+            assert err <= bound, rho
 
 
 class TestCorrelation:
