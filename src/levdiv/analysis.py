@@ -9,18 +9,22 @@ leverage from a normal level f_n to an abnormal level f_a raises it by
 A cell (N, n, chi) is "safe" when that increase is at most epsilon_safe,
 and the critical diversification n* is the smallest n whose whole suffix
 [n, N] is safe: one more than the largest risky n of the (N, chi) column,
-1 when none is risky, and None (not an error) when n = N is risky.  One
-generator, ``_deltas``, evaluates the cells of every entry point at the
-chi and mu T each column is labelled with: from each column's n range it
-generates them in closed form, evaluates them in batches of a bounded
-number of cells and rejects a materially negative differential.  A sweep
+1 when none is risky, and None (not an error) when n = N is risky.  Every
+entry point checks its box once, in ``_box``, which lays out its columns
+(scenario, N, market) and tabulates z once per (scenario, market, n): z
+depends on f, n, chi and mu T but not on N, which enters only through
+rho = n/N.  One generator, ``_deltas``, evaluates the cells of every entry
+point: from each column's n range it generates them in closed form, reads
+their z from the box, evaluates them in batches of a bounded number of
+cells and rejects a materially negative differential.  A sweep
 passes 1 <= n <= N and takes that maximum.  A critical scan first brackets
 each n* by Phi1 alone: on the diagonal, delta is the integral of
 2 phi(t) Phi(c t) over [z_n, z_a] with c = sqrt((1 - rho) / (1 + rho)) in
 [0, 1] (Plackett 1954, Biometrika 41:351), and Phi(c t) lies between
 Phi(t) and 1/2, which gives bounds L <= delta <= U for any rho in [0, 1]
-(``_bounds``).  Cells the bounds decide need no Phi2, so the scan passes
-``_deltas`` only the cells its bracket leaves open, once, and a dense
+(``_bounds``, Phi1 of the box's z).  Cells the bounds decide need no Phi2,
+so the scan passes ``_deltas`` only the cells its bracket leaves open,
+once; its memory stays O(scenarios x markets x max N), and a dense
 boundary map needs about as much memory as a small one.
 
 A regime sweep is held as columns: ``SweepResult`` keeps read-only arrays
@@ -155,15 +159,20 @@ def delta_phi2(
     size = market.market_size
     if not is_int(n) or not 1 <= n <= size:
         raise DomainError(f"invalid cell (N={size}, n={n!r}): need 1 <= n <= N")
-    chi, shift = [market.chi], [market.drift * market.horizon]
-    _check_box([size], chi, shift, 0.0)
-    cols, cell = _columns(1, [size], 1), np.array([n])
-    return next(_deltas([scenario], chi, shift, cols, np.zeros(1, int), cell, cell, method))[2].item()
+    box, cell = _box([scenario], [size], [market.chi], [market.drift * market.horizon], 0.0, n), np.array([n])
+    return next(_deltas(box, np.zeros(1, int), cell, cell, method))[2].item()
 
 
-def _check_box(market_sizes: Sequence[int], chi: Sequence, shift: Sequence, epsilon_safe: float) -> None:
-    """Check a box up front, in this order: its market sizes, that it has
-    markets, each market's chi and shift mu T, epsilon_safe."""
+def _box(scenarios: Sequence, market_sizes: Sequence, chi: Sequence, shift: Sequence, epsilon_safe: float, top=None):
+    """Check a box up front, in this order: its scenarios, its market sizes,
+    that it has markets, each market's chi and shift mu T, epsilon_safe.
+    Returns its columns (scenario s, N, market m) in that order as the rows
+    of a (3, columns) array, the markets' chi as floats, and the threshold
+    z[level, s, m, n - 1] of the normal (level 0) and abnormal (1) leverage
+    at n = 1..top, the largest market size unless given.  z does not depend
+    on N, so the table serves every column of its (s, m)."""
+    if len(scenarios) == 0:
+        raise ConfigError("scenarios must be non-empty")
     if len(market_sizes) == 0:
         raise ConfigError("market_sizes must be non-empty")
     for size in market_sizes:
@@ -178,26 +187,22 @@ def _check_box(market_sizes: Sequence[int], chi: Sequence, shift: Sequence, epsi
         raise DomainError("delta_phi2 requires chi > 0 (sigma > 0 and T > 0)")
     if not (math.isfinite(epsilon_safe) and epsilon_safe >= 0.0):
         raise DomainError(f"epsilon_safe must be finite and >= 0, got {epsilon_safe!r}")
+    grid = np.meshgrid(range(len(scenarios)), market_sizes, range(len(chi)), indexing="ij")
+    f = np.array([[sc.f_normal, sc.f_abnormal] for sc in scenarios]).T[..., None, None]
+    chi, shift = np.asarray(chi, dtype=float), np.asarray(shift, dtype=float)[:, None]
+    n = np.arange(1, (max(market_sizes) if top is None else top) + 1)
+    return np.array(grid, dtype=int).reshape(3, -1), chi, z_cells(f, n, chi[:, None], shift)
 
 
-def _columns(scenario_count: int, market_sizes: Sequence[int], market_count: int) -> np.ndarray:
-    """The columns (scenario s, N, market m) of a box in that order, as the
-    rows of a (3, columns) array."""
-    grid = np.meshgrid(range(scenario_count), market_sizes, range(market_count), indexing="ij")
-    return np.array(grid, dtype=int).reshape(3, -1)
-
-
-def _deltas(scenarios: Sequence, chi: Sequence, shift: Sequence, cols, live, lo, hi, method: str | GridSpec):
+def _deltas(box, live, lo, hi, method: str | GridSpec):
     """delta_phi2 at the cells lo[j] <= n <= hi[j] of each column live[j] of
-    ``cols`` (see ``_columns``), yielded as batches (c, n, delta): each
-    cell's column, n and differential.  Market m has risk constant chi[m]
-    and drift shift mu T = shift[m].  Columns run in the order given, n
-    ascending; a batch is one Phi2 call of at most _SCAN_BUDGET cells, cut
-    only between columns (a larger column is one batch).  Raises DomainError
-    at the first cell negative beyond _DELTA_SLACK."""
-    s, size, m = cols
-    f = np.array([[sc.f_normal, sc.f_abnormal] for sc in scenarios])
-    chi, shift = np.asarray(chi, dtype=float), np.asarray(shift, dtype=float)
+    the ``_box``, yielded as batches (c, n, delta): each cell's column, n
+    and differential, with z read from the box's table.  Columns run in the
+    order given, n ascending; a batch is one Phi2 call of at most
+    _SCAN_BUDGET cells, cut only between columns (a larger column is one
+    batch).  Raises DomainError at the first cell negative beyond
+    _DELTA_SLACK."""
+    (s, size, m), chi, table = box
     held = hi >= lo
     live, lo, count = live[held], lo[held], (hi - lo + 1)[held]
     ends = np.cumsum(count)  # column j's cells are [ends[j] - count[j], ends[j])
@@ -208,7 +213,7 @@ def _deltas(scenarios: Sequence, chi: Sequence, shift: Sequence, cols, live, lo,
         k = count[first:last]
         c = np.repeat(live[first:last], k)
         n = np.repeat(lo[first:last] - (ends[first:last] - k - base), k) + np.arange(ends[last - 1] - base)
-        z = np.stack([z_cells(f, n, chi[m[c]], shift[m[c]], at=(s[c], level)) for level in (0, 1)])
+        z = table[:, s[c], m[c], n - 1]
         pd = binorm_cdf(z, z, correlation_law(n, size[c])[0], method)
         delta = pd[1] - pd[0]
         bad = np.flatnonzero(~(delta >= -_DELTA_SLACK))
@@ -231,11 +236,10 @@ def _levels(cols, star: np.ndarray, labels: Sequence, scenario_count: int) -> li
     return levels
 
 
-def _bounds(scenarios: Sequence[LeverageScenario], chi: Sequence, shift: Sequence, top: int):
-    """Phi1-only bounds L <= delta <= U at n = 1..top of each scenario s and
-    market m (chi and shift as in ``_deltas``), and delta at rho = 1, each as
-    an array indexed [s, m, n - 1].  With a = z_a(n), b = z_n(n),
-    x- = min(x, 0) and x+ = max(x, 0),
+def _bounds(z: np.ndarray):
+    """Phi1-only bounds L <= delta <= U at each (s, m, n) of a ``_box``'s
+    z table, and delta at rho = 1, each as an array indexed [s, m, n - 1].
+    With a = z_a(n), b = z_n(n), x- = min(x, 0) and x+ = max(x, 0),
 
         L = Phi(a-)^2 - Phi(b-)^2 + Phi(a+) - Phi(b+),
         U = Phi(a-) - Phi(b-) + Phi(a+)^2 - Phi(b+)^2,
@@ -244,26 +248,20 @@ def _bounds(scenarios: Sequence[LeverageScenario], chi: Sequence, shift: Sequenc
     Phi(t) or 1/2 on each side of t = 0.  Neither depends on rho, so they
     serve every market size N.  At rho = 1 delta is Phi(a) - Phi(b), the
     closed form every Phi2 route takes there, with the same z and Phi bits."""
-    f = np.array([[sc.f_normal, sc.f_abnormal] for sc in scenarios]).reshape(-1, 2)
-    n = np.arange(1, top + 1)
-    chi, shift = np.asarray(chi, dtype=float)[:, None], np.asarray(shift, dtype=float)[:, None]
-    s = np.arange(len(f))[:, None, None]
-    pb, pa = (_ndtr(z_cells(f, n, chi, shift, at=(s, level))) for level in (0, 1))
+    pb, pa = _ndtr(z)
     # Phi(0) = 1/2 exactly, so Phi(x-) = min(Phi(x), 1/2) and Phi(x+) = max(Phi(x), 1/2)
     lb, la, hb, ha = np.minimum(pb, 0.5), np.minimum(pa, 0.5), np.maximum(pb, 0.5), np.maximum(pa, 0.5)
     return la * la - lb * lb + ha - hb, la - lb + ha * ha - hb * hb, pa - pb
 
 
-def _bracket(
-    scenarios: Sequence[LeverageScenario], chi: Sequence, shift: Sequence, cols, epsilon_safe: float, margin: float
-):
-    """Per column (s, N, m) of ``cols`` (see ``_columns``), lo <= n* <= hi
-    with n* = N + 1 for None, from ``_bounds``: lo is N + 1 where delta at
-    n = N is risky, else 1 + the largest n <= N with L > epsilon_safe +
-    margin; hi is 1 + the largest n <= N with U > epsilon_safe - margin (1
-    if none).  The cells lo <= n < min(hi, N) are the ones left open."""
-    s, size, m = cols
-    low, high, full = _bounds(scenarios, chi, shift, int(size.max(initial=1)))
+def _bracket(box, epsilon_safe: float, margin: float):
+    """Per column (s, N, m) of the ``_box``, lo <= n* <= hi with n* = N + 1
+    for None, from ``_bounds``: lo is N + 1 where delta at n = N is risky,
+    else 1 + the largest n <= N with L > epsilon_safe + margin; hi is 1 +
+    the largest n <= N with U > epsilon_safe - margin (1 if none).  The
+    cells lo <= n < min(hi, N) are the ones left open."""
+    (s, size, m), _, z = box
+    low, high, full = _bounds(z)
     n = np.arange(1, low.shape[-1] + 1)
     # running maxima over n: at (s, m, N - 1), 1 + the largest n <= N past its threshold
     lo, hi = (
@@ -273,32 +271,25 @@ def _bracket(
     return np.where(full[s, m, size - 1] <= epsilon_safe, lo, size + 1), hi
 
 
-def _scan(
-    scenarios: Sequence[LeverageScenario], market_sizes: Sequence[int], labels: Sequence,
-    chi: Sequence, shift: Sequence, method: str | GridSpec, epsilon_safe: float,
-) -> list[dict]:
+def _scan(box, labels: Sequence, method: str | GridSpec, epsilon_safe: float) -> list[dict]:
     """Per scenario, {(N, label): n*} for each market size and labelled
-    market (chi and shift as in ``_deltas``).  ``_bracket`` bounds each
-    column's n* by Phi1 alone, with the method's stated error bound as margin,
-    and closes a column that is risky at n = N as None.  The cells it leaves
-    open, lo <= n < min(hi, N), go to ``_deltas`` in one pass, columns in
-    order of N, and n* is one more than the largest risky n among them, or
-    lo if none is.  Memory is bounded by the batch and the bounds, scenarios
-    x markets x max N doubles, not by the box.  An empty scenario list is
-    rejected before the box's own checks."""
-    if len(scenarios) == 0:
-        raise ConfigError("scenarios must be non-empty")
-    _check_box(market_sizes, chi, shift, epsilon_safe)
-    cols = _columns(len(scenarios), market_sizes, len(chi))
+    market of the ``_box``.  ``_bracket`` bounds each column's n* by Phi1
+    alone, with the method's stated error bound as margin, and closes a
+    column that is risky at n = N as None.  The cells it leaves open, lo <=
+    n < min(hi, N), go to ``_deltas`` in one pass, columns in order of N,
+    and n* is one more than the largest risky n among them, or lo if none
+    is.  Memory is bounded by the batch and the box's z table and bounds,
+    O(scenarios x markets x max N) doubles, not by the box's cells."""
+    cols, _, z = box
     size = cols[1]
-    star, hi = _bracket(scenarios, chi, shift, cols, epsilon_safe, _error_bound(method))
+    star, hi = _bracket(box, epsilon_safe, _error_bound(method))
     # by N: columns of one size share their correlations, which the grid
     # tabulates once per batch
     live = np.argsort(size, kind="stable")
-    for c, n, delta in _deltas(scenarios, chi, shift, cols, live, star[live], np.minimum(hi, size)[live] - 1, method):
+    for c, n, delta in _deltas(box, live, star[live], np.minimum(hi, size)[live] - 1, method):
         risky = ~(delta <= epsilon_safe)
         np.maximum.at(star, c[risky], n[risky] + 1)
-    return _levels(cols, star, labels, len(scenarios))
+    return _levels(cols, star, labels, z.shape[1])
 
 
 def critical_diversification(
@@ -329,7 +320,7 @@ def critical_table(
     """Critical diversification at every (N, chi), per scenario, from one
     scan of the cells a Phi1-only bracket leaves open."""
     chis = [float(c) for c in chi_values]
-    return _scan(scenarios, market_sizes, chis, chis, [0.0] * len(chis), method, epsilon_safe)
+    return _scan(_box(scenarios, market_sizes, chis, [0.0] * len(chis), epsilon_safe), chis, method, epsilon_safe)
 
 
 def regime_sweep(
@@ -348,13 +339,12 @@ def regime_sweep(
     repeated sweeps produce identical results.
     """
     chis = [float(c) for c in chi_values]
-    shift = [mu] * len(chis)
-    _check_box(market_sizes, chis, shift, epsilon_safe)
-    cols = _columns(1, market_sizes, len(chis))
-    batches = _deltas([scenario], chis, shift, cols, np.arange(cols.shape[1]), np.ones_like(cols[1]), cols[1], method)
+    box = _box([scenario], market_sizes, chis, [mu] * len(chis), epsilon_safe)
+    cols, chi, _ = box
+    batches = _deltas(box, np.arange(cols.shape[1]), np.ones_like(cols[1]), cols[1], method)
     c, n, delta = map(np.concatenate, zip(*batches))
     _, size, m = cols[:, c]
-    chi = np.array(chis)[m]
+    chi = chi[m]
     star = np.ones(cols.shape[1], dtype=int)
     risky = ~(delta <= epsilon_safe)
     np.maximum.at(star, c[risky], n[risky] + 1)
@@ -375,5 +365,6 @@ def mu_sensitivity(
     """Critical diversification as a function of the drift mu."""
     mus = [float(mu) for mu in mu_values]
     shift = [mu * market.horizon for mu in mus]
-    (level,) = _scan([scenario], [market.market_size], mus, [market.chi] * len(mus), shift, method, epsilon_safe)
+    box = _box([scenario], [market.market_size], [market.chi] * len(mus), shift, epsilon_safe)
+    (level,) = _scan(box, mus, method, epsilon_safe)
     return {mu: level[(market.market_size, mu)] for mu in mus}

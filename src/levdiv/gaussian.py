@@ -31,9 +31,10 @@ different routes:
 * ``binorm_cdf_grid`` -- Phi2(z, z, rho) on the diagonal, where every Phi2
   of two identical banks lies: one table per correlation, the cumulative
   trapezoidal rule of the slope d/dz Phi2(z, z, rho) on a uniform axis,
-  read by linear interpolation.  Coarser (abs error <= 1e-3 at the default
-  grid for rho in [-0.9999, 1], in practice ~1e-5) but independent of the
-  quadrature route, so the two can cross-check each other.
+  read by linear interpolation, for rho in [-0.9999, 1 - 1e-9].  Coarser
+  (abs error <= 1e-3 at the default grid, in practice ~1e-5) but
+  independent of the quadrature route, so the two can cross-check each
+  other.
 
 ``binorm_cdf`` takes the route as one argument, ``method``: "oracle",
 "grid" (``DEFAULT_GRID``) or a ``GridSpec``; ``_error_bound`` gives the
@@ -65,9 +66,10 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateCorrelationError, DomainError, is_int
 
-# The grid route takes the exact degenerate forms this close to |rho| = 1
-# (see binorm_cdf); a grid tabulation refuses it.
+# The grid route takes the exact closed form this close to rho = 1 and the
+# oracle below _GRID_RHO_MIN (see _GRID_BOUND); a grid tabulation refuses both.
 DEGENERATE_RHO_TOL = 1e-9
+_GRID_RHO_MIN = -0.9999
 
 
 def _as_rho(rho) -> np.ndarray:
@@ -394,10 +396,10 @@ def tabulate_cdf_grid(rho: float, spec: GridSpec = DEFAULT_GRID, z=None) -> CdfG
         # the largest sizes the table, and is NaN if any coordinate is
         extent = _extent(_cell_index(spec, np.max(np.asarray(z, dtype=float), initial=-math.inf))[0])
     rho = float(_as_rho(rho))
-    if abs(rho) > 1.0 - DEGENERATE_RHO_TOL:
+    if not _GRID_RHO_MIN <= rho <= 1.0 - DEGENERATE_RHO_TOL:
         raise DegenerateCorrelationError(
-            f"grid tabulation serves |rho| <= {1.0 - DEGENERATE_RHO_TOL}; "
-            "use the closed-form degenerate cases"
+            f"grid tabulation serves rho in [{_GRID_RHO_MIN}, {1.0 - DEGENERATE_RHO_TOL}]; "
+            "binorm_cdf takes the closed form or the oracle outside it"
         )
     nodes = np.linspace(spec.z_min, spec.z_max, spec.cells_per_axis + 1)[:extent]
     slope = np.exp(-0.5 * nodes * nodes) * _ndtr(math.sqrt((1.0 - rho) / (1.0 + rho)) * nodes)
@@ -409,10 +411,11 @@ def tabulate_cdf_grid(rho: float, spec: GridSpec = DEFAULT_GRID, z=None) -> CdfG
     return CdfGrid(spec=spec, rho=rho, axis_coordinates=nodes, node_values=table)
 
 
-# the grid's stated bound on |error| at the default spec, for rho in
-# [-0.9999, 1].  Measured on z in [-8.5, 8.5]: at most 7.7e-6 for rho >=
-# -0.5, 4.5e-4 at -0.9999.  Toward -1, Phi(c t) steps at t = 0 and the
-# error tends to h phi(0) / 2, 1.6e-3 at the default cell width h.
+# the grid route's stated bound on |error| at the default spec, for every
+# rho.  Measured on z in [-8.5, 8.5]: at most 7.7e-6 for rho >= -0.5,
+# 4.5e-4 at -0.9999.  Toward -1, Phi(c t) steps at t = 0 and a table's
+# error tends to h phi(0) / 2, 1.6e-3 at the default cell width h, so
+# binorm_cdf sends rho < _GRID_RHO_MIN to the oracle.
 _GRID_BOUND = 1e-3
 
 
@@ -445,8 +448,9 @@ def binorm_cdf(z1, z2, rho, method: str | GridSpec = "oracle"):
     ``GridSpec`` to tabulate on.  A grid route serves only the diagonal
     z1 = z2: a NaN coordinate is a DomainError, then any z1 != z2 a
     ConfigError.  It takes the distinct correlations in ascending order: one
-    within DEGENERATE_RHO_TOL of +/-1 takes the exact closed form, any
-    other is tabulated once, its table sized from its own queries."""
+    within DEGENERATE_RHO_TOL of 1 takes the exact closed form, one below
+    _GRID_RHO_MIN the oracle at its own value, any other is tabulated once,
+    its table sized from its own queries."""
     r = _as_rho(rho)
     spec = _grid_spec(method)
     if spec is None:
@@ -458,8 +462,8 @@ def binorm_cdf(z1, z2, rho, method: str | GridSpec = "oracle"):
     out = np.empty(r.shape)
     for value in np.unique(r):
         at = r == value
-        if abs(value) > 1.0 - DEGENERATE_RHO_TOL:
-            out[at] = binorm_cdf_oracle(z[at], z[at], 1.0 if value > 0 else -1.0)
+        if value > 1.0 - DEGENERATE_RHO_TOL or value < _GRID_RHO_MIN:
+            out[at] = binorm_cdf_oracle(z[at], z[at], 1.0 if value > 0 else value)
         else:
             out[at] = binorm_cdf_grid(z[at], value, spec)
     return out if out.ndim else float(out)

@@ -116,15 +116,12 @@ def check_overlap(overlap: OverlapMode, n1: int, n2: int, market_size: int) -> N
         raise ConfigError(f"unknown overlap mode {overlap!r}")
 
 
-def z_cells(f, n, chi, shift, at=None):
+def z_cells(f, n, chi, shift):
     """Default threshold z = -(ln(1/f) + shift - chi/n) / sqrt(2 chi / n),
-    shift = mu T, at cells given as arrays that broadcast; with ``at``, the
-    cells' leverages are f[at], so a few leverages serve many cells.
-    ln(1/f) is libm's ``math.log(1.0 / f)``, once per entry of f: numpy's
-    log and -log(f) differ from it in the last bit for some leverages."""
+    shift = mu T, at cells given as arrays that broadcast.  ln(1/f) is
+    libm's ``math.log(1.0 / f)``, once per entry of f: numpy's log and
+    -log(f) differ from it in the last bit for some leverages."""
     log = np.array([math.log(1.0 / x) for x in np.ravel(f).tolist()]).reshape(np.shape(f))
-    if at is not None:
-        log = log[at]
     n = np.asarray(n, dtype=float)
     return -(log + shift - chi / n) / np.sqrt(2.0 * chi / n)
 

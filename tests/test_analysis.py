@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -652,18 +653,54 @@ class TestScanWork:
             critical_table([SCENARIO], [10], [0.001], "quad")
 
 
+class TestBox:
+    """A box tabulates z once per (scenario, market, n), for every N."""
+
+    def test_z_table_is_z_score_at_every_cell(self):
+        from levdiv.analysis import _box
+
+        rng = np.random.default_rng(20261022)
+        scenarios = [LeverageScenario(*sorted(rng.uniform(0.02, 0.98, size=2))) for _ in range(3)]
+        chis_ = np.exp(rng.uniform(math.log(1e-3), math.log(9.0), size=4)).tolist()
+        drifts = rng.uniform(-0.5, 0.5, size=4).tolist()
+        sizes = [9, 1, 4, 4]
+        cols, chi, z = _box(scenarios, sizes, chis_, drifts, 1e-6)
+        assert chi.tolist() == chis_ and z.shape == (2, 3, 4, 9)
+        assert list(zip(*cols.tolist())) == list(itertools.product(range(3), sizes, range(4)))
+        for s, scenario in enumerate(scenarios):
+            for level, f in enumerate((scenario.f_normal, scenario.f_abnormal)):
+                for m, (chi_, mu) in enumerate(zip(chis_, drifts)):
+                    for size in sizes:
+                        for n in range(1, size + 1):
+                            want = z_score(BankStrategy(f, n), MarketParams(size, chi_, drift=mu))
+                            got = z[level, s, m, n - 1]
+                            assert np.array(got).view(np.int64) == np.array(want).view(np.int64)
+
+    def test_single_cell_does_not_tabulate_up_to_the_market_size(self):
+        # a delta_phi2 cell reads z at its own n only; a table up to N = 1e8
+        # would take 1.6 GB
+        delta_phi2(SCENARIO, 5, MarketParams(10, 1.6))  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            delta_phi2(SCENARIO, 5, MarketParams(10**8, 1.6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 class TestBracket:
     """Phi1-only bounds on delta, and the bracket lo <= n* <= hi they give."""
 
     def test_bounds_hold_against_integral_reference(self):
-        import levdiv.analysis
+        from levdiv.analysis import _box, _bounds
 
         rng = np.random.default_rng(20261020)
         scenarios = [LeverageScenario(*sorted(rng.uniform(0.02, 0.98, size=2))) for _ in range(8)]
         chis_ = np.exp(rng.uniform(math.log(1e-3), math.log(9.0), size=6))
         drifts = rng.uniform(-0.5, 0.5, size=6)
         top = 500
-        low, high, full = levdiv.analysis._bounds(scenarios, chis_.tolist(), drifts.tolist(), top)
+        low, high, full = _bounds(_box(scenarios, [top], chis_.tolist(), drifts.tolist(), 0.0)[2])
         f = np.array([[sc.f_normal, sc.f_abnormal] for sc in scenarios])[:, None, None, :]
         n = np.arange(1, top + 1)
         z_a = z_cells(f[..., 1], n, chis_[:, None], drifts[:, None])
@@ -683,7 +720,7 @@ class TestBracket:
     def test_full_overlap_cell_is_the_phi2_closed_form(self, method):
         # a scan closes a column risky at n = N from _bounds, so its delta
         # there must carry the bits of the Phi2 route it replaces
-        import levdiv.analysis
+        from levdiv.analysis import _box, _bounds
 
         rng = np.random.default_rng(20261021)
         for _ in range(20):
@@ -691,39 +728,40 @@ class TestBracket:
             size = int(rng.integers(1, 300))
             market = MarketParams.from_chi(size, math.exp(rng.uniform(math.log(1e-3), math.log(9.0))))
             market = replace(market, drift=rng.uniform(-0.5, 0.5))
-            full = levdiv.analysis._bounds([scenario], [market.chi], [market.drift], size)[2]
+            full = _bounds(_box([scenario], [size], [market.chi], [market.drift], 0.0)[2])[2]
             assert full[0, 0, -1] == delta_phi2(scenario, size, market, method)
 
     @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-2, 0.05, 0.2, 1.0])
     @pytest.mark.parametrize("method", ["oracle", SMALL_GRID], ids=["oracle", "grid"])
     def test_bracket_holds_critical_level(self, method, eps):
-        from levdiv.analysis import _bracket, _columns
+        from levdiv.analysis import _box, _bracket
         from levdiv.gaussian import _error_bound
 
         margin = _error_bound(method)
         scenarios = [SCENARIO, LeverageScenario(0.25, 0.5)]
-        cols = _columns(len(scenarios), SCAN_SIZES, len(SCAN_CHIS))
-        lo, hi = _bracket(scenarios, SCAN_CHIS, [0.0] * len(SCAN_CHIS), cols, eps, margin)
+        box = _box(scenarios, SCAN_SIZES, SCAN_CHIS, [0.0] * len(SCAN_CHIS), eps)
+        cols = box[0]
+        lo, hi = _bracket(box, eps, margin)
         for s, size, m, low, high in zip(*cols.tolist(), lo.tolist(), hi.tolist()):
             n_star = full_box_critical(scenarios[s], size, SCAN_CHIS[m], 0.0, method, eps)
             assert low <= effective_critical(n_star, size) <= high
         market = MarketParams.from_chi(40, 0.4)
         shift = [mu * market.horizon for mu in SCAN_DRIFTS]
-        cols = _columns(1, [40], len(SCAN_DRIFTS))
-        lo, hi = _bracket([SCENARIO], [market.chi] * len(shift), shift, cols, eps, margin)
+        lo, hi = _bracket(_box([SCENARIO], [40], [market.chi] * len(shift), shift, eps), eps, margin)
         for mu, low, high in zip(shift, lo.tolist(), hi.tolist()):
             n_star = full_box_critical(SCENARIO, 40, market.chi, mu, method, eps)
             assert low <= effective_critical(n_star, 40) <= high
 
     def test_bracket_decides_most_columns(self):
-        from levdiv.analysis import _bracket, _columns
+        from levdiv.analysis import _box, _bracket
         from levdiv.gaussian import _ORACLE_BOUND
 
         # N = 2..200 at 20 chi and eps 0.01: the bracket alone fixes n* in
         # over a third of the columns
         scenarios, chis_ = [SCENARIO, LeverageScenario(0.25, 0.5)], default_chi_grid(points=20)
-        cols = _columns(2, range(2, 201), len(chis_))
-        lo, hi = _bracket(scenarios, chis_, [0.0] * len(chis_), cols, 1e-2, _ORACLE_BOUND)
+        box = _box(scenarios, range(2, 201), chis_, [0.0] * len(chis_), 1e-2)
+        cols = box[0]
+        lo, hi = _bracket(box, 1e-2, _ORACLE_BOUND)
         closed = (lo > cols[1]) | (np.minimum(hi, cols[1]) <= lo)
         assert closed.mean() > 1 / 3
         assert (lo <= hi).all()
@@ -800,15 +838,16 @@ class TestScanBatches:
         assert len(calls) <= 1
 
     def test_scan_memory_does_not_grow_with_the_box(self):
-        from levdiv.analysis import _SCAN_BUDGET, _bracket, _columns
+        from levdiv.analysis import _SCAN_BUDGET, _box, _bracket
         from levdiv.gaussian import _ORACLE_BOUND
 
         # the N <= 800 box has 2.6 times the cells of the N <= 500 one, and
         # each leaves more than one batch of cells open
         scenarios, chis_, peaks = [SCENARIO, LeverageScenario(0.25, 0.5)], default_chi_grid(points=20), []
         for top in (500, 800):
-            cols = _columns(2, range(2, top + 1), len(chis_))
-            lo, hi = _bracket(scenarios, chis_, [0.0] * len(chis_), cols, 1e-2, _ORACLE_BOUND)
+            box = _box(scenarios, range(2, top + 1), chis_, [0.0] * len(chis_), 1e-2)
+            cols = box[0]
+            lo, hi = _bracket(box, 1e-2, _ORACLE_BOUND)
             assert np.maximum(np.minimum(hi, cols[1]) - lo, 0).sum() > _SCAN_BUDGET
             tracemalloc.start()
             try:

@@ -651,8 +651,13 @@ class TestGrid:
         assert binorm_cdf(z, z[None, :], 0.3, SMALL_GRID).tolist() == [binorm_cdf(z, z, 0.3, SMALL_GRID).tolist()]
 
     def test_degenerate_rho_rejected(self):
-        with pytest.raises(DegenerateCorrelationError):
-            binorm_cdf_grid(0.0, 1.0 - 1e-12, SMALL_GRID)
+        # a table serves [-0.9999, 1 - 1e-9]; binorm_cdf routes the rest
+        z = np.linspace(-3.0, 3.0, 7)
+        for rho in (1.0 - 1e-12, -0.99991, -1.0):
+            with pytest.raises(DegenerateCorrelationError):
+                binorm_cdf_grid(0.0, rho, SMALL_GRID)
+            want = binorm_cdf_oracle(z, z, 1.0 if rho > 0 else rho)
+            assert binorm_cdf(z, z, rho, SMALL_GRID).tolist() == want.tolist()
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ConfigError):
@@ -730,13 +735,17 @@ class TestGrid:
         z = np.linspace(-3.0, 2.0, 501)
         assert np.abs(binorm_cdf(z, z, rho, "grid") - binorm_cdf_oracle(z, z, rho)).max() <= 1e-5
 
-    # the grid's 1e-3 bound covers rho in [-0.9999, 1] at the default spec,
+    # the grid route's 1e-3 bound covers every rho at the default spec,
     # closed forms at +/-1 included; past -0.9999, Phi(c t) nears a step at
-    # t = 0 and the error tends to h phi(0) / 2 = 1.6e-3
+    # t = 0 and a table's error would tend to h phi(0) / 2 = 1.6e-3, so the
+    # route takes the oracle there
     def test_grid_bound_holds_over_its_correlation_range(self):
         bound = levdiv.gaussian._error_bound("grid")
         z = np.linspace(-8.5, 8.5, 3401)
-        for rho in (-0.9999, -0.999, -0.99, -0.9, -0.5, 0.0, 0.3, 0.5, 0.9, 0.99, 0.999999, 1.0 - 2e-9, 1.0):
+        for rho in (
+            -1.0 + 2e-9, -0.999999, -0.99999, -0.9999, -0.999, -0.99, -0.9, -0.5,
+            0.0, 0.3, 0.5, 0.9, 0.99, 0.999999, 1.0 - 2e-9, 1.0,
+        ):
             err = np.abs(binorm_cdf(z, z, rho, "grid") - binorm_cdf_oracle(z, z, rho)).max()
             assert err <= bound, rho
 
