@@ -17,12 +17,7 @@ from .analysis import (
     mu_sensitivity,
     regime_sweep,
 )
-from .errors import (
-    ConfigError,
-    DegenerateCorrelationError,
-    DomainError,
-    StrategyMarketMismatchError,
-)
+from .errors import ConfigError, DomainError
 from .gaussian import (
     DEFAULT_GRID,
     CdfGrid,
@@ -56,7 +51,6 @@ __all__ = [
     "CdfGrid",
     "ConfigError",
     "DEFAULT_GRID",
-    "DegenerateCorrelationError",
     "DomainError",
     "EPSILON_SAFE",
     "FixedOverlap",
@@ -66,7 +60,6 @@ __all__ = [
     "RandomSelection",
     "SimConfig",
     "SimResult",
-    "StrategyMarketMismatchError",
     "SweepResult",
     "asset_correlation",
     "binorm_cdf",

@@ -214,7 +214,7 @@ def _deltas(box, live, lo, hi, method: str | GridSpec):
         c = np.repeat(live[first:last], k)
         n = np.repeat(lo[first:last] - (ends[first:last] - k - base), k) + np.arange(ends[last - 1] - base)
         z = table[:, s[c], m[c], n - 1]
-        pd = binorm_cdf(z, z, correlation_law(n, size[c])[0], method)
+        pd = binorm_cdf(z, correlation_law(n, size[c])[0], method)
         delta = pd[1] - pd[0]
         bad = np.flatnonzero(~(delta >= -_DELTA_SLACK))
         if bad.size:

@@ -158,7 +158,7 @@ def _market(p: dict[str, Any]) -> MarketParams:
     if p["chi"] is not None:
         if p["T"] != 1.0:
             raise ConfigError("--T only applies with --sigma; chi fixes T = 1")
-        return MarketParams.from_chi(p["N"], p["chi"], drift=p["mu"])
+        return MarketParams(p["N"], p["chi"], drift=p["mu"])
     if p["sigma"] is not None:
         return MarketParams.from_sigma(p["N"], p["sigma"], horizon=p["T"], drift=p["mu"])
     raise ConfigError("one of --chi or --sigma is required")

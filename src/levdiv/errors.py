@@ -1,16 +1,10 @@
-"""Exception types and the integer-count check shared across the package."""
+"""The package's two error contracts, DomainError (an input outside an
+operation's mathematical domain) and ConfigError (an invalid run or
+discretization setting), and its integer-count check."""
 
 
 class DomainError(ValueError):
     """Input lies outside the mathematical domain of an operation."""
-
-
-class DegenerateCorrelationError(DomainError):
-    """Correlation too close to +/-1 for the requested numerical method."""
-
-
-class StrategyMarketMismatchError(DomainError):
-    """Bank strategy is incompatible with the market it is evaluated against."""
 
 
 class ConfigError(ValueError):

@@ -31,16 +31,16 @@ different routes:
 * ``binorm_cdf_grid`` -- Phi2(z, z, rho) on the diagonal, where every Phi2
   of two identical banks lies: one table per correlation, the cumulative
   trapezoidal rule of the slope d/dz Phi2(z, z, rho) on a uniform axis,
-  read by linear interpolation, for rho in [-0.9999, 1 - 1e-9].  Coarser
+  read by linear interpolation, for rho in [-0.9999, 1).  Coarser
   (abs error <= 1e-3 at the default grid, in practice ~1e-5) but
   independent of the quadrature route, so the two can cross-check each
   other.
 
-``binorm_cdf`` takes the route as one argument, ``method``: "oracle",
-"grid" (``DEFAULT_GRID``) or a ``GridSpec``; ``_error_bound`` gives the
-route's stated accuracy.  Both routes are array-valued: arguments
-broadcast, the grid takes z1 = z2 only and tabulates each distinct
-correlation once per call, and scalar arguments give a float.
+``binorm_cdf(z, rho, method)`` is the model's cell Phi2(z, z, rho).  Its
+``method`` is the route: "oracle", or "grid" (``DEFAULT_GRID``) or a
+``GridSpec``, which tabulates each distinct rho in [-0.9999, 1) once per
+call and takes the oracle at every other rho; ``_error_bound`` gives the
+route's stated accuracy.  Arguments broadcast; scalars give a float.
 No table is kept between calls: a caller that queries one correlation many
 times keeps the ``CdfGrid`` that ``tabulate_cdf_grid`` returns and calls
 its ``lookup``; ``tabulate_cdf_grid`` explains how a table is sized from
@@ -64,12 +64,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateCorrelationError, DomainError, is_int
+from .errors import ConfigError, DomainError, is_int
 
-# The grid route takes the exact closed form this close to rho = 1 and the
-# oracle below _GRID_RHO_MIN (see _GRID_BOUND); a grid tabulation refuses both.
-DEGENERATE_RHO_TOL = 1e-9
-_GRID_RHO_MIN = -0.9999
+_GRID_RHO_MIN = -0.9999  # a grid table's least correlation; see _GRID_BOUND
 
 
 def _as_rho(rho) -> np.ndarray:
@@ -329,15 +326,14 @@ def binorm_cdf_oracle(z1, z2, rho):
 class CdfGrid:
     """Tabulated Phi2(z, z, rho) along the diagonal of a GridSpec.
 
-    ``node_values`` holds one value V(z_r) per node ``axis_coordinates[r]``,
-    with V(z_0) = 0.  A table sized from its queries covers only the
-    leading nodes their cells reach (see ``tabulate_cdf_grid``); a lookup
-    whose cell reaches past them raises DomainError.
+    ``node_values[r]`` is V(z_r), z_r = ``np.linspace(z_min, z_max,
+    cells_per_axis + 1)[r]``, V(z_0) = 0.  A table sized from its queries
+    holds only the leading nodes their cells reach (``tabulate_cdf_grid``);
+    a lookup whose cell reaches past them raises DomainError.
     """
 
     spec: GridSpec
     rho: float
-    axis_coordinates: np.ndarray
     node_values: np.ndarray
 
     def lookup(self, z):
@@ -346,7 +342,7 @@ class CdfGrid:
         the grid boundary and results clipped to [0, 1].  Array-valued in z;
         a scalar gives a float."""
         i, t = _cell_index(self.spec, np.asarray(z, dtype=float))
-        extent, nodes = _extent(i), self.axis_coordinates.size
+        extent, nodes = _extent(i), self.node_values.size
         if extent > nodes:
             raise DomainError(
                 f"lookup reaches node {extent - 1}, past the "
@@ -356,8 +352,8 @@ class CdfGrid:
         return v if v.ndim else float(v)
 
 
-def _check_not_nan(*coordinates: np.ndarray) -> None:
-    if any(np.isnan(z).any() for z in coordinates):
+def _check_not_nan(z: np.ndarray) -> None:
+    if np.isnan(z).any():
         raise DomainError("binorm_cdf_grid requires non-NaN coordinates")
 
 
@@ -396,26 +392,25 @@ def tabulate_cdf_grid(rho: float, spec: GridSpec = DEFAULT_GRID, z=None) -> CdfG
         # the largest sizes the table, and is NaN if any coordinate is
         extent = _extent(_cell_index(spec, np.max(np.asarray(z, dtype=float), initial=-math.inf))[0])
     rho = float(_as_rho(rho))
-    if not _GRID_RHO_MIN <= rho <= 1.0 - DEGENERATE_RHO_TOL:
-        raise DegenerateCorrelationError(
-            f"grid tabulation serves rho in [{_GRID_RHO_MIN}, {1.0 - DEGENERATE_RHO_TOL}]; "
-            "binorm_cdf takes the closed form or the oracle outside it"
+    if not _GRID_RHO_MIN <= rho < 1.0:
+        raise DomainError(
+            f"grid tabulation serves rho in [{_GRID_RHO_MIN}, 1); "
+            "binorm_cdf takes the oracle outside it"
         )
     nodes = np.linspace(spec.z_min, spec.z_max, spec.cells_per_axis + 1)[:extent]
     slope = np.exp(-0.5 * nodes * nodes) * _ndtr(math.sqrt((1.0 - rho) / (1.0 + rho)) * nodes)
     table = np.zeros(nodes.size)
     np.cumsum(slope[:-1] + slope[1:], out=table[1:])
     table *= spec.cell_width / math.sqrt(_TWO_PI)
-    for arr in (nodes, table):
-        arr.setflags(write=False)
-    return CdfGrid(spec=spec, rho=rho, axis_coordinates=nodes, node_values=table)
+    table.setflags(write=False)
+    return CdfGrid(spec=spec, rho=rho, node_values=table)
 
 
-# the grid route's stated bound on |error| at the default spec, for every
-# rho.  Measured on z in [-8.5, 8.5]: at most 7.7e-6 for rho >= -0.5,
-# 4.5e-4 at -0.9999.  Toward -1, Phi(c t) steps at t = 0 and a table's
-# error tends to h phi(0) / 2, 1.6e-3 at the default cell width h, so
-# binorm_cdf sends rho < _GRID_RHO_MIN to the oracle.
+# the grid route's stated bound on |error| at the default spec: tables serve
+# rho in [_GRID_RHO_MIN, 1), the oracle every other rho.  Measured on z in
+# [-8.5, 8.5]: at most 7.7e-6 for rho >= -0.5 (3.2e-6 from 0.999999 up to the
+# float below 1), 4.5e-4 at -0.9999.  Toward -1, Phi(c t) steps at t = 0 and
+# a table's error tends to h phi(0) / 2, 1.6e-3 at the default cell width h.
 _GRID_BOUND = 1e-3
 
 
@@ -442,28 +437,25 @@ def _error_bound(method: str | GridSpec) -> float:
     return _ORACLE_BOUND if _grid_spec(method) is None else _GRID_BOUND
 
 
-def binorm_cdf(z1, z2, rho, method: str | GridSpec = "oracle"):
-    """Phi2 dispatcher; arguments broadcast.  ``method`` is the route:
-    ``"oracle"``, ``"grid"`` (the ``DEFAULT_GRID`` tabulation) or a
-    ``GridSpec`` to tabulate on.  A grid route serves only the diagonal
-    z1 = z2: a NaN coordinate is a DomainError, then any z1 != z2 a
-    ConfigError.  It takes the distinct correlations in ascending order: one
-    within DEGENERATE_RHO_TOL of 1 takes the exact closed form, one below
-    _GRID_RHO_MIN the oracle at its own value, any other is tabulated once,
-    its table sized from its own queries."""
+def binorm_cdf(z, rho, method: str | GridSpec = "oracle"):
+    """Phi2(z, z, rho), the joint default probability of two identical
+    banks; arguments broadcast.  ``method`` is the route: ``"oracle"``,
+    ``"grid"`` (the ``DEFAULT_GRID`` tabulation) or a ``GridSpec`` to
+    tabulate on.  A grid route raises DomainError for a NaN coordinate, then
+    takes the distinct correlations in ascending order: one in
+    [_GRID_RHO_MIN, 1) is tabulated once, its table sized from its own
+    queries; any other takes the oracle at its own value."""
     r = _as_rho(rho)
     spec = _grid_spec(method)
     if spec is None:
-        return binorm_cdf_oracle(z1, z2, r)
-    z, z2, r = np.broadcast_arrays(np.asarray(z1, dtype=float), np.asarray(z2, dtype=float), r)
-    _check_not_nan(z, z2)
-    if not np.array_equal(z, z2):
-        raise ConfigError("the grid route tabulates only the diagonal z1 = z2")
+        return binorm_cdf_oracle(z, z, r)
+    z, r = np.broadcast_arrays(np.asarray(z, dtype=float), r)
+    _check_not_nan(z)
     out = np.empty(r.shape)
     for value in np.unique(r):
         at = r == value
-        if value > 1.0 - DEGENERATE_RHO_TOL or value < _GRID_RHO_MIN:
-            out[at] = binorm_cdf_oracle(z[at], z[at], 1.0 if value > 0 else value)
-        else:
+        if _GRID_RHO_MIN <= value < 1.0:
             out[at] = binorm_cdf_grid(z[at], value, spec)
+        else:
+            out[at] = binorm_cdf_oracle(z[at], z[at], value)
     return out if out.ndim else float(out)

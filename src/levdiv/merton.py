@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, StrategyMarketMismatchError, is_int
+from .errors import ConfigError, DomainError, is_int
 from .gaussian import GridSpec, binorm_cdf, phi1
 
 _F_BOUNDARY_TOL = 1e-12
@@ -130,7 +130,7 @@ def z_score(strategy: BankStrategy, market: MarketParams) -> float:
     """Default threshold in standard-normal units: ``z_cells`` at one cell."""
     n, chi = strategy.diversification, market.chi
     if n > market.market_size:
-        raise StrategyMarketMismatchError(f"diversification {n} exceeds market size {market.market_size}")
+        raise DomainError(f"diversification {n} exceeds market size {market.market_size}")
     if chi <= 0.0:
         raise DomainError("z_score requires chi > 0 (sigma > 0 and T > 0)")
     return float(z_cells(strategy.leverage, n, chi, market.drift * market.horizon))
@@ -176,4 +176,4 @@ def systemic_pd(
     because Phi2(z, z, rho) is convex in rho on [0, 1]."""
     z = z_score(strategy, market)
     rho, weight = correlation_law(strategy.diversification, market.market_size, overlap)
-    return float(np.sum(weight * binorm_cdf(z, z, rho, method)))
+    return float(np.sum(weight * binorm_cdf(z, rho, method)))

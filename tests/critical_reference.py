@@ -24,7 +24,7 @@ def full_box_critical(scenario, size, chi, shift, method, epsilon_safe):
     pd = []
     for f in (scenario.f_normal, scenario.f_abnormal):
         z = -(math.log(1.0 / f) + shift - chi / n) / np.sqrt(2.0 * chi / n)
-        pd.append(binorm_cdf(z, z, n / size, method))
+        pd.append(binorm_cdf(z, n / size, method))
     safe_run = int(np.logical_and.accumulate((pd[1] - pd[0] <= epsilon_safe)[::-1]).sum())
     return size - safe_run + 1 if safe_run else None
 

@@ -16,7 +16,7 @@ import math
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from levdiv import DegenerateCorrelationError, DomainError
+from levdiv import DomainError
 
 
 def phi2_quad(z1: float, z2: float, rho: float) -> tuple[float, float]:
@@ -46,7 +46,7 @@ def binorm_pdf(z1: float, z2: float, rho: float) -> float:
     if not (math.isfinite(z1) and math.isfinite(z2)):
         raise DomainError("binorm_pdf requires finite coordinates")
     if abs(rho) >= 1.0:
-        raise DegenerateCorrelationError(
+        raise DomainError(
             "density is degenerate at |rho| = 1; use the closed-form CDF cases"
         )
     omr2 = 1.0 - rho * rho

@@ -177,7 +177,7 @@ class TestDeltaPhi2:
         result = regime_sweep(scenario, [10, 40], chis_)
         f = np.array([[scenario.f_normal], [scenario.f_abnormal]])
         z = z_cells(f, result.n, result.chi, 0.0)
-        pd = binorm_cdf(z, z, correlation_law(result.n, result.market_size)[0], "oracle")
+        pd = binorm_cdf(z, correlation_law(result.n, result.market_size)[0], "oracle")
         assert np.array_equal(result.delta_phi2, pd[1] - pd[0])
 
 
@@ -461,7 +461,7 @@ class TestRegimeSweep:
         real_phi2, calls = levdiv.analysis.binorm_cdf, []
 
         def phi2(*args, **kwargs):
-            calls.append(args[2])
+            calls.append(args[1])
             return real_phi2(*args, **kwargs)
 
         monkeypatch.setattr(levdiv.analysis, "_SCAN_BUDGET", 3)
@@ -617,7 +617,7 @@ class TestScanWork:
             return real_tabulate(rho, *args, **kwargs)
 
         def phi2(*args, **kwargs):
-            calls.append(args[2])
+            calls.append(args[1])
             return real_phi2(*args, **kwargs)
 
         monkeypatch.setattr(levdiv.gaussian, "tabulate_cdf_grid", tabulate)
@@ -795,9 +795,9 @@ class TestScanBatches:
         drifts = rng.uniform(-0.2, 0.2, size=3).tolist()
         real_phi2, calls = levdiv.analysis.binorm_cdf, []
 
-        def phi2(z1, z2, rho, method):
+        def phi2(z, rho, method):
             calls.append(np.asarray(rho))
-            return real_phi2(z1, z2, rho, method)
+            return real_phi2(z, rho, method)
 
         monkeypatch.setattr(levdiv.analysis, "_SCAN_BUDGET", 3)
         monkeypatch.setattr(levdiv.analysis, "binorm_cdf", phi2)
@@ -829,9 +829,9 @@ class TestScanBatches:
 
         real_phi2, calls = levdiv.analysis.binorm_cdf, []
 
-        def phi2(z1, z2, rho, method):
+        def phi2(z, rho, method):
             calls.append(rho)
-            return real_phi2(z1, z2, rho, method)
+            return real_phi2(z, rho, method)
 
         monkeypatch.setattr(levdiv.analysis, "binorm_cdf", phi2)
         compute_table1(method, eps)

@@ -26,7 +26,6 @@ from quad_reference import binorm_pdf, phi2_quad
 from levdiv import (
     DEFAULT_GRID,
     ConfigError,
-    DegenerateCorrelationError,
     DomainError,
     GridSpec,
     LeverageScenario,
@@ -172,7 +171,7 @@ class TestBinormPdf:
 
     @pytest.mark.parametrize("rho", [1.0, -1.0, 1.5])
     def test_degenerate_rho_rejected(self, rho):
-        with pytest.raises((DegenerateCorrelationError, DomainError)):
+        with pytest.raises(DomainError):
             binorm_pdf(0.0, 0.0, rho)
 
 
@@ -514,11 +513,9 @@ class TestGrid:
         nodes = spec.cells_per_axis + 1
         for m in sorted({2, 3, nodes // 2 + 1, nodes - 1, nodes}):
             block = tabulate_cdf_grid(rho, spec, cell_centres(spec, range(m - 1)))
-            assert block.axis_coordinates.size == m
             assert block.node_values.shape == (m,)
             assert np.array_equal(block.node_values, full.node_values[:m])
-            assert np.array_equal(block.axis_coordinates, full.axis_coordinates[:m])
-            assert not (block.node_values.flags.writeable or block.axis_coordinates.flags.writeable)
+            assert not block.node_values.flags.writeable
 
     @pytest.mark.parametrize("spec", [SMALL_GRID, DEFAULT_GRID], ids=["small", "default"])
     def test_bounded_lookup_matches_full_grid(self, spec):
@@ -528,7 +525,7 @@ class TestGrid:
         for rho in (0.1, 0.6):
             for z in (diagonal, np.append(diagonal, -50.0), np.array([spec.z_max, 9.5, 50.0])):
                 full = tabulate_cdf_grid(rho, spec).lookup(z)
-                got = binorm_cdf(z, z, rho, method=spec)
+                got = binorm_cdf(z, rho, method=spec)
                 assert got.tolist() == full.tolist()
 
     # the rule the table applies, with no vectorised reference: node r
@@ -595,7 +592,7 @@ class TestGrid:
         monkeypatch.setattr(levdiv.gaussian, "tabulate_cdf_grid", spy)
         z = SMALL_GRID.z_min + np.array([10.5, 40.25, 40.5, 3.5]) * SMALL_GRID.cell_width
         binorm_cdf_grid(z, 0.3, SMALL_GRID)
-        assert tables[-1].axis_coordinates.size == 42
+        assert tables[-1].node_values.size == 42
         assert binorm_cdf_grid([], 0.3, SMALL_GRID).shape == (0,)
         assert tables[-1].node_values.shape == (2,)  # no coordinates: one cell
 
@@ -627,37 +624,27 @@ class TestGrid:
         for z in (float("nan"), [0.0, float("nan")]):
             with pytest.raises(DomainError, match="non-NaN"):
                 grid.lookup(z)
-            with pytest.raises(DomainError, match="non-NaN"):
-                binorm_cdf(z, z, 0.3, method=SMALL_GRID)
+            # the grid route checks before it routes any correlation, the
+            # oracle's among them
+            for rho in (0.3, 1.0, -1.0, -0.99991):
+                with pytest.raises(DomainError, match="non-NaN"):
+                    binorm_cdf(z, rho, method=SMALL_GRID)
             # a table checks its coordinates before its correlation
-            for rho in (1.5, 1.0 - 1e-12):
+            for rho in (1.5, 1.0):
                 with pytest.raises(DomainError, match="non-NaN"):
                     tabulate_cdf_grid(rho, SMALL_GRID, z)
-        # a NaN is a domain error before it is an off-diagonal point
-        for z1, z2 in [(float("nan"), 0.0), (0.0, float("nan")), ([0.0, float("nan")], [1.0, 1.0])]:
-            with pytest.raises(DomainError, match="non-NaN"):
-                binorm_cdf(z1, z2, 0.3, method=SMALL_GRID)
-
-    def test_off_diagonal_grid_query_rejected(self):
-        # every grid correlation, the closed forms at +/-1 among them, serves
-        # only z1 = z2; the oracle stays general
-        for rho in (0.3, 1.0, -1.0, [0.3, 1.0]):
-            for z1, z2 in [(0.1, 0.2), ([0.0, 1.0], [0.0, 1.5]), (-50.0, -60.0)]:
-                with pytest.raises(ConfigError, match="diagonal z1 = z2"):
-                    binorm_cdf(z1, z2, rho, method=SMALL_GRID)
-                binorm_cdf(z1, z2, rho)
-        # arguments broadcast before the check
-        z = np.linspace(-1.0, 1.0, 3)
-        assert binorm_cdf(z, z[None, :], 0.3, SMALL_GRID).tolist() == [binorm_cdf(z, z, 0.3, SMALL_GRID).tolist()]
 
     def test_degenerate_rho_rejected(self):
-        # a table serves [-0.9999, 1 - 1e-9]; binorm_cdf routes the rest
+        # a table serves [-0.9999, 1): it refuses every other correlation,
+        # and binorm_cdf gives the oracle's bits there
         z = np.linspace(-3.0, 3.0, 7)
-        for rho in (1.0 - 1e-12, -0.99991, -1.0):
-            with pytest.raises(DegenerateCorrelationError):
+        for rho in (1.0, -0.99991, -1.0):
+            with pytest.raises(DomainError, match=r"grid tabulation serves rho in \[-0\.9999, 1\)"):
                 binorm_cdf_grid(0.0, rho, SMALL_GRID)
-            want = binorm_cdf_oracle(z, z, 1.0 if rho > 0 else rho)
-            assert binorm_cdf(z, z, rho, SMALL_GRID).tolist() == want.tolist()
+            assert binorm_cdf(z, rho, SMALL_GRID).tolist() == binorm_cdf_oracle(z, z, rho).tolist()
+        # up to the float below 1 a table serves
+        for rho in (-0.9999, 1.0 - 1e-12, math.nextafter(1.0, 0.0)):
+            assert binorm_cdf(z, rho, SMALL_GRID).tolist() == binorm_cdf_grid(z, rho, SMALL_GRID).tolist()
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ConfigError):
@@ -666,17 +653,17 @@ class TestGrid:
             GridSpec(cells_per_axis=1)
 
     def test_dispatcher_routes_degenerate_to_closed_form(self):
-        assert binorm_cdf(0.4, 0.4, 1.0, method="grid") == phi1(0.4)
-        assert binorm_cdf(0.4, 0.4, -1.0, method="grid") == 1.0 - phi1(-0.4) - phi1(-0.4)
+        assert binorm_cdf(0.4, 1.0, method="grid") == phi1(0.4)
+        assert binorm_cdf(0.4, -1.0, method="grid") == 1.0 - phi1(-0.4) - phi1(-0.4)
         for method in ("simpson", 400, None, "Grid"):
             with pytest.raises(ConfigError, match="expected 'grid', 'oracle' or a GridSpec"):
-                binorm_cdf(0.0, 0.0, 0.3, method=method)
+                binorm_cdf(0.0, 0.3, method=method)
             with pytest.raises(ConfigError, match="expected 'grid', 'oracle' or a GridSpec"):
                 regime_sweep(LeverageScenario(0.1, 0.25), [4], [0.5], method=method)
         # "grid" names the default spec
         z = np.linspace(-3.0, 2.0, 7)
         rho = np.array([0.0, 0.25, 0.5, 0.75, 0.99, 1.0, -1.0])
-        assert binorm_cdf(z, z, rho, method=DEFAULT_GRID).tolist() == binorm_cdf(z, z, rho, method="grid").tolist()
+        assert binorm_cdf(z, rho, method=DEFAULT_GRID).tolist() == binorm_cdf(z, rho, method="grid").tolist()
 
     def test_each_route_states_one_bound(self):
         # the oracle's measured error is at most 1.7e-13; the grid keeps its
@@ -692,11 +679,14 @@ class TestGrid:
         z = np.linspace(-2.0, 1.0, 6)
         rho = np.array([0.25, 0.5, 1.0, 0.25, 0.5, 0.25])
         before = tabulate_cdf_grid.cache_info().misses
-        got = binorm_cdf(z, z, rho, method=SMALL_GRID)
+        got = binorm_cdf(z, rho, method=SMALL_GRID)
         after = tabulate_cdf_grid.cache_info()
         assert after.misses - before == 2
         assert after.currsize == 0
-        assert got.tolist() == [binorm_cdf(a, a, r, method=SMALL_GRID) for a, r in zip(z, rho)]
+        assert got.tolist() == [binorm_cdf(a, r, method=SMALL_GRID) for a, r in zip(z, rho)]
+        # coordinates and correlations broadcast against each other
+        got = binorm_cdf(z, np.array([[0.25], [0.5]]), method=SMALL_GRID)
+        assert got.tolist() == [binorm_cdf(z, r, method=SMALL_GRID).tolist() for r in (0.25, 0.5)]
 
     def test_error_reaches_caller_in_correlation_order(self, monkeypatch):
         # correlations n/20 with their diagonal thresholds, the closed forms
@@ -717,23 +707,23 @@ class TestGrid:
         z[19] = math.inf
         assert rho[19] == 1.0
         with pytest.raises(DomainError, match=r"^failed at 0\.2$"):
-            binorm_cdf(z, z, rho, "grid")
+            binorm_cdf(z, rho, "grid")
         z[-2] = -math.inf  # rho = -1, the lowest correlation
         with pytest.raises(DomainError, match="binorm_cdf_oracle requires finite coordinates"):
-            binorm_cdf(z, z, rho, "grid")
+            binorm_cdf(z, rho, "grid")
         # a NaN anywhere is rejected before any table is built
         z[5] = np.nan
         before = tabulate_cdf_grid.cache_info().misses
         with pytest.raises(DomainError, match="^binorm_cdf_grid requires non-NaN coordinates$"):
-            binorm_cdf(z, z, rho, "grid")
+            binorm_cdf(z, rho, "grid")
         assert tabulate_cdf_grid.cache_info().misses == before
 
     # the slope 2 phi(t) Phi(c t) stays smooth as rho -> 1, so the table
     # holds there: measured about 3.2e-6 from the oracle
-    @pytest.mark.parametrize("rho", [0.99999, 0.999999, 1.0 - 2e-9])
+    @pytest.mark.parametrize("rho", [0.99999, 0.999999, 1.0 - 2e-9, 1.0 - 1e-12, math.nextafter(1.0, 0.0)])
     def test_grid_holds_near_unit_correlation(self, rho):
         z = np.linspace(-3.0, 2.0, 501)
-        assert np.abs(binorm_cdf(z, z, rho, "grid") - binorm_cdf_oracle(z, z, rho)).max() <= 1e-5
+        assert np.abs(binorm_cdf(z, rho, "grid") - binorm_cdf_oracle(z, z, rho)).max() <= 1e-5
 
     # the grid route's 1e-3 bound covers every rho at the default spec,
     # closed forms at +/-1 included; past -0.9999, Phi(c t) nears a step at
@@ -744,9 +734,9 @@ class TestGrid:
         z = np.linspace(-8.5, 8.5, 3401)
         for rho in (
             -1.0 + 2e-9, -0.999999, -0.99999, -0.9999, -0.999, -0.99, -0.9, -0.5,
-            0.0, 0.3, 0.5, 0.9, 0.99, 0.999999, 1.0 - 2e-9, 1.0,
+            0.0, 0.3, 0.5, 0.9, 0.99, 0.999999, 1.0 - 2e-9, 1.0 - 1e-12, math.nextafter(1.0, 0.0), 1.0,
         ):
-            err = np.abs(binorm_cdf(z, z, rho, "grid") - binorm_cdf_oracle(z, z, rho)).max()
+            err = np.abs(binorm_cdf(z, rho, "grid") - binorm_cdf_oracle(z, z, rho)).max()
             assert err <= bound, rho
 
 
@@ -756,7 +746,7 @@ class TestCorrelation:
             with pytest.raises(DomainError):
                 binorm_cdf_oracle(0.0, 0.0, rho)
             with pytest.raises(DomainError):
-                binorm_cdf(0.0, 0.0, rho, method=SMALL_GRID)
+                binorm_cdf(0.0, rho, method=SMALL_GRID)
         assert binorm_cdf_oracle(0.0, 0.0, 1.0) == 0.5
         assert binorm_cdf_oracle(0.0, 0.0, -1.0) == 0.0
 

@@ -14,7 +14,6 @@ from levdiv import (
     FixedOverlap,
     MarketParams,
     RandomSelection,
-    StrategyMarketMismatchError,
     asset_correlation,
     binorm_cdf,
     individual_pd,
@@ -108,7 +107,7 @@ class TestZScore:
         assert z_score(BankStrategy(0.5, n), m) < 0
 
     def test_mismatch_rejected(self):
-        with pytest.raises(StrategyMarketMismatchError):
+        with pytest.raises(DomainError, match="diversification 11 exceeds market size 10"):
             z_score(BankStrategy(0.5, 11), MarketParams.from_chi(10, 1.6))
 
     def test_finite(self):
@@ -283,7 +282,7 @@ class TestJointPd:
         strategy, market = BankStrategy(0.25, 4), MarketParams.from_chi(8, 1.6)
         z = z_score(strategy, market)
         for k in range(5):
-            assert systemic_pd(strategy, market, overlap=FixedOverlap(k)) == binorm_cdf(z, z, k / 4)
+            assert systemic_pd(strategy, market, overlap=FixedOverlap(k)) == binorm_cdf(z, k / 4)
         assert systemic_pd(strategy, market, overlap=FixedOverlap(2)) == systemic_pd(strategy, market)
 
     def test_mean_correlation_is_n_over_size_for_arrays(self):
