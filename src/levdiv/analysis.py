@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, is_int
-from .gaussian import GridSpec, _error_bound, _ndtr, binorm_cdf
+from .gaussian import _error_bound, _ndtr, binorm_cdf
 # asset_correlation, systemic_pd and z_score stay bound here, where perfbench/tracer.py wraps them
 from .merton import MarketParams, asset_correlation, check_leverage, correlation_law, systemic_pd, z_cells, z_score
 
@@ -152,7 +152,7 @@ def delta_phi2(
     scenario: LeverageScenario,
     n: int,
     market: MarketParams,
-    method: str | GridSpec = "oracle",
+    method: str = "oracle",
 ) -> float:
     """Increase in systemic default probability caused by moving from the
     normal to the abnormal leverage; nonnegative up to method tolerance."""
@@ -194,7 +194,7 @@ def _box(scenarios: Sequence, market_sizes: Sequence, chi: Sequence, shift: Sequ
     return np.array(grid, dtype=int).reshape(3, -1), chi, z_cells(f, n, chi[:, None], shift)
 
 
-def _deltas(box, live, lo, hi, method: str | GridSpec):
+def _deltas(box, live, lo, hi, method: str):
     """delta_phi2 at the cells lo[j] <= n <= hi[j] of each column live[j] of
     the ``_box``, yielded as batches (c, n, delta): each cell's column, n
     and differential, with z read from the box's table.  Columns run in the
@@ -271,7 +271,7 @@ def _bracket(box, epsilon_safe: float, margin: float):
     return np.where(full[s, m, size - 1] <= epsilon_safe, lo, size + 1), hi
 
 
-def _scan(box, labels: Sequence, method: str | GridSpec, epsilon_safe: float) -> list[dict]:
+def _scan(box, labels: Sequence, method: str, epsilon_safe: float) -> list[dict]:
     """Per scenario, {(N, label): n*} for each market size and labelled
     market of the ``_box``.  ``_bracket`` bounds each column's n* by Phi1
     alone, with the method's stated error bound as margin, and closes a
@@ -295,7 +295,7 @@ def _scan(box, labels: Sequence, method: str | GridSpec, epsilon_safe: float) ->
 def critical_diversification(
     scenario: LeverageScenario,
     market: MarketParams,
-    method: str | GridSpec = "oracle",
+    method: str = "oracle",
     epsilon_safe: float = EPSILON_SAFE,
 ) -> int | None:
     """Smallest n such that every n' in [n, N] is safe, or None if even
@@ -314,7 +314,7 @@ def critical_table(
     scenarios: Sequence[LeverageScenario],
     market_sizes: Sequence[int],
     chi_values: Iterable[float],
-    method: str | GridSpec = "oracle",
+    method: str = "oracle",
     epsilon_safe: float = EPSILON_SAFE,
 ) -> list[dict[tuple[int, float], int | None]]:
     """Critical diversification at every (N, chi), per scenario, from one
@@ -328,7 +328,7 @@ def regime_sweep(
     market_sizes: Sequence[int],
     chi_values: Iterable[float],
     mu: float = 0.0,
-    method: str | GridSpec = "oracle",
+    method: str = "oracle",
     epsilon_safe: float = EPSILON_SAFE,
 ) -> SweepResult:
     """Classify every (N, n, chi) cell and derive the per-(N, chi) critical
@@ -359,7 +359,7 @@ def mu_sensitivity(
     scenario: LeverageScenario,
     market: MarketParams,
     mu_values: Sequence[float],
-    method: str | GridSpec = "oracle",
+    method: str = "oracle",
     epsilon_safe: float = EPSILON_SAFE,
 ) -> dict[float, int | None]:
     """Critical diversification as a function of the drift mu."""

@@ -10,7 +10,8 @@ each flag (explicit flag > --config JSON file > built-in default) into one
 parameter dict for the command, formats the fields it returns (pretty, csv
 or json) to stdout or --out (sweep and table1 write their own output), and
 maps exceptions to exit codes: 0 success, 2 usage or domain error
-(including malformed config and unwritable outputs), 3 numerical failure.
+(including malformed config and unwritable outputs), 3 numerical failure
+(including a box too large for memory).
 "No safe level" is a regular in-band result printed as "none".
 """
 
@@ -21,8 +22,6 @@ import json
 import math
 import sys
 from typing import Any, Callable, NamedTuple
-
-import numpy as np
 
 from .analysis import (
     EPSILON_SAFE,
@@ -35,7 +34,6 @@ from .analysis import (
     regime_sweep,
 )
 from .errors import ConfigError, DomainError
-from .gaussian import DEFAULT_GRID, GridSpec
 from .merton import BankStrategy, FixedOverlap, MarketParams, RandomSelection, correlation_law, individual_pd
 from .merton import systemic_pd, z_score
 from .simulate import SimConfig, estimate_default_probs
@@ -53,7 +51,7 @@ PUBLISHED_CRITICAL_N = {
 
 
 def compute_table1(
-    method: str | GridSpec = "oracle", epsilon_safe: float = EPSILON_SAFE
+    method: str = "oracle", epsilon_safe: float = EPSILON_SAFE
 ) -> dict[tuple[float, float], dict[float, list[int | None]]]:
     """Critical diversification on the fixed (N, chi, scenario) box."""
     scenarios = [LeverageScenario(fn, fa) for fn, fa in TABLE1_SCENARIOS]
@@ -110,8 +108,6 @@ FLAGS: dict[str, Flag] = {
         _list_of(_float), "comma list of drifts; use --mu-values=-0.05,0,0.05 for negatives", (-0.05, 0.0, 0.05)
     ),
     "method": Flag(str, "Phi2 evaluation route", "oracle", ("grid", "oracle")),
-    "grid_cells": Flag(_int, "grid cells per axis", DEFAULT_GRID.cells_per_axis),
-    "grid_range": Flag(str, "grid range as zmin:zmax; use --grid-range=-8:8 for negatives"),
     "paths": Flag(_int, "Monte Carlo paths, default 100000", 100_000),
     "steps": Flag(_int, "rebalancing steps per unit horizon, default 250", 250),
     "seed": Flag(_int, "random seed, default 0", 0),
@@ -123,7 +119,6 @@ FLAGS: dict[str, Flag] = {
 }
 
 MARKET = ("N", "chi", "sigma", "T", "mu")
-METHOD = ("method", "grid_cells", "grid_range")
 SCENARIO = ("f_normal", "f_abnormal")
 OUTPUT = ("output", "out")
 
@@ -162,19 +157,6 @@ def _market(p: dict[str, Any]) -> MarketParams:
     if p["sigma"] is not None:
         return MarketParams.from_sigma(p["N"], p["sigma"], horizon=p["T"], drift=p["mu"])
     raise ConfigError("one of --chi or --sigma is required")
-
-
-def _route(p: dict[str, Any]) -> str | GridSpec:
-    """The Phi2 route: "oracle", or the GridSpec of the grid flags.  The
-    spec is built, and so checked, under either method."""
-    z_min, z_max = DEFAULT_GRID.z_min, DEFAULT_GRID.z_max
-    if p["grid_range"] is not None:
-        try:
-            z_min, z_max = (float(part) for part in p["grid_range"].split(":"))
-        except ValueError as exc:
-            raise ConfigError(f"--grid-range must look like '-8:8', got {p['grid_range']!r}") from exc
-    spec = GridSpec(z_min=z_min, z_max=z_max, cells_per_axis=p["grid_cells"])
-    return spec if p["method"] == "grid" else "oracle"
 
 
 def _scenario(p: dict[str, Any]) -> LeverageScenario:
@@ -226,7 +208,7 @@ def _spd(p: dict[str, Any]) -> dict[str, Any]:
         **cell,
         "rho": correlation_law(strat.diversification, market.market_size)[0],
         "method": p["method"],
-        "systemic_pd": systemic_pd(strat, market, _route(p)),
+        "systemic_pd": systemic_pd(strat, market, p["method"]),
     }
 
 
@@ -243,14 +225,14 @@ def _delta(p: dict[str, Any]) -> dict[str, Any]:
         "chi": market.chi,
         "mu": market.drift,
         "method": p["method"],
-        "delta_phi2": delta_phi2(scenario, n, market, _route(p)),
+        "delta_phi2": delta_phi2(scenario, n, market, p["method"]),
     }
 
 
 def _critical_n(p: dict[str, Any]) -> dict[str, Any]:
     market = _market(p)
     scenario = _scenario(p)
-    n_star = critical_diversification(scenario, market, _route(p), p["eps_safe"])
+    n_star = critical_diversification(scenario, market, p["method"], p["eps_safe"])
     return {
         "f_normal": scenario.f_normal,
         "f_abnormal": scenario.f_abnormal,
@@ -274,7 +256,7 @@ def _sweep(p: dict[str, Any]) -> None:
         p["N_values"],
         chis,
         mu=p["mu"],
-        method=_route(p),
+        method=p["method"],
         epsilon_safe=p["eps_safe"],
     )
     payload = result.to_json() if p["output"] == "json" else result.to_csv()
@@ -286,7 +268,7 @@ def _sweep(p: dict[str, Any]) -> None:
 
 
 def _table1(p: dict[str, Any]) -> None:
-    computed = compute_table1(_route(p), p["eps_safe"])
+    computed = compute_table1(p["method"], p["eps_safe"])
     # per (scenario, chi): one printed row, and a value and a diff column in
     # the --out CSV, which has one row per N
     cols = [(fn, fa, chi) for fn, fa in TABLE1_SCENARIOS for chi in TABLE1_CHIS]
@@ -366,7 +348,7 @@ def _se_multiple(est: float, target: float, se: float) -> float:
 def _mu_scan(p: dict[str, Any]) -> dict[str, Any]:
     market = _market(p)
     scenario = _scenario(p)
-    scan = mu_sensitivity(scenario, market, p["mu_values"], _route(p), p["eps_safe"])
+    scan = mu_sensitivity(scenario, market, p["mu_values"], p["method"], p["eps_safe"])
     return {
         **{f"critical_n[mu={mu!r}]": _fmt_n(n_star) for mu, n_star in scan.items()},
         "f_normal": scenario.f_normal,
@@ -388,23 +370,23 @@ class Command(NamedTuple):
 COMMANDS: dict[str, Command] = {
     "pd": Command(_pd, "individual default probability Phi1(z)", ("f", "n", *MARKET, *OUTPUT)),
     "spd": Command(
-        _spd, "systemic (joint) default probability Phi2(z, z, n/N)", ("f", "n", *MARKET, *METHOD, *OUTPUT)
+        _spd, "systemic (joint) default probability Phi2(z, z, n/N)", ("f", "n", *MARKET, "method", *OUTPUT)
     ),
     "delta": Command(
-        _delta, "systemic risk increase from excessive leverage", (*SCENARIO, "n", *MARKET, *METHOD, *OUTPUT)
+        _delta, "systemic risk increase from excessive leverage", (*SCENARIO, "n", *MARKET, "method", *OUTPUT)
     ),
     "critical-n": Command(
         _critical_n,
         "minimum diversification with a safe suffix",
-        (*SCENARIO, "eps_safe", *MARKET, *METHOD, *OUTPUT),
+        (*SCENARIO, "eps_safe", *MARKET, "method", *OUTPUT),
     ),
     "sweep": Command(
         _sweep,
         "regime map over (N, n, chi)",
-        (*SCENARIO, "N_values", "chi_points", "eps_safe", "mu", *METHOD, *OUTPUT),
+        (*SCENARIO, "N_values", "chi_points", "eps_safe", "mu", "method", *OUTPUT),
     ),
     "table1": Command(
-        _table1, "critical diversification on the reference box, with diffs", ("eps_safe", *METHOD, "out")
+        _table1, "critical diversification on the reference box, with diffs", ("eps_safe", "method", "out")
     ),
     "simulate": Command(
         _simulate,
@@ -414,7 +396,7 @@ COMMANDS: dict[str, Command] = {
     "mu-scan": Command(
         _mu_scan,
         "critical diversification as a function of drift",
-        (*SCENARIO, "mu_values", "eps_safe", *MARKET, *METHOD, *OUTPUT),
+        (*SCENARIO, "mu_values", "eps_safe", *MARKET, "method", *OUTPUT),
     ),
 }
 
@@ -470,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

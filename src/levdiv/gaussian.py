@@ -32,15 +32,16 @@ different routes:
   of two identical banks lies: one table per correlation, the cumulative
   trapezoidal rule of the slope d/dz Phi2(z, z, rho) on a uniform axis,
   read by linear interpolation, for rho in [-0.9999, 1).  Coarser
-  (abs error <= 1e-3 at the default grid, in practice ~1e-5) but
+  (abs error <= 1e-3 at ``DEFAULT_GRID``, in practice ~1e-5) but
   independent of the quadrature route, so the two can cross-check each
-  other.
+  other.  A table on any other ``GridSpec`` carries no stated bound.
 
 ``binorm_cdf(z, rho, method)`` is the model's cell Phi2(z, z, rho).  Its
-``method`` is the route: "oracle", or "grid" (``DEFAULT_GRID``) or a
-``GridSpec``, which tabulates each distinct rho in [-0.9999, 1) once per
-call and takes the oracle at every other rho; ``_error_bound`` gives the
-route's stated accuracy.  Arguments broadcast; scalars give a float.
+``method`` is the route: "oracle", or "grid", which tabulates each
+distinct rho in [-0.9999, 1) once per call on ``DEFAULT_GRID``, the only
+spec a route uses, and takes the oracle at every other rho;
+``_error_bound`` gives the route's stated accuracy.  Arguments broadcast;
+scalars give a float.
 No table is kept between calls: a caller that queries one correlation many
 times keeps the ``CdfGrid`` that ``tabulate_cdf_grid`` returns and calls
 its ``lookup``; ``tabulate_cdf_grid`` explains how a table is sized from
@@ -406,7 +407,8 @@ def tabulate_cdf_grid(rho: float, spec: GridSpec = DEFAULT_GRID, z=None) -> CdfG
     return CdfGrid(spec=spec, rho=rho, node_values=table)
 
 
-# the grid route's stated bound on |error| at the default spec: tables serve
+# the grid route's stated bound on |error|, for DEFAULT_GRID, the only spec a
+# route uses (a table on another spec carries no stated bound): tables serve
 # rho in [_GRID_RHO_MIN, 1), the oracle every other rho.  Measured on z in
 # [-8.5, 8.5]: at most 7.7e-6 for rho >= -0.5 (3.2e-6 from 0.999999 up to the
 # float below 1), 4.5e-4 at -0.9999.  Toward -1, Phi(c t) steps at t = 0 and
@@ -421,41 +423,40 @@ def binorm_cdf_grid(z, rho: float, spec: GridSpec = DEFAULT_GRID):
     return tabulate_cdf_grid(rho, spec, z).lookup(z)
 
 
-def _grid_spec(method: str | GridSpec) -> GridSpec | None:
-    """The GridSpec a Phi2 ``method`` tabulates on, None for the oracle;
-    ConfigError for anything else."""
-    if method == "oracle":
-        return None
-    spec = DEFAULT_GRID if method == "grid" else method
-    if not isinstance(spec, GridSpec):
-        raise ConfigError(f"unknown method {method!r}, expected 'grid', 'oracle' or a GridSpec")
-    return spec
+def _is_grid(method: str) -> bool:
+    """Whether a Phi2 ``method`` is the grid route; ConfigError unless it
+    is "grid" or "oracle"."""
+    if method not in ("grid", "oracle"):
+        raise ConfigError(f"unknown method {method!r}, expected 'grid' or 'oracle'")
+    return method == "grid"
 
 
-def _error_bound(method: str | GridSpec) -> float:
+def _error_bound(method: str) -> float:
     """The stated bound on |Phi2 error| of a ``method``'s route."""
-    return _ORACLE_BOUND if _grid_spec(method) is None else _GRID_BOUND
+    return _GRID_BOUND if _is_grid(method) else _ORACLE_BOUND
 
 
-def binorm_cdf(z, rho, method: str | GridSpec = "oracle"):
+def binorm_cdf(z, rho, method: str = "oracle"):
     """Phi2(z, z, rho), the joint default probability of two identical
-    banks; arguments broadcast.  ``method`` is the route: ``"oracle"``,
-    ``"grid"`` (the ``DEFAULT_GRID`` tabulation) or a ``GridSpec`` to
-    tabulate on.  A grid route raises DomainError for a NaN coordinate, then
-    takes the distinct correlations in ascending order: one in
-    [_GRID_RHO_MIN, 1) is tabulated once, its table sized from its own
-    queries; any other takes the oracle at its own value."""
+    banks; arguments broadcast.  ``method`` is the route: ``"oracle"`` or
+    ``"grid"``, the ``DEFAULT_GRID`` tabulation.  The grid route raises
+    DomainError for a NaN coordinate, then takes the distinct correlations
+    in ascending order: one in [_GRID_RHO_MIN, 1) is tabulated once, its
+    table sized from its own queries; any other takes the oracle at its own
+    value.  Each correlation's cells keep their order within the batch."""
     r = _as_rho(rho)
-    spec = _grid_spec(method)
-    if spec is None:
+    if not _is_grid(method):
         return binorm_cdf_oracle(z, z, r)
     z, r = np.broadcast_arrays(np.asarray(z, dtype=float), r)
     _check_not_nan(z)
-    out = np.empty(r.shape)
-    for value in np.unique(r):
-        at = r == value
+    z = z.ravel()
+    # one sort groups the cells by correlation, each group in batch order
+    distinct, group = np.unique(r.ravel(), return_inverse=True)
+    order = np.argsort(group, kind="stable")
+    out = np.empty(z.size)
+    for value, at in zip(distinct.tolist(), np.split(order, np.cumsum(np.bincount(group))[:-1])):
         if _GRID_RHO_MIN <= value < 1.0:
-            out[at] = binorm_cdf_grid(z[at], value, spec)
+            out[at] = binorm_cdf_grid(z[at], value, DEFAULT_GRID)
         else:
             out[at] = binorm_cdf_oracle(z[at], z[at], value)
-    return out if out.ndim else float(out)
+    return out.reshape(r.shape) if r.ndim else float(out[0])

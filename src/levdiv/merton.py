@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, is_int
-from .gaussian import GridSpec, binorm_cdf, phi1
+from .gaussian import binorm_cdf, phi1
 
 _F_BOUNDARY_TOL = 1e-12
 
@@ -167,7 +167,7 @@ def asset_correlation(n: int, market: MarketParams) -> float:
 
 
 def systemic_pd(
-    strategy: BankStrategy, market: MarketParams, method: str | GridSpec = "oracle", overlap: OverlapMode | None = None
+    strategy: BankStrategy, market: MarketParams, method: str = "oracle", overlap: OverlapMode | None = None
 ) -> float:
     """Joint default probability of two banks using the same strategy on the
     same market: Phi2(z, z, rho) averaged over ``correlation_law``.  With no

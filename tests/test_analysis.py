@@ -24,7 +24,6 @@ from levdiv import (
     DomainError,
     EPSILON_SAFE,
     FixedOverlap,
-    GridSpec,
     LeverageScenario,
     MarketParams,
     SimConfig,
@@ -46,7 +45,6 @@ from levdiv.merton import correlation_law, z_cells
 
 M10 = MarketParams.from_chi(10, 1.6)
 SCENARIO = LeverageScenario(0.10, 0.25)
-SMALL_GRID = GridSpec(cells_per_axis=400)
 
 # sweeps whose CSV must be csv.writer's bytes: exact-zero and exponent-form
 # deltas (the standard box), descending and repeated chi with unsorted
@@ -56,7 +54,7 @@ CSV_SWEEPS = {
     "descending-repeated-chi": lambda: regime_sweep(SCENARIO, [12, 3, 7], [5.1, 0.2, 0.2, 0.003]),
     "drift": lambda: regime_sweep(LeverageScenario(0.25, 0.5), [7], [0.3, 1.6], mu=0.05),
     "duplicated-sizes": lambda: regime_sweep(SCENARIO, [20, 10, 10], [0.1, 1.6, 8.9]),
-    "grid": lambda: regime_sweep(SCENARIO, [6], [0.01, 0.5, 3.0], method=SMALL_GRID),
+    "grid": lambda: regime_sweep(SCENARIO, [6], [0.01, 0.5, 3.0], method="grid"),
 }
 
 # sweeps whose JSON must be json.dumps(doc, indent=2) of the nested
@@ -121,7 +119,7 @@ class TestSystemicPd:
 
     def test_grid_and_oracle_agree(self):
         s = BankStrategy(0.25, 5)
-        assert systemic_pd(s, M10, method=SMALL_GRID) == pytest.approx(
+        assert systemic_pd(s, M10, method="grid") == pytest.approx(
             systemic_pd(s, M10, method="oracle"), abs=1e-3
         )
 
@@ -243,7 +241,7 @@ class TestCriticalDiversification:
     def test_bad_inputs_rejected_in_order(self, sizes, chi, eps, error, message):
         calls = [
             lambda: critical_table([SCENARIO], sizes, chi, epsilon_safe=eps),
-            lambda: critical_table([SCENARIO], sizes, chi, SMALL_GRID, eps),
+            lambda: critical_table([SCENARIO], sizes, chi, "grid", eps),
             lambda: regime_sweep(SCENARIO, sizes, chi, epsilon_safe=eps),
         ]
         if sizes == [4]:  # a market's own size is always valid
@@ -251,7 +249,7 @@ class TestCriticalDiversification:
             market = MarketParams(4, chi[0] if chi else 1.6)
             calls.append(lambda: mu_sensitivity(SCENARIO, market, [-0.2, 0.0] if chi else [], epsilon_safe=eps))
             if chi:  # a single market always has its chi
-                calls.append(lambda: critical_diversification(SCENARIO, market, SMALL_GRID, eps))
+                calls.append(lambda: critical_diversification(SCENARIO, market, "grid", eps))
         for call in calls:
             with pytest.raises(error, match="^" + re.escape(message) + "$") as info:
                 call()
@@ -322,7 +320,7 @@ class TestRegimeSweep:
     def test_grid_sweep_repeats_byte_identical(self):
         # every grid sweep tabulates afresh: no state carries between them
         def sweep():
-            return regime_sweep(SCENARIO, [5, 8], [0.2, 2.0], method=SMALL_GRID)
+            return regime_sweep(SCENARIO, [5, 8], [0.2, 2.0], method="grid")
 
         assert sweep().to_csv().encode() == sweep().to_csv().encode()
 
@@ -450,7 +448,7 @@ class TestRegimeSweep:
         shift = levdiv.analysis._DELTA_SLACK / 2
         evaluate()
 
-    @pytest.mark.parametrize("method", ["oracle", SMALL_GRID], ids=["oracle", "grid"])
+    @pytest.mark.parametrize("method", ["oracle", "grid"], ids=["oracle", "grid"])
     def test_batches_do_not_change_bytes(self, monkeypatch, method):
         import levdiv.analysis
 
@@ -473,7 +471,7 @@ class TestRegimeSweep:
         assert batched.to_json() == whole.to_json()
 
     def test_grid_method_supported(self):
-        result = regime_sweep(SCENARIO, [4], [0.5], method=SMALL_GRID)
+        result = regime_sweep(SCENARIO, [4], [0.5], method="grid")
         oracle = regime_sweep(SCENARIO, [4], [0.5])
         assert result.n.tolist() == oracle.n.tolist()
         np.testing.assert_allclose(result.delta_phi2, oracle.delta_phi2, rtol=0, atol=2e-3)
@@ -495,7 +493,7 @@ class TestCriticalReductions:
 
     # at eps = 0.05 the N = 1 column at chi = 8.9 is safe, and larger n are risky
     @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-2, 0.05, 0.2, 1.0])
-    @pytest.mark.parametrize("method", ["oracle", SMALL_GRID], ids=["oracle", "grid"])
+    @pytest.mark.parametrize("method", ["oracle", "grid"], ids=["oracle", "grid"])
     def test_scan_matches_full_box(self, method, eps):
         scenarios = [SCENARIO, LeverageScenario(0.25, 0.5)]
         tables = critical_table(scenarios, SCAN_SIZES, SCAN_CHIS, method, eps)
@@ -518,7 +516,7 @@ class TestCriticalReductions:
             }
 
     @pytest.mark.parametrize("eps", [0.0, 1e-6, 0.2])
-    @pytest.mark.parametrize("method", ["oracle", SMALL_GRID], ids=["oracle", "grid"])
+    @pytest.mark.parametrize("method", ["oracle", "grid"], ids=["oracle", "grid"])
     def test_sweep_matches_full_box_on_unsorted_repeated_axes(self, method, eps):
         # unsorted and duplicated sizes, descending and repeated chi: the
         # sweep's cell layout must not move any column's n*
@@ -732,7 +730,7 @@ class TestBracket:
             assert full[0, 0, -1] == delta_phi2(scenario, size, market, method)
 
     @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-2, 0.05, 0.2, 1.0])
-    @pytest.mark.parametrize("method", ["oracle", SMALL_GRID], ids=["oracle", "grid"])
+    @pytest.mark.parametrize("method", ["oracle", "grid"], ids=["oracle", "grid"])
     def test_bracket_holds_critical_level(self, method, eps):
         from levdiv.analysis import _box, _bracket
         from levdiv.gaussian import _error_bound
@@ -785,7 +783,7 @@ class TestScanBatches:
     """A scan's open cells are cut into bounded batches without moving any n*."""
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-3, 1e-2])
-    @pytest.mark.parametrize("method", ["oracle", SMALL_GRID], ids=["oracle", "grid"])
+    @pytest.mark.parametrize("method", ["oracle", "grid"], ids=["oracle", "grid"])
     def test_forced_batches_match_full_box(self, monkeypatch, method, eps):
         import levdiv.analysis
 

@@ -525,7 +525,7 @@ class TestGrid:
         for rho in (0.1, 0.6):
             for z in (diagonal, np.append(diagonal, -50.0), np.array([spec.z_max, 9.5, 50.0])):
                 full = tabulate_cdf_grid(rho, spec).lookup(z)
-                got = binorm_cdf(z, rho, method=spec)
+                got = binorm_cdf_grid(z, rho, spec)
                 assert got.tolist() == full.tolist()
 
     # the rule the table applies, with no vectorised reference: node r
@@ -628,7 +628,7 @@ class TestGrid:
             # oracle's among them
             for rho in (0.3, 1.0, -1.0, -0.99991):
                 with pytest.raises(DomainError, match="non-NaN"):
-                    binorm_cdf(z, rho, method=SMALL_GRID)
+                    binorm_cdf(z, rho, method="grid")
             # a table checks its coordinates before its correlation
             for rho in (1.5, 1.0):
                 with pytest.raises(DomainError, match="non-NaN"):
@@ -641,10 +641,10 @@ class TestGrid:
         for rho in (1.0, -0.99991, -1.0):
             with pytest.raises(DomainError, match=r"grid tabulation serves rho in \[-0\.9999, 1\)"):
                 binorm_cdf_grid(0.0, rho, SMALL_GRID)
-            assert binorm_cdf(z, rho, SMALL_GRID).tolist() == binorm_cdf_oracle(z, z, rho).tolist()
+            assert binorm_cdf(z, rho, "grid").tolist() == binorm_cdf_oracle(z, z, rho).tolist()
         # up to the float below 1 a table serves
         for rho in (-0.9999, 1.0 - 1e-12, math.nextafter(1.0, 0.0)):
-            assert binorm_cdf(z, rho, SMALL_GRID).tolist() == binorm_cdf_grid(z, rho, SMALL_GRID).tolist()
+            assert binorm_cdf(z, rho, "grid").tolist() == binorm_cdf_grid(z, rho).tolist()
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ConfigError):
@@ -655,38 +655,45 @@ class TestGrid:
     def test_dispatcher_routes_degenerate_to_closed_form(self):
         assert binorm_cdf(0.4, 1.0, method="grid") == phi1(0.4)
         assert binorm_cdf(0.4, -1.0, method="grid") == 1.0 - phi1(-0.4) - phi1(-0.4)
-        for method in ("simpson", 400, None, "Grid"):
-            with pytest.raises(ConfigError, match="expected 'grid', 'oracle' or a GridSpec"):
+        # a route is named, never given as a spec
+        for method in ("simpson", 400, None, "Grid", DEFAULT_GRID, SMALL_GRID):
+            with pytest.raises(ConfigError, match=r"^unknown method .*, expected 'grid' or 'oracle'$"):
                 binorm_cdf(0.0, 0.3, method=method)
-            with pytest.raises(ConfigError, match="expected 'grid', 'oracle' or a GridSpec"):
+            with pytest.raises(ConfigError, match=r"^unknown method .*, expected 'grid' or 'oracle'$"):
                 regime_sweep(LeverageScenario(0.1, 0.25), [4], [0.5], method=method)
-        # "grid" names the default spec
+        # "grid" tables on the default spec, and takes the oracle at +/-1
         z = np.linspace(-3.0, 2.0, 7)
         rho = np.array([0.0, 0.25, 0.5, 0.75, 0.99, 1.0, -1.0])
-        assert binorm_cdf(z, rho, method=DEFAULT_GRID).tolist() == binorm_cdf(z, rho, method="grid").tolist()
+        want = [binorm_cdf_grid(a, r, DEFAULT_GRID) for a, r in zip(z[:5], rho[:5])]
+        want += [binorm_cdf_oracle(a, a, r) for a, r in zip(z[5:], rho[5:])]
+        assert binorm_cdf(z, rho, method="grid").tolist() == want
 
     def test_each_route_states_one_bound(self):
-        # the oracle's measured error is at most 1.7e-13; the grid keeps its
-        # documented 1e-3 at any spec
+        # the oracle's measured error is at most 1.7e-13; the grid's 1e-3 is
+        # measured at DEFAULT_GRID, the one spec a route uses
         assert levdiv.gaussian._error_bound("oracle") == 1e-12
-        for method in ("grid", DEFAULT_GRID, SMALL_GRID):
-            assert levdiv.gaussian._error_bound(method) == 1e-3
-        with pytest.raises(ConfigError, match="unknown method"):
-            levdiv.gaussian._error_bound("quad")
+        assert levdiv.gaussian._error_bound("grid") == 1e-3
+        for method in ("quad", DEFAULT_GRID, SMALL_GRID):
+            with pytest.raises(ConfigError, match="unknown method"):
+                levdiv.gaussian._error_bound(method)
 
     def test_dispatcher_groups_by_correlation(self):
         # one tabulation per distinct correlation below 1, and none kept
         z = np.linspace(-2.0, 1.0, 6)
         rho = np.array([0.25, 0.5, 1.0, 0.25, 0.5, 0.25])
         before = tabulate_cdf_grid.cache_info().misses
-        got = binorm_cdf(z, rho, method=SMALL_GRID)
+        got = binorm_cdf(z, rho, method="grid")
         after = tabulate_cdf_grid.cache_info()
         assert after.misses - before == 2
         assert after.currsize == 0
-        assert got.tolist() == [binorm_cdf(a, r, method=SMALL_GRID) for a, r in zip(z, rho)]
+        # each group's table is sized from its own cells, in batch order
+        for r in (0.25, 0.5):
+            cells = z[rho == r]
+            assert got[rho == r].tolist() == tabulate_cdf_grid(r, DEFAULT_GRID, cells).lookup(cells).tolist()
+        assert got.tolist() == [binorm_cdf(a, r, method="grid") for a, r in zip(z, rho)]
         # coordinates and correlations broadcast against each other
-        got = binorm_cdf(z, np.array([[0.25], [0.5]]), method=SMALL_GRID)
-        assert got.tolist() == [binorm_cdf(z, r, method=SMALL_GRID).tolist() for r in (0.25, 0.5)]
+        got = binorm_cdf(z, np.array([[0.25], [0.5]]), method="grid")
+        assert got.tolist() == [binorm_cdf(z, r, method="grid").tolist() for r in (0.25, 0.5)]
 
     def test_error_reaches_caller_in_correlation_order(self, monkeypatch):
         # correlations n/20 with their diagonal thresholds, the closed forms
@@ -746,7 +753,7 @@ class TestCorrelation:
             with pytest.raises(DomainError):
                 binorm_cdf_oracle(0.0, 0.0, rho)
             with pytest.raises(DomainError):
-                binorm_cdf(0.0, rho, method=SMALL_GRID)
+                binorm_cdf(0.0, rho, method="grid")
         assert binorm_cdf_oracle(0.0, 0.0, 1.0) == 0.5
         assert binorm_cdf_oracle(0.0, 0.0, -1.0) == 0.0
 
