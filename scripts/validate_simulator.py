@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import resource
 import sys
 import time
@@ -41,7 +42,8 @@ def simulate(argv: list[str]) -> dict:
     if code != 0:
         print(f"levdiv simulate {' '.join(argv)} exited with code {code}", file=sys.stderr)
         sys.exit(code)
-    return json.loads(out.getvalue())
+    # JSON writes a non-finite field (an SE multiple at SE 0, say) as null; print it as nan
+    return {key: math.nan if value is None else value for key, value in json.loads(out.getvalue()).items()}
 
 
 def main() -> None:

@@ -178,8 +178,9 @@ def _overlap(spec: str):
 
 
 def _format(mode: str, fields: dict[str, Any]) -> str:
-    if mode == "json":
-        return json.dumps(fields, indent=2) + "\n"
+    if mode == "json":  # JSON has no Infinity or NaN: a non-finite float is written as null
+        finite = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in fields.items()}
+        return json.dumps(finite, indent=2) + "\n"
     text = {k: repr(v) if isinstance(v, float) else str(v) for k, v in fields.items()}
     if mode == "csv":
         return f"{','.join(text)}\r\n{','.join(text.values())}\r\n"

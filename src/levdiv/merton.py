@@ -104,26 +104,32 @@ class RandomSelection:
 OverlapMode = FixedOverlap | RandomSelection
 
 
-def check_overlap(overlap: OverlapMode, n1: int, n2: int, market_size: int) -> None:
-    """Reject an overlap that two books of n1 and n2 of the projects cannot have."""
+def check_overlap(overlap: OverlapMode, n: int, market_size: int) -> None:
+    """The one book-size and overlap rule, for two books of n of the N projects."""
+    if n > market_size:
+        raise ConfigError(f"diversification {n} exceeds market size {market_size}")
     if isinstance(overlap, FixedOverlap):
-        k, lo, hi = overlap.shared, max(0, n1 + n2 - market_size), min(n1, n2)
-        if not is_int(k) or not lo <= k <= hi:
-            raise ConfigError(
-                f"shared project count {k!r} must lie in [{lo}, {hi}] for n1={n1}, n2={n2}, N={market_size}"
-            )
+        k, lo = overlap.shared, max(0, 2 * n - market_size)
+        if not is_int(k) or not lo <= k <= n:
+            raise ConfigError(f"shared project count {k!r} must lie in [{lo}, {n}] for n={n}, N={market_size}")
     elif not isinstance(overlap, RandomSelection):
         raise ConfigError(f"unknown overlap mode {overlap!r}")
 
 
 def z_cells(f, n, chi, shift):
-    """Default threshold z = -(ln(1/f) + shift - chi/n) / sqrt(2 chi / n),
+    """Default threshold z = -(ln(1/f) + shift - q) / sqrt(2 q), q = chi/n and
     shift = mu T, at cells given as arrays that broadcast.  ln(1/f) is
     libm's ``math.log(1.0 / f)``, once per entry of f: numpy's log and
-    -log(f) differ from it in the last bit for some leverages."""
+    -log(f) differ from it in the last bit for some leverages.  Where 2 q
+    overflows, sqrt(2 q) is sqrt(2) sqrt(q).  A non-finite z is a DomainError."""
     log = np.array([math.log(1.0 / x) for x in np.ravel(f).tolist()]).reshape(np.shape(f))
-    n = np.asarray(n, dtype=float)
-    return -(log + shift - chi / n) / np.sqrt(2.0 * chi / n)
+    with np.errstate(all="ignore"):
+        q = chi / np.asarray(n, dtype=float)
+        z = -(log + shift - q) / np.where(np.isinf(2.0 * q), math.sqrt(2.0) * np.sqrt(q), np.sqrt(2.0 * q))
+    if not np.isfinite(z).all():
+        cell = [np.broadcast_to(x, z.shape)[~np.isfinite(z)][0].item() for x in (f, n, chi, shift)]
+        raise DomainError("z is not finite at f={!r}, n={!r}, chi={!r}, shift={!r}".format(*cell))
+    return z
 
 
 def z_score(strategy: BankStrategy, market: MarketParams) -> float:
@@ -148,7 +154,7 @@ def correlation_law(n, market_size: int, overlap: OverlapMode | None = None):
     ``RandomSelection`` the hypergeometric(N, n, n) law of K."""
     if overlap is None:
         return n / market_size, 1.0
-    check_overlap(overlap, n, n, market_size)
+    check_overlap(overlap, n, market_size)
     if isinstance(overlap, FixedOverlap):
         return overlap.shared / n, 1.0
     ks = np.arange(max(0, 2 * n - market_size), n + 1)

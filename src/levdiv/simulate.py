@@ -1,16 +1,16 @@
 """Brute-force Monte Carlo cross-check of the analytic default probabilities.
 
-Two banks hold equally weighted, periodically rebalanced portfolios drawn
-from N independent GBM projects.  Per path the simulator draws exact
-per-step GBM increments, applies the contrarian rebalancing rule (sell
-winners, buy losers, total value unchanged), and records individual and
-joint defaults a_i(T) <= f_i * a_i(0).
+Two banks with one strategy (the paper's identical banks) each hold an equally
+weighted, periodically rebalanced book of n of N independent GBM projects.
+Per path the simulator draws exact per-step GBM increments, applies the
+contrarian rebalancing rule (sell winners, buy losers, total value unchanged),
+and records individual and joint defaults a_i(T) <= f * a_i(0).
 
 Randomness is counter-based: path p of a run with seed s consumes the
 Philox stream keyed (s, p), so every path is reproducible in isolation.
 Stream 0 carries the price shocks in (step, project) order, for all N projects
-under random selection but under a fixed overlap of k only for the n1 + n2 - k
-projects [0, n1 + n2 - k) the banks hold; stream 1 carries the random selection.
+under random selection but under a fixed overlap of k only for the 2n - k
+projects [0, 2n - k) the banks hold; stream 1 carries the random selection.
 
 A chunk is a fixed number of paths, and each worker reduces every path
 to a few scalars as soon as its book log-returns are formed: each book's
@@ -51,18 +51,19 @@ _SCRATCH_BUDGET = 131_072
 @dataclass(frozen=True)
 class SimConfig:
     market: MarketParams
-    strategies: tuple[BankStrategy, BankStrategy]
+    strategies: tuple[BankStrategy, BankStrategy]  # both banks use one strategy: the entries are equal
     overlap: OverlapMode = RandomSelection()
     paths: int = 100_000
     steps_per_horizon: int = 250
     seed: int = 0
 
     def __post_init__(self) -> None:
-        n1, n2 = (s.diversification for s in self.strategies)
-        N = self.market.market_size
-        if n1 > N or n2 > N:
-            raise ConfigError(f"diversification ({n1}, {n2}) exceeds market size {N}")
-        check_overlap(self.overlap, n1, n2, N)
+        first, second = self.strategies
+        if first != second:
+            raise ConfigError(f"both banks use one strategy, got {first} and {second}")
+        check_overlap(self.overlap, first.diversification, self.market.market_size)
+        if not math.isfinite(self.market.sigma * self.market.sigma):
+            raise ConfigError(f"sigma^2 = 2 chi / T must be finite, got {self.market!r}")
         if not is_int(self.paths) or self.paths < 1:
             raise ConfigError(f"paths must be an integer >= 1, got {self.paths!r}")
         if not is_int(self.steps_per_horizon) or self.steps_per_horizon < 1:
@@ -117,11 +118,11 @@ class SimResult:
 
 
 def _fixed_books(config: SimConfig) -> tuple[range, range]:
-    """The books under a fixed overlap of k: bank 1 holds projects [0, n1)
-    and bank 2 [n1 - k, n1 - k + n2)."""
-    n1, n2 = (s.diversification for s in config.strategies)
-    start2 = n1 - config.overlap.shared
-    return range(n1), range(start2, start2 + n2)
+    """The books under a fixed overlap of k: bank 1 holds projects [0, n)
+    and bank 2 [n - k, 2n - k)."""
+    n = config.strategies[0].diversification
+    start2 = n - config.overlap.shared
+    return range(n), range(start2, start2 + n)
 
 
 def select_holdings(config: SimConfig, path_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,14 +130,13 @@ def select_holdings(config: SimConfig, path_index: int) -> tuple[np.ndarray, np.
     books of ``_fixed_books``, or a random draw from the path's stream 1."""
     if isinstance(config.overlap, FixedOverlap):
         return tuple(np.array(book) for book in _fixed_books(config))
-    n1, n2 = (s.diversification for s in config.strategies)
     rng = path_rng(config.seed, path_index, stream=1)
-    return _draw_holdings(rng, config.market.market_size, n1, n2)
+    return _draw_holdings(rng, config.market.market_size, config.strategies[0].diversification)
 
 
-def _draw_holdings(rng, N: int, n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
-    # random selection, from a generator on the path's stream 1
-    return np.sort(rng.permutation(N)[:n1]), np.sort(rng.permutation(N)[:n2])
+def _draw_holdings(rng, N: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # random selection, from a generator on the path's stream 1: bank 1, then bank 2
+    return np.sort(rng.permutation(N)[:n]), np.sort(rng.permutation(N)[:n])
 
 
 def _usable_cpus() -> int:
@@ -162,11 +162,11 @@ def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -
     dt = config.dt
     drift_term = (m.drift - 0.5 * m.sigma**2) * dt
     vol_term = m.sigma * math.sqrt(dt)
-    log_limits = np.array([[math.log(s.leverage)] for s in config.strategies])
+    log_limit = math.log(config.strategies[0].leverage)
+    n = config.strategies[0].diversification
     random_mode = isinstance(config.overlap, RandomSelection)
-    n1, n2 = (s.diversification for s in config.strategies)
     fixed = None if random_mode else _fixed_books(config)
-    width = N if random_mode else fixed[1].stop  # projects drawn: the fixed books' prefix
+    width = N if random_mode else fixed[1].stop  # projects drawn: the fixed books' prefix [0, 2n - k)
     # banks holding the same projects have the same returns: compute them once
     same_books = not random_mode and fixed[0] == fixed[1]
     books = 1 if same_books else 2
@@ -194,7 +194,7 @@ def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -
         scratch = np.empty((sub, steps, width))
         log_ret = np.empty((books, sub, steps))
         if random_mode:
-            held = (np.empty((sub, n1), dtype=int), np.empty((sub, n2), dtype=int))
+            held = np.empty((2, sub, n), dtype=int)
         for a in range(lo, hi, sub):
             block = scratch[: min(sub, hi - a)]
             ret, rows = log_ret[:, : len(block)], slice(a, a + len(block))
@@ -202,7 +202,7 @@ def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -
                 _repoint(gen, state, start + a + j, 0).standard_normal((steps, width), out=block[j])
                 if random_mode:
                     _repoint(gen, state, start + a + j, 1)
-                    held[0][j], held[1][j] = _draw_holdings(gen, N, n1, n2)
+                    held[:, j] = _draw_holdings(gen, N, n)
             block *= vol_term
             block += drift_term
             np.exp(block, out=block)
@@ -215,7 +215,7 @@ def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -
                         out += block[:, :, col]
                     out /= len(fixed[bank])
                 else:
-                    np.take_along_axis(block, held[bank][: len(block), None, :], axis=2).mean(axis=2, out=out)
+                    np.take_along_axis(block, held[bank, : len(block), None, :], axis=2).mean(axis=2, out=out)
                 np.log(out, out=out)
             # each path's row sums: log growth, cross product, then squares
             ret.sum(axis=2, out=sums[:, 0, rows])
@@ -233,7 +233,7 @@ def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -
 
             # identical books: bank 2's growths and moments are bank 1's
             logfac = sums[[0, -1], 0, :size]
-            defaults = logfac <= log_limits
+            defaults = logfac <= log_limit
             n_def += defaults.sum(axis=1)
             n_joint += int((defaults[0] & defaults[1]).sum())
             moments += sums[:, :, :size].sum(axis=2)

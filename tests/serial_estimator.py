@@ -23,20 +23,18 @@ from levdiv.simulate import select_holdings
 
 def fixed_holdings(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic holdings with exactly k shared projects: bank 1 takes
-    [0, n1), bank 2 takes [n1 - k, n1 - k + n2)."""
+    [0, n), bank 2 takes [n - k, 2n - k)."""
     assert isinstance(config.overlap, FixedOverlap)
-    n1, n2 = (s.diversification for s in config.strategies)
-    k = config.overlap.shared
-    return np.arange(n1), np.arange(n1 - k, n1 - k + n2)
+    n, k = config.strategies[0].diversification, config.overlap.shared
+    return np.arange(n), np.arange(n - k, 2 * n - k)
 
 
 def drawn_projects(config: SimConfig) -> int:
     """Projects a path draws shocks for, per step: all N under random
-    selection, the n1 + n2 - k held ones [0, n1 + n2 - k) under a fixed
-    overlap of k."""
+    selection, the 2n - k held ones [0, 2n - k) under a fixed overlap of k."""
     if isinstance(config.overlap, RandomSelection):
         return config.market.market_size
-    return sum(s.diversification for s in config.strategies) - config.overlap.shared
+    return 2 * config.strategies[0].diversification - config.overlap.shared
 
 
 def serial_estimate(config: SimConfig, collect_terminals: bool = False) -> SimResult:
@@ -45,10 +43,8 @@ def serial_estimate(config: SimConfig, collect_terminals: bool = False) -> SimRe
     dt = config.dt
     drift_term = (m.drift - 0.5 * m.sigma**2) * dt
     vol_term = m.sigma * math.sqrt(dt)
-    log_limits = (
-        math.log(config.strategies[0].leverage),
-        math.log(config.strategies[1].leverage),
-    )
+    log_limit = math.log(config.strategies[0].leverage)
+    n = config.strategies[0].diversification
     random_mode = isinstance(config.overlap, RandomSelection)
     if not random_mode:
         h_fixed = fixed_holdings(config)
@@ -71,11 +67,9 @@ def serial_estimate(config: SimConfig, collect_terminals: bool = False) -> SimRe
         growth = np.exp(drift_term + vol_term * block)
 
         if random_mode:
-            idx1 = np.empty((size, config.strategies[0].diversification), dtype=int)
-            idx2 = np.empty((size, config.strategies[1].diversification), dtype=int)
+            indices = np.empty((2, size, n), dtype=int)
             for i in range(size):
-                idx1[i], idx2[i] = select_holdings(config, start + i)
-            indices = (idx1, idx2)
+                indices[:, i] = select_holdings(config, start + i)
 
         rets = []
         for bank in (0, 1):
@@ -87,8 +81,8 @@ def serial_estimate(config: SimConfig, collect_terminals: bool = False) -> SimRe
 
         logfac1 = rets[0].sum(axis=1)
         logfac2 = rets[1].sum(axis=1)
-        d1 = logfac1 <= log_limits[0]
-        d2 = logfac2 <= log_limits[1]
+        d1 = logfac1 <= log_limit
+        d2 = logfac2 <= log_limit
         n_def[0] += int(d1.sum())
         n_def[1] += int(d2.sum())
         n_joint += int((d1 & d2).sum())

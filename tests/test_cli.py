@@ -162,6 +162,24 @@ class TestErrors:
         assert (code, out) == (3, "")
         assert err == f"numerical failure: {error}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("pd", "--f", "0.25", "--n", "5", "--N", "10", "--chi", "5e-324"),
+        ("spd", "--f", "0.25", "--n", "5", "--N", "10", "--chi", "5e-324", "--method", "grid"),
+        ("spd", "--f", "0.25", "--n", "5", "--N", "10", "--chi", "5e-324", "--method", "oracle"),
+        ("sweep", "--f-normal", "0.1", "--f-abnormal", "0.25", "--N-values", "10", "--chi-points", "2",
+         "--mu", "1e308", "--out", "unwritten.csv"),
+        ("simulate", "--f", "0.25", "--n", "1", "--N", "1", "--chi", "1e308", "--overlap", "fixed:1",
+         "--paths", "10", "--steps", "1"),
+    ], ids=["pd-chi-over-n-is-0", "spd-grid", "spd-oracle", "sweep-z-overflows", "simulate-sigma-overflows"])
+    def test_non_finite_z_or_variance_exits_2(self, capsys, tmp_path, monkeypatch, argv):
+        # one error line on every route; a RuntimeWarning would fail the
+        # test, since the suite turns warnings into errors
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("sigma^2" if argv[0] == "simulate" else "z is not finite") in err
+
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["pd", "--f", "not-a-number", "--n", "5", "--N", "10", "--chi", "1.6"])
@@ -508,6 +526,28 @@ class TestSimulateCommand:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    @pytest.mark.parametrize("paths, steps", [(20, 5), (1, 1)])
+    def test_json_writes_non_finite_as_null(self, capsys, paths, steps):
+        # no path defaults, so every SE is 0 and its multiples are infinite;
+        # one step of one path leaves no variance for the correlation
+        argv = (
+            "simulate", "--f", "0.1", "--n", "4", "--N", "8", "--chi", "0.01", "--overlap", "fixed:2",
+            "--paths", str(paths), "--steps", str(steps),
+        )
+        code, out, _ = run(capsys, *argv, "--output", "json")
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(out, parse_constant=refuse)
+        assert doc["pd1_hat"] == doc["se_pd1"] == 0.0
+        assert doc["pd1_se_multiple"] is None and doc["joint_se_multiple_mixture"] is None
+        assert (doc["realized_correlation"] is None) == (steps == 1)
+        # the pretty and csv modes keep Python's inf and nan
+        assert "pd1_se_multiple            inf\n" in run(capsys, *argv)[1]
+        assert ",inf," in run(capsys, *argv, "--output", "csv")[1]
 
     def test_terminal_dump(self, capsys, tmp_path):
         dump = tmp_path / "terminals.csv"

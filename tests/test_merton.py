@@ -1,6 +1,7 @@
 """Tests for the single-bank Merton quantities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,24 @@ class TestZScore:
         z = z_score(BankStrategy(0.001 + 1e-9, 40), MarketParams.from_chi(40, 0.001))
         assert math.isfinite(z)
 
+    @pytest.mark.parametrize(
+        "n, chi, drift",
+        [(5, 5e-324, 0.0), (2, 5e-324, 0.0), (1, 1e-3, 1e308), (1, 1e-3, -1e308)],
+        ids=["chi-over-5-is-0", "chi-over-2-is-0", "z-overflows-down", "z-overflows-up"],
+    )
+    def test_non_finite_z_rejected(self, n, chi, drift):
+        # chi/n underflows to 0 or z overflows: one DomainError naming the
+        # cell, not a RuntimeWarning (pytest runs with filterwarnings = error)
+        with pytest.raises(DomainError, match=re.escape(f"z is not finite at f=0.25, n={n}, chi={chi!r}, shift={drift!r}")):
+            z_score(BankStrategy(0.25, n), MarketParams(10, chi, drift=drift))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_largest_chi_gives_large_finite_z(self, n):
+        # 2 chi overflows at chi = 1e308; z = -(ln 4 - q) / sqrt(2 q) with
+        # q = chi / n is about sqrt(q / 2), not the 0 that finite / inf gives
+        z = z_score(BankStrategy(0.25, n), MarketParams(10, 1e308))
+        assert z == pytest.approx(math.sqrt(1e308 / n / 2.0), rel=1e-12)
+
 
 class TestIndividualPd:
     def test_reference_value(self):
@@ -152,6 +171,10 @@ class TestIndividualPd:
         assert individual_pd(BankStrategy(f, n_hi), m) <= individual_pd(
             BankStrategy(f, n_lo), m
         )
+
+    def test_largest_chi_defaults_surely(self):
+        # 2 chi overflows at chi = 1e308, where finite / inf made z = 0 and pd 1/2
+        assert individual_pd(BankStrategy(0.25, 5), MarketParams(10, 1e308)) == 1.0
 
     @pytest.mark.parametrize("f", [0.1, 0.5, 0.9])
     def test_vanishing_chi_limit(self, f):
@@ -229,6 +252,19 @@ class TestZCells:
         ]
         assert scalar.view(np.int64).tolist() == np.array(by_hand).view(np.int64).tolist()
 
+    def test_bits_match_the_two_chi_over_n_form(self):
+        # sqrt(2 (chi / n)) is sqrt(2 chi / n) wherever chi / n is a normal
+        # float, since doubling is exact: log-uniform chi over most of the range
+        rng = np.random.default_rng(20261021)
+        f = rng.uniform(1e-6, 1.0 - 1e-6, 20_000)
+        n = rng.integers(1, 1_000_001, 20_000).astype(float)
+        chi = 10.0 ** rng.uniform(-300.0, 307.0, 20_000)
+        shift = rng.uniform(-0.3, 0.3, 20_000)
+        assert (chi / n >= np.finfo(float).tiny).all()
+        log = np.array([math.log(1.0 / x) for x in f.tolist()])
+        old = -(log + shift - chi / n) / np.sqrt(2.0 * chi / n)
+        assert z_cells(f, n, chi, shift).view(np.int64).tolist() == old.view(np.int64).tolist()
+
     def test_broadcast_cells_match_scalar_cells(self):
         fs, ns = np.array([0.1, 0.25, 0.5, 0.1]), np.arange(1, 13)
         market = MarketParams.from_sigma(12, 0.9, horizon=2.0, drift=-0.03)
@@ -296,3 +332,9 @@ class TestJointPd:
         # two books of 4 of 6 projects share at least 2 and at most 4
         with pytest.raises(ConfigError):
             systemic_pd(BankStrategy(0.25, 4), MarketParams.from_chi(6, 1.6), overlap=overlap)
+
+    @pytest.mark.parametrize("overlap", [FixedOverlap(4), RandomSelection()])
+    def test_books_larger_than_the_market_rejected(self, overlap):
+        # check_overlap is the one book-size rule: n <= N under either overlap
+        with pytest.raises(ConfigError, match="diversification 9 exceeds market size 8"):
+            correlation_law(9, 8, overlap)

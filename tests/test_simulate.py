@@ -48,16 +48,33 @@ def make_config(**overrides):
 class TestSimConfig:
     def test_overlap_bounds(self):
         with pytest.raises(ConfigError):
-            make_config(overlap=FixedOverlap(5))  # k > min(n1, n2)
+            make_config(overlap=FixedOverlap(5))  # k > n
         with pytest.raises(ConfigError):
             make_config(
                 market=MarketParams.from_chi(6, 1.6), overlap=FixedOverlap(1)
-            )  # k < n1 + n2 - N = 2
+            )  # k < 2n - N = 2
         make_config(market=MarketParams.from_chi(6, 1.6), overlap=FixedOverlap(2))
 
-    def test_diversification_within_market(self):
-        with pytest.raises(ConfigError):
-            make_config(strategies=(BankStrategy(0.25, 9), BankStrategy(0.25, 4)))
+    @pytest.mark.parametrize("overlap", [FixedOverlap(9), RandomSelection()])
+    def test_diversification_within_market(self, overlap):
+        with pytest.raises(ConfigError, match="exceeds market size 8"):
+            make_config(strategies=(BankStrategy(0.25, 9), BankStrategy(0.25, 9)), overlap=overlap)
+
+    @pytest.mark.parametrize(
+        "second", [BankStrategy(0.1, 4), BankStrategy(0.25, 3)], ids=["f-differs", "n-differs"]
+    )
+    def test_banks_share_one_strategy(self, second):
+        # the model has two identical banks: one leverage and one book size
+        with pytest.raises(ConfigError, match="one strategy"):
+            make_config(strategies=(BankStrategy(0.25, 4), second))
+
+    @pytest.mark.parametrize("market", [MarketParams(1, 1e308), MarketParams(1, 1e300, horizon=1e-10)])
+    def test_variance_must_be_finite(self, market):
+        # sigma^2 = 2 chi / T overflows: every path would be NaN
+        strategy = BankStrategy(0.25, 1)
+        with pytest.raises(ConfigError, match="sigma"):
+            make_config(market=market, strategies=(strategy, strategy), overlap=FixedOverlap(1))
+        make_config(market=MarketParams(1, 8e307), strategies=(strategy, strategy), overlap=FixedOverlap(1))
 
     def test_basic_validation(self):
         with pytest.raises(ConfigError):
@@ -386,10 +403,10 @@ def test_leverage_differential_matches_delta_phi2(N, n, shared, f_normal, f_abno
     assert (d > eps) == (target > eps)
 
 
-def _bit_identity_config(N, n, shared, f2=0.25, n2=None, steps=50, paths=300):
+def _bit_identity_config(N, n, shared, steps=50, paths=300):
     return make_config(
         market=MarketParams.from_chi(N, 1.6),
-        strategies=(BankStrategy(0.25, n), BankStrategy(f2, n2 or n)),
+        strategies=(BankStrategy(0.25, n), BankStrategy(0.25, n)),
         overlap=RandomSelection() if shared is None else FixedOverlap(shared),
         steps_per_horizon=steps,
         paths=paths,
@@ -401,8 +418,6 @@ BIT_IDENTITY_CONFIGS = {
     "N8-n4-k2": _bit_identity_config(8, 4, 2),
     "N16-n4-k1": _bit_identity_config(16, 4, 1),
     "N8-n4-random": _bit_identity_config(8, 4, None),
-    "N8-n4-k4-f2differs": _bit_identity_config(8, 4, 4, f2=0.1),
-    "N16-n8-k3-n2is5": _bit_identity_config(16, 8, 3, n2=5),
     # books of 9+ projects, where fixed and random gathers sum differently
     "N24-n12-k12": _bit_identity_config(24, 12, 12),
     "N20-n10-random": _bit_identity_config(20, 10, None),
@@ -434,19 +449,17 @@ class TestThreadedEstimator:
         _assert_bitwise_equal(result, expected)
 
     def test_unheld_projects_draw_nothing(self):
-        # a fixed overlap draws shocks only for the n1 + n2 - k held projects,
+        # a fixed overlap draws shocks only for the 2n - k held projects,
         # so a market with more projects than the books hold changes no bit
-        n1, n2, k = 4, 3, 1
+        n, k = 4, 1
         results = [
             estimate_default_probs(
                 make_config(
-                    market=MarketParams.from_chi(N, 1.6),
-                    strategies=(BankStrategy(0.25, n1), BankStrategy(0.1, n2)),
-                    overlap=FixedOverlap(k),
+                    market=MarketParams.from_chi(N, 1.6), strategies=(BankStrategy(0.25, n),) * 2, overlap=FixedOverlap(k)
                 ),
                 collect_terminals=True,
             )
-            for N in (n1 + n2 - k, 4 * (n1 + n2 - k))
+            for N in (2 * n - k, 4 * (2 * n - k))
         ]
         small, large = results
         for key in ("pd1_hat", "pd2_hat", "joint_pd_hat"):
