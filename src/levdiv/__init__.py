@@ -17,7 +17,7 @@ from .analysis import (
     mu_sensitivity,
     regime_sweep,
 )
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .gaussian import (
     DEFAULT_GRID,
     CdfGrid,
@@ -49,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BankStrategy",
     "CdfGrid",
-    "ConfigError",
     "DEFAULT_GRID",
     "DomainError",
     "EPSILON_SAFE",

@@ -41,10 +41,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, is_int
+from .errors import DomainError, is_int
 from .gaussian import _error_bound, _ndtr, binorm_cdf
+from .merton import MarketParams, check_chi, check_leverage, correlation_law, z_cells
 # asset_correlation, systemic_pd and z_score stay bound here, where perfbench/tracer.py wraps them
-from .merton import MarketParams, asset_correlation, check_leverage, correlation_law, systemic_pd, z_cells, z_score
+from .merton import asset_correlation, systemic_pd, z_score
 
 EPSILON_SAFE = 1e-6
 
@@ -172,19 +173,19 @@ def _box(scenarios: Sequence, market_sizes: Sequence, chi: Sequence, shift: Sequ
     at n = 1..top, the largest market size unless given.  z does not depend
     on N, so the table serves every column of its (s, m)."""
     if len(scenarios) == 0:
-        raise ConfigError("scenarios must be non-empty")
+        raise DomainError("scenarios must be non-empty")
     if len(market_sizes) == 0:
-        raise ConfigError("market_sizes must be non-empty")
+        raise DomainError("market_sizes must be non-empty")
     for size in market_sizes:
         if not is_int(size) or size < 1:
-            raise ConfigError(f"market sizes must be integers >= 1, got {size!r}")
+            raise DomainError(f"market sizes must be integers >= 1, got {size!r}")
     if len(chi) == 0:
-        raise ConfigError("a box needs at least one market (chi/mu value)")
+        raise DomainError("a box needs at least one market (chi/mu value)")
     for value in (*chi, *shift):
         if not math.isfinite(value):
             raise DomainError(f"chi and mu must be finite, got {value!r}")
-    if not all(x > 0.0 for x in chi):
-        raise DomainError("delta_phi2 requires chi > 0 (sigma > 0 and T > 0)")
+    for value in chi:
+        check_chi(value)
     if not (math.isfinite(epsilon_safe) and epsilon_safe >= 0.0):
         raise DomainError(f"epsilon_safe must be finite and >= 0, got {epsilon_safe!r}")
     grid = np.meshgrid(range(len(scenarios)), market_sizes, range(len(chi)), indexing="ij")
@@ -306,7 +307,7 @@ def critical_diversification(
 def default_chi_grid(points: int = 100) -> np.ndarray:
     """Log-spaced chi grid over the standard sweep box, chi in [0.001, 9]."""
     if not is_int(points) or points < 1:
-        raise ConfigError(f"points must be an integer >= 1, got {points!r}")
+        raise DomainError(f"points must be an integer >= 1, got {points!r}")
     return np.logspace(math.log10(0.001), math.log10(9.0), points)
 
 

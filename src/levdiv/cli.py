@@ -33,7 +33,7 @@ from .analysis import (
     mu_sensitivity,
     regime_sweep,
 )
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .merton import BankStrategy, FixedOverlap, MarketParams, RandomSelection, correlation_law, individual_pd
 from .merton import systemic_pd, z_score
 from .simulate import SimConfig, estimate_default_probs
@@ -129,9 +129,9 @@ def _coerce(name: str, value: Any) -> Any:
     try:
         converted = flag.type(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config value {name}={value!r} is not a valid {flag.type.__name__}") from exc
+        raise DomainError(f"config value {name}={value!r} is not a valid {flag.type.__name__}") from exc
     if flag.choices is not None and converted not in flag.choices:
-        raise ConfigError(f"config value {name}={value!r} is not one of {', '.join(flag.choices)}")
+        raise DomainError(f"config value {name}={value!r} is not one of {', '.join(flag.choices)}")
     return converted
 
 
@@ -141,27 +141,27 @@ def _fmt_n(n: int | None) -> str:
 
 def _require(p: dict[str, Any], name: str) -> Any:
     if p[name] is None:
-        raise ConfigError(f"--{name.replace('_', '-')} is required")
+        raise DomainError(f"--{name.replace('_', '-')} is required")
     return p[name]
 
 
 def _market(p: dict[str, Any]) -> MarketParams:
     if p["N"] is None:
-        raise ConfigError("market size --N is required")
+        raise DomainError("market size --N is required")
     if p["chi"] is not None and p["sigma"] is not None:
-        raise ConfigError("give either --chi or --sigma/--T, not both")
+        raise DomainError("give either --chi or --sigma/--T, not both")
     if p["chi"] is not None:
         if p["T"] != 1.0:
-            raise ConfigError("--T only applies with --sigma; chi fixes T = 1")
+            raise DomainError("--T only applies with --sigma; chi fixes T = 1")
         return MarketParams(p["N"], p["chi"], drift=p["mu"])
     if p["sigma"] is not None:
         return MarketParams.from_sigma(p["N"], p["sigma"], horizon=p["T"], drift=p["mu"])
-    raise ConfigError("one of --chi or --sigma is required")
+    raise DomainError("one of --chi or --sigma is required")
 
 
 def _scenario(p: dict[str, Any]) -> LeverageScenario:
     if p["f_normal"] is None or p["f_abnormal"] is None:
-        raise ConfigError("--f-normal and --f-abnormal are required")
+        raise DomainError("--f-normal and --f-abnormal are required")
     return LeverageScenario(p["f_normal"], p["f_abnormal"])
 
 
@@ -172,9 +172,9 @@ def _overlap(spec: str):
         try:
             k = int(spec.split(":", 1)[1])
         except ValueError as exc:
-            raise ConfigError(f"--overlap fixed:K needs an integer K, got {spec!r}") from exc
+            raise DomainError(f"--overlap fixed:K needs an integer K, got {spec!r}") from exc
         return FixedOverlap(k)
-    raise ConfigError(f"--overlap must be 'random' or 'fixed:K', got {spec!r}")
+    raise DomainError(f"--overlap must be 'random' or 'fixed:K', got {spec!r}")
 
 
 def _format(mode: str, fields: dict[str, Any]) -> str:
@@ -251,7 +251,7 @@ def _sweep(p: dict[str, Any]) -> None:
     chis = default_chi_grid(points=p["chi_points"])
     out = p["out"]
     if not out:
-        raise ConfigError("sweep requires --out PATH")
+        raise DomainError("sweep requires --out PATH")
     result = regime_sweep(
         scenario,
         p["N_values"],
@@ -304,6 +304,13 @@ def _simulate(p: dict[str, Any]) -> dict[str, Any]:
         steps_per_horizon=p["steps"],
         seed=p["seed"],
     )
+    # the analytic targets come first, so a market they refuse is refused before any path is drawn
+    pd_target = individual_pd(strat, market)
+    # random selection's target is the paper's, at the mean n/N; the model's is the mixture over K
+    paper = None if isinstance(overlap, RandomSelection) else overlap
+    rho_target = correlation_law(strat.diversification, market.market_size, paper)[0]
+    joint_target = systemic_pd(strat, market, overlap=paper)
+    mixture_target = systemic_pd(strat, market, overlap=overlap)
     dump = p["dump_terminals"]
     result = estimate_default_probs(config, collect_terminals=dump is not None)
     if dump is not None:
@@ -312,12 +319,6 @@ def _simulate(p: dict[str, Any]) -> dict[str, Any]:
             for i, (a1, a2) in enumerate(result.terminal_values):
                 fh.write(f"{i},{float(a1)!r},{float(a2)!r}\r\n")
         print(f"wrote {dump}")
-    pd_target = individual_pd(strat, market)
-    # random selection's target is the paper's, at the mean n/N; the model's is the mixture over K
-    paper = None if isinstance(overlap, RandomSelection) else overlap
-    rho_target = correlation_law(strat.diversification, market.market_size, paper)[0]
-    joint_target = systemic_pd(strat, market, overlap=paper)
-    mixture_target = systemic_pd(strat, market, overlap=overlap)
     return {
         "pd1_hat": result.pd1_hat,
         "pd2_hat": result.pd2_hat,
@@ -343,7 +344,8 @@ def _simulate(p: dict[str, Any]) -> dict[str, Any]:
 
 
 def _se_multiple(est: float, target: float, se: float) -> float:
-    return abs(est - target) / se if se > 0 else math.inf
+    """|est - target| in SEs: 0 for an exact match, inf for a miss with no sampling error."""
+    return abs(est - target) / se if se > 0 else math.inf if est != target else 0.0
 
 
 def _mu_scan(p: dict[str, Any]) -> dict[str, Any]:
@@ -429,9 +431,9 @@ def main(argv: list[str] | None = None) -> int:
                 try:
                     config = json.load(fh)
                 except json.JSONDecodeError as exc:
-                    raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
+                    raise DomainError(f"config file {args.config} is not valid JSON: {exc}") from exc
             if not isinstance(config, dict):
-                raise ConfigError("config file must contain a JSON object")
+                raise DomainError("config file must contain a JSON object")
         params = {}
         for name in command.flags:
             value = getattr(args, name)
@@ -447,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 sys.stdout.write(text)
         return 0
-    except (DomainError, ConfigError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

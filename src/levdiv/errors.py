@@ -1,14 +1,9 @@
-"""The package's two error contracts, DomainError (an input outside an
-operation's mathematical domain) and ConfigError (an invalid run or
-discretization setting), and its integer-count check."""
+"""The package's one refusal contract, DomainError, and its integer-count
+check."""
 
 
 class DomainError(ValueError):
-    """Input lies outside the mathematical domain of an operation."""
-
-
-class ConfigError(ValueError):
-    """Invalid discretization or run configuration."""
+    """An input, setting or configuration that an operation refuses."""
 
 
 def is_int(value) -> bool:

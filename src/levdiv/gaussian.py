@@ -65,7 +65,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, is_int
+from .errors import DomainError, is_int
 
 _GRID_RHO_MIN = -0.9999  # a grid table's least correlation; see _GRID_BOUND
 
@@ -88,13 +88,13 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.z_min) and math.isfinite(self.z_max)):
-            raise ConfigError("grid bounds must be finite")
+            raise DomainError("grid bounds must be finite")
         if not self.z_min < self.z_max:
-            raise ConfigError(
+            raise DomainError(
                 f"need z_min < z_max, got [{self.z_min}, {self.z_max}]"
             )
         if not is_int(self.cells_per_axis) or self.cells_per_axis < 2:
-            raise ConfigError(
+            raise DomainError(
                 f"cells_per_axis must be an integer >= 2, got {self.cells_per_axis!r}"
             )
 
@@ -424,10 +424,10 @@ def binorm_cdf_grid(z, rho: float, spec: GridSpec = DEFAULT_GRID):
 
 
 def _is_grid(method: str) -> bool:
-    """Whether a Phi2 ``method`` is the grid route; ConfigError unless it
+    """Whether a Phi2 ``method`` is the grid route; DomainError unless it
     is "grid" or "oracle"."""
     if method not in ("grid", "oracle"):
-        raise ConfigError(f"unknown method {method!r}, expected 'grid' or 'oracle'")
+        raise DomainError(f"unknown method {method!r}, expected 'grid' or 'oracle'")
     return method == "grid"
 
 

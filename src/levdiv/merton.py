@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, is_int
+from .errors import DomainError, is_int
 from .gaussian import binorm_cdf, phi1
 
 _F_BOUNDARY_TOL = 1e-12
@@ -30,6 +30,12 @@ def check_leverage(name: str, f: float) -> None:
     more than _F_BOUNDARY_TOL inside (0, 1)."""
     if not math.isfinite(f) or f <= _F_BOUNDARY_TOL or f >= 1.0 - _F_BOUNDARY_TOL:
         raise DomainError(f"{name} must lie in ({_F_BOUNDARY_TOL}, 1 - {_F_BOUNDARY_TOL}), got {f!r}")
+
+
+def check_chi(chi: float) -> None:
+    """The one risk-constant rule of an analytic cell: chi = sigma^2 T / 2 > 0."""
+    if not chi > 0.0:
+        raise DomainError(f"an analytic cell needs chi > 0 (sigma > 0 and T > 0), got chi={chi!r}")
 
 
 @dataclass(frozen=True)
@@ -104,16 +110,16 @@ class RandomSelection:
 OverlapMode = FixedOverlap | RandomSelection
 
 
-def check_overlap(overlap: OverlapMode, n: int, market_size: int) -> None:
-    """The one book-size and overlap rule, for two books of n of the N projects."""
+def check_overlap(overlap: OverlapMode | None, n: int, market_size: int) -> None:
+    """The one book-size and overlap rule, for two books of n of the N projects (None: the mean)."""
     if n > market_size:
-        raise ConfigError(f"diversification {n} exceeds market size {market_size}")
+        raise DomainError(f"diversification {n} exceeds market size {market_size}")
     if isinstance(overlap, FixedOverlap):
         k, lo = overlap.shared, max(0, 2 * n - market_size)
         if not is_int(k) or not lo <= k <= n:
-            raise ConfigError(f"shared project count {k!r} must lie in [{lo}, {n}] for n={n}, N={market_size}")
-    elif not isinstance(overlap, RandomSelection):
-        raise ConfigError(f"unknown overlap mode {overlap!r}")
+            raise DomainError(f"shared project count {k!r} must lie in [{lo}, {n}] for n={n}, N={market_size}")
+    elif not isinstance(overlap, RandomSelection | None):
+        raise DomainError(f"unknown overlap mode {overlap!r}")
 
 
 def z_cells(f, n, chi, shift):
@@ -134,12 +140,9 @@ def z_cells(f, n, chi, shift):
 
 def z_score(strategy: BankStrategy, market: MarketParams) -> float:
     """Default threshold in standard-normal units: ``z_cells`` at one cell."""
-    n, chi = strategy.diversification, market.chi
-    if n > market.market_size:
-        raise DomainError(f"diversification {n} exceeds market size {market.market_size}")
-    if chi <= 0.0:
-        raise DomainError("z_score requires chi > 0 (sigma > 0 and T > 0)")
-    return float(z_cells(strategy.leverage, n, chi, market.drift * market.horizon))
+    check_overlap(None, strategy.diversification, market.market_size)
+    check_chi(market.chi)
+    return float(z_cells(strategy.leverage, strategy.diversification, market.chi, market.drift * market.horizon))
 
 
 def individual_pd(strategy: BankStrategy, market: MarketParams) -> float:
@@ -167,8 +170,7 @@ def asset_correlation(n: int, market: MarketParams) -> float:
     of the N available projects."""
     if not is_int(n) or n < 1:
         raise DomainError(f"n must be an integer >= 1, got {n!r}")
-    if n > market.market_size:
-        raise DomainError(f"n={n} exceeds market size {market.market_size}")
+    check_overlap(None, n, market.market_size)
     return correlation_law(n, market.market_size)[0]
 
 

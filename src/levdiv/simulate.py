@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, is_int
+from .errors import DomainError, is_int
 from .merton import BankStrategy, FixedOverlap, MarketParams, OverlapMode, RandomSelection, check_overlap
 
 # Paths per chunk.  It fixes the order in which the moment sums are added,
@@ -60,16 +60,16 @@ class SimConfig:
     def __post_init__(self) -> None:
         first, second = self.strategies
         if first != second:
-            raise ConfigError(f"both banks use one strategy, got {first} and {second}")
+            raise DomainError(f"both banks use one strategy, got {first} and {second}")
         check_overlap(self.overlap, first.diversification, self.market.market_size)
         if not math.isfinite(self.market.sigma * self.market.sigma):
-            raise ConfigError(f"sigma^2 = 2 chi / T must be finite, got {self.market!r}")
+            raise DomainError(f"sigma^2 = 2 chi / T must be finite, got {self.market!r}")
         if not is_int(self.paths) or self.paths < 1:
-            raise ConfigError(f"paths must be an integer >= 1, got {self.paths!r}")
+            raise DomainError(f"paths must be an integer >= 1, got {self.paths!r}")
         if not is_int(self.steps_per_horizon) or self.steps_per_horizon < 1:
-            raise ConfigError(f"steps_per_horizon must be an integer >= 1, got {self.steps_per_horizon!r}")
+            raise DomainError(f"steps_per_horizon must be an integer >= 1, got {self.steps_per_horizon!r}")
         if not is_int(self.seed) or not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+            raise DomainError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
 
     @property
     def dt(self) -> float:
@@ -193,6 +193,7 @@ def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -
         sub = min(hi - lo, max(1, _SCRATCH_BUDGET // (steps * width)))
         scratch = np.empty((sub, steps, width))
         log_ret = np.empty((books, sub, steps))
+        tiny = np.finfo(float).tiny
         if random_mode:
             held = np.empty((2, sub, n), dtype=int)
         for a in range(lo, hi, sub):
@@ -216,7 +217,19 @@ def estimate_default_probs(config: SimConfig, collect_terminals: bool = False) -
                     out /= len(fixed[bank])
                 else:
                     np.take_along_axis(block, held[bank, : len(block), None, :], axis=2).mean(axis=2, out=out)
+                # a mean that underflowed to 0 or a subnormal is retaken from
+                # the path's redrawn shocks as m + log(mean(exp(x - m))) over
+                # the book's log returns x, m = max(x); no other entry moves
+                low = np.argwhere(out < tiny) if out.min() < tiny else np.empty((0, 2), dtype=int)
+                out[low[:, 0], low[:, 1]] = 1.0
                 np.log(out, out=out)
+                redrawn = {
+                    j: _repoint(gen, state, start + a + j, 0).standard_normal((steps, width)) * vol_term + drift_term
+                    for j in set(low[:, 0].tolist())
+                }
+                for j, t in low.tolist():
+                    x = redrawn[j][t, held[bank, j] if random_mode else fixed[bank]]
+                    out[j, t] = x.max() + np.log(np.mean(np.exp(x - x.max())))
             # each path's row sums: log growth, cross product, then squares
             ret.sum(axis=2, out=sums[:, 0, rows])
             if not same_books:

@@ -77,7 +77,15 @@ def serial_estimate(config: SimConfig, collect_terminals: bool = False) -> SimRe
                 held = np.take_along_axis(growth, indices[bank][:, None, :], axis=2)
             else:
                 held = growth[:, :, h_fixed[bank]]
-            rets.append(np.log(held.mean(axis=2)))
+            # a mean that underflowed to 0 or a subnormal is taken as
+            # m + log(mean(exp(x - m))) over the book's log returns x, m = max(x)
+            mean = held.mean(axis=2)
+            low = mean < np.finfo(float).tiny
+            log_mean = np.log(np.where(low, 1.0, mean))
+            for i, t in np.argwhere(low).tolist():
+                x = (drift_term + vol_term * block[i, t])[indices[bank, i] if random_mode else h_fixed[bank]]
+                log_mean[i, t] = x.max() + np.log(np.mean(np.exp(x - x.max())))
+            rets.append(log_mean)
 
         logfac1 = rets[0].sum(axis=1)
         logfac2 = rets[1].sum(axis=1)

@@ -20,7 +20,6 @@ from delta_reference import reference_delta
 
 from levdiv import (
     BankStrategy,
-    ConfigError,
     DomainError,
     EPSILON_SAFE,
     FixedOverlap,
@@ -219,18 +218,18 @@ class TestCriticalDiversification:
     @pytest.mark.parametrize(
         "sizes, chi, eps, error, message",
         [
-            ([0], [1.6], 1e-6, ConfigError, "market sizes must be integers >= 1, got 0"),
-            ([True], [1.6], 1e-6, ConfigError, "market sizes must be integers >= 1, got True"),
-            ([2.5], [1.6], 1e-6, ConfigError, "market sizes must be integers >= 1, got 2.5"),
-            ([], [1.6], 1e-6, ConfigError, "market_sizes must be non-empty"),
-            ([4], [0.0], 1e-6, DomainError, "delta_phi2 requires chi > 0 (sigma > 0 and T > 0)"),
+            ([0], [1.6], 1e-6, DomainError, "market sizes must be integers >= 1, got 0"),
+            ([True], [1.6], 1e-6, DomainError, "market sizes must be integers >= 1, got True"),
+            ([2.5], [1.6], 1e-6, DomainError, "market sizes must be integers >= 1, got 2.5"),
+            ([], [1.6], 1e-6, DomainError, "market_sizes must be non-empty"),
+            ([4], [0.0], 1e-6, DomainError, "an analytic cell needs chi > 0 (sigma > 0 and T > 0), got chi=0.0"),
             ([4], [1.6], float("nan"), DomainError, "epsilon_safe must be finite and >= 0, got nan"),
             ([4], [1.6], -1.0, DomainError, "epsilon_safe must be finite and >= 0, got -1.0"),
-            ([4, 0], [0.0], float("nan"), ConfigError, "market sizes must be integers >= 1, got 0"),
-            ([], [0.0], -1.0, ConfigError, "market_sizes must be non-empty"),
-            ([4], [0.0], float("nan"), DomainError, "delta_phi2 requires chi > 0 (sigma > 0 and T > 0)"),
-            ([4], [], float("nan"), ConfigError, "a box needs at least one market (chi/mu value)"),
-            ([0], [], float("nan"), ConfigError, "market sizes must be integers >= 1, got 0"),
+            ([4, 0], [0.0], float("nan"), DomainError, "market sizes must be integers >= 1, got 0"),
+            ([], [0.0], -1.0, DomainError, "market_sizes must be non-empty"),
+            ([4], [0.0], float("nan"), DomainError, "an analytic cell needs chi > 0 (sigma > 0 and T > 0), got chi=0.0"),
+            ([4], [], float("nan"), DomainError, "a box needs at least one market (chi/mu value)"),
+            ([0], [], float("nan"), DomainError, "market sizes must be integers >= 1, got 0"),
         ],
         ids=[
             "size-0", "size-true", "size-float", "no-sizes", "chi-0", "eps-nan", "eps-negative",
@@ -338,9 +337,9 @@ class TestRegimeSweep:
         # numpy integers are not the package's integer counts, and an array
         # must not reach a truth-value test
         message = r"^market sizes must be integers >= 1, got np\.int64\(10\)$"
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(DomainError, match=message):
             regime_sweep(SCENARIO, sizes, [1.6])
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(DomainError, match=message):
             critical_table([SCENARIO], sizes, [1.6])
 
     def test_csv_schema(self):
@@ -592,10 +591,12 @@ class TestRouteAgreement:
     def test_table1_grid_is_table1_oracle(self, eps):
         assert compute_table1("grid", eps) == compute_table1("oracle", eps)
 
-    def test_standard_box_grid_sweep_has_oracle_labels(self):
+    # both scenarios of the regime maps: 10,000 labels each
+    @pytest.mark.parametrize("scenario", [SCENARIO, LeverageScenario(0.25, 0.50)], ids=["0.10-0.25", "0.25-0.50"])
+    def test_standard_box_grid_sweep_has_oracle_labels(self, scenario):
         sizes, chis_ = [10, 20, 30, 40], default_chi_grid()
-        grid = regime_sweep(SCENARIO, sizes, chis_, method="grid", epsilon_safe=1e-6)
-        oracle = regime_sweep(SCENARIO, sizes, chis_, epsilon_safe=1e-6)
+        grid = regime_sweep(scenario, sizes, chis_, method="grid", epsilon_safe=1e-6)
+        oracle = regime_sweep(scenario, sizes, chis_, epsilon_safe=1e-6)
         assert np.array_equal(grid.risky, oracle.risky)
         assert grid.critical_n == oracle.critical_n
 
@@ -636,18 +637,18 @@ class TestScanWork:
         monkeypatch.setattr(levdiv.analysis, "binorm_cdf", phi2)
         # a box with no columns is rejected before any round: no scenario
         # (first, before the market sizes), or no chi or mu value
-        with pytest.raises(ConfigError, match="^scenarios must be non-empty$"):
+        with pytest.raises(DomainError, match="^scenarios must be non-empty$"):
             critical_table([], [0], [0.4, 1.6], method)
         no_markets = "^" + re.escape("a box needs at least one market (chi/mu value)") + "$"
-        with pytest.raises(ConfigError, match=no_markets):
+        with pytest.raises(DomainError, match=no_markets):
             critical_table([SCENARIO, LeverageScenario(0.25, 0.5)], [10, 40], [], method)
-        with pytest.raises(ConfigError, match=no_markets):
+        with pytest.raises(DomainError, match=no_markets):
             mu_sensitivity(SCENARIO, M10, [], method)
 
     def test_unknown_method_rejected_when_no_cell_is_open(self):
         # the bracket decides chi = 0.001 without Phi2, which would otherwise
         # have been the only place the method was checked
-        with pytest.raises(ConfigError, match="unknown method 'quad'"):
+        with pytest.raises(DomainError, match="unknown method 'quad'"):
             critical_table([SCENARIO], [10], [0.001], "quad")
 
 
@@ -923,5 +924,5 @@ PAIR = (BankStrategy(0.25, 2), BankStrategy(0.25, 2))
     ],
 )
 def test_bool_counts_rejected(build):
-    with pytest.raises((ConfigError, DomainError), match="True"):
+    with pytest.raises(DomainError, match="True"):
         build()

@@ -2,12 +2,14 @@
 
 import csv
 import json
+import math
 import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
+import levdiv.cli
 from levdiv import LeverageScenario, MarketParams, regime_sweep
 from levdiv.cli import COMMANDS, FLAGS, PUBLISHED_CRITICAL_N, build_parser, compute_table1, main
 
@@ -99,6 +101,12 @@ class TestScalarCommands:
         assert code == 0
         assert f"{field}  0.0\n" in out and "nan" not in out
 
+    def test_grid_near_unit_correlation(self, capsys):
+        # rho = 1 - 1e-12: a table serves it, where the rho = 1 limit Phi(z) would be 2.25e-7 off
+        argv = ("spd", "--f", "0.25", "--n", "999999999999", "--N", "1000000000000", "--chi", "1.4e12")
+        oracle, grid = (json.loads(run(capsys, *argv, "--method", m, "--output", "json")[1]) for m in ("oracle", "grid"))
+        assert abs(grid["systemic_pd"] - oracle["systemic_pd"]) <= 1e-7
+
     def test_critical_n_reports_none_in_band(self, capsys):
         code, out, _ = run(
             capsys, "critical-n", "--f-normal", "0.25", "--f-abnormal", "0.5",
@@ -179,6 +187,29 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert ("sigma^2" if argv[0] == "simulate" else "z is not finite") in err
+
+    def test_book_larger_than_market_is_one_error_line(self, capsys):
+        spd = run(capsys, "spd", "--f", "0.25", "--n", "11", "--N", "10", "--chi", "1.6")
+        simulate = run(capsys, "simulate", "--f", "0.25", "--n", "11", "--N", "10", "--chi", "1.6", "--paths", "10")
+        assert spd == simulate == (2, "", "error: diversification 11 exceeds market size 10\n")
+
+    @pytest.mark.parametrize("chi, message", [
+        ("0", "an analytic cell needs chi > 0 (sigma > 0 and T > 0), got chi=0.0"),
+        ("5e-324", "z is not finite at f=0.25, n=4, chi=5e-324, shift=0.0"),
+    ], ids=["chi-0", "chi-over-n-is-0"])
+    def test_simulate_refuses_a_market_before_it_draws(self, capsys, tmp_path, monkeypatch, chi, message):
+        # the analytic targets come first: no path is drawn and no dump is written
+        def draw(*args, **kwargs):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(levdiv.cli, "estimate_default_probs", draw)
+        dump = tmp_path / "t.csv"
+        code, out, err = run(
+            capsys, "simulate", "--f", "0.25", "--n", "4", "--N", "8", "--chi", chi, "--overlap", "fixed:2",
+            "--paths", "200000", "--steps", "250", "--dump-terminals", str(dump),
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not dump.exists()
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -261,7 +292,7 @@ class TestMalformedInput:
             "--N", "10", "--sigma", "0", "--T", "1", "--eps-safe", eps,
         )
         assert (code, out) == (2, "")
-        assert err == "error: delta_phi2 requires chi > 0 (sigma > 0 and T > 0)\n"
+        assert err == "error: an analytic cell needs chi > 0 (sigma > 0 and T > 0), got chi=0.0\n"
 
 
 def _parse(capsys, parse, argv):
@@ -548,6 +579,18 @@ class TestSimulateCommand:
         # the pretty and csv modes keep Python's inf and nan
         assert "pd1_se_multiple            inf\n" in run(capsys, *argv)[1]
         assert ",inf," in run(capsys, *argv, "--output", "csv")[1]
+
+    def test_underflowed_book_returns_give_finite_fields(self, capsys):
+        # at sigma^2 = 4000 every gross return underflows to 0; an exact match
+        # of estimate and target is 0 SEs off, not infinitely many
+        code, out, _ = run(
+            capsys, "simulate", "--f", "0.25", "--n", "1", "--N", "1", "--chi", "2000", "--overlap", "fixed:1",
+            "--paths", "10", "--steps", "1",
+        )
+        assert code == 0
+        fields = dict(line.split() for line in out.splitlines())
+        assert (fields["pd1_hat"], fields["analytic_pd"], fields["pd1_se_multiple"]) == ("1.0", "1.0", "0.0")
+        assert math.isfinite(float(fields["realized_correlation"]))
 
     def test_terminal_dump(self, capsys, tmp_path):
         dump = tmp_path / "terminals.csv"

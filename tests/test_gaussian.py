@@ -25,7 +25,6 @@ from quad_reference import binorm_pdf, phi2_quad
 
 from levdiv import (
     DEFAULT_GRID,
-    ConfigError,
     DomainError,
     GridSpec,
     LeverageScenario,
@@ -647,9 +646,9 @@ class TestGrid:
             assert binorm_cdf(z, rho, "grid").tolist() == binorm_cdf_grid(z, rho).tolist()
 
     def test_invalid_spec_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             GridSpec(z_min=2.0, z_max=-2.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             GridSpec(cells_per_axis=1)
 
     def test_dispatcher_routes_degenerate_to_closed_form(self):
@@ -657,9 +656,9 @@ class TestGrid:
         assert binorm_cdf(0.4, -1.0, method="grid") == 1.0 - phi1(-0.4) - phi1(-0.4)
         # a route is named, never given as a spec
         for method in ("simpson", 400, None, "Grid", DEFAULT_GRID, SMALL_GRID):
-            with pytest.raises(ConfigError, match=r"^unknown method .*, expected 'grid' or 'oracle'$"):
+            with pytest.raises(DomainError, match=r"^unknown method .*, expected 'grid' or 'oracle'$"):
                 binorm_cdf(0.0, 0.3, method=method)
-            with pytest.raises(ConfigError, match=r"^unknown method .*, expected 'grid' or 'oracle'$"):
+            with pytest.raises(DomainError, match=r"^unknown method .*, expected 'grid' or 'oracle'$"):
                 regime_sweep(LeverageScenario(0.1, 0.25), [4], [0.5], method=method)
         # "grid" tables on the default spec, and takes the oracle at +/-1
         z = np.linspace(-3.0, 2.0, 7)
@@ -674,7 +673,7 @@ class TestGrid:
         assert levdiv.gaussian._error_bound("oracle") == 1e-12
         assert levdiv.gaussian._error_bound("grid") == 1e-3
         for method in ("quad", DEFAULT_GRID, SMALL_GRID):
-            with pytest.raises(ConfigError, match="unknown method"):
+            with pytest.raises(DomainError, match="unknown method"):
                 levdiv.gaussian._error_bound(method)
 
     def test_dispatcher_groups_by_correlation(self):

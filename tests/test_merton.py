@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 
 from levdiv import (
     BankStrategy,
-    ConfigError,
     DomainError,
     FixedOverlap,
+    LeverageScenario,
     MarketParams,
     RandomSelection,
+    SimConfig,
     asset_correlation,
     binorm_cdf,
+    critical_diversification,
+    delta_phi2,
     individual_pd,
     systemic_pd,
     z_score,
@@ -330,11 +333,39 @@ class TestJointPd:
     @pytest.mark.parametrize("overlap", [FixedOverlap(5), FixedOverlap(-1), FixedOverlap(0), FixedOverlap(True), "random"])
     def test_impossible_overlap_rejected(self, overlap):
         # two books of 4 of 6 projects share at least 2 and at most 4
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             systemic_pd(BankStrategy(0.25, 4), MarketParams.from_chi(6, 1.6), overlap=overlap)
+
+    def test_one_book_size_rule_everywhere(self):
+        # check_overlap owns n <= N: every entry point refuses n = 9 of N = 8
+        # with one class and one message
+        market, strategy = MarketParams.from_chi(8, 1.6), BankStrategy(0.25, 9)
+        calls = [
+            lambda: z_score(strategy, market),
+            lambda: asset_correlation(9, market),
+            lambda: correlation_law(9, 8, RandomSelection()),
+            lambda: SimConfig(market, (strategy, strategy)),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError) as exc:
+                call()
+            assert (type(exc.value), str(exc.value)) == (DomainError, "diversification 9 exceeds market size 8")
+
+    def test_one_chi_rule_everywhere(self):
+        # check_chi owns chi > 0 for a cell and for a box, and names no internal function
+        market = MarketParams.from_sigma(10, 0.0)
+        calls = [
+            lambda: individual_pd(BankStrategy(0.25, 5), market),
+            lambda: delta_phi2(LeverageScenario(0.1, 0.25), 5, market),
+            lambda: critical_diversification(LeverageScenario(0.1, 0.25), market),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError) as exc:
+                call()
+            assert str(exc.value) == "an analytic cell needs chi > 0 (sigma > 0 and T > 0), got chi=0.0"
 
     @pytest.mark.parametrize("overlap", [FixedOverlap(4), RandomSelection()])
     def test_books_larger_than_the_market_rejected(self, overlap):
         # check_overlap is the one book-size rule: n <= N under either overlap
-        with pytest.raises(ConfigError, match="diversification 9 exceeds market size 8"):
+        with pytest.raises(DomainError, match="diversification 9 exceeds market size 8"):
             correlation_law(9, 8, overlap)

@@ -13,7 +13,6 @@ import pytest
 import levdiv.simulate
 from levdiv import (
     BankStrategy,
-    ConfigError,
     DomainError,
     FixedOverlap,
     LeverageScenario,
@@ -47,9 +46,9 @@ def make_config(**overrides):
 
 class TestSimConfig:
     def test_overlap_bounds(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             make_config(overlap=FixedOverlap(5))  # k > n
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             make_config(
                 market=MarketParams.from_chi(6, 1.6), overlap=FixedOverlap(1)
             )  # k < 2n - N = 2
@@ -57,7 +56,7 @@ class TestSimConfig:
 
     @pytest.mark.parametrize("overlap", [FixedOverlap(9), RandomSelection()])
     def test_diversification_within_market(self, overlap):
-        with pytest.raises(ConfigError, match="exceeds market size 8"):
+        with pytest.raises(DomainError, match="exceeds market size 8"):
             make_config(strategies=(BankStrategy(0.25, 9), BankStrategy(0.25, 9)), overlap=overlap)
 
     @pytest.mark.parametrize(
@@ -65,23 +64,23 @@ class TestSimConfig:
     )
     def test_banks_share_one_strategy(self, second):
         # the model has two identical banks: one leverage and one book size
-        with pytest.raises(ConfigError, match="one strategy"):
+        with pytest.raises(DomainError, match="one strategy"):
             make_config(strategies=(BankStrategy(0.25, 4), second))
 
     @pytest.mark.parametrize("market", [MarketParams(1, 1e308), MarketParams(1, 1e300, horizon=1e-10)])
     def test_variance_must_be_finite(self, market):
         # sigma^2 = 2 chi / T overflows: every path would be NaN
         strategy = BankStrategy(0.25, 1)
-        with pytest.raises(ConfigError, match="sigma"):
+        with pytest.raises(DomainError, match="sigma"):
             make_config(market=market, strategies=(strategy, strategy), overlap=FixedOverlap(1))
         make_config(market=MarketParams(1, 8e307), strategies=(strategy, strategy), overlap=FixedOverlap(1))
 
     def test_basic_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             make_config(paths=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             make_config(steps_per_horizon=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             make_config(seed=-1)
 
 
@@ -403,9 +402,9 @@ def test_leverage_differential_matches_delta_phi2(N, n, shared, f_normal, f_abno
     assert (d > eps) == (target > eps)
 
 
-def _bit_identity_config(N, n, shared, steps=50, paths=300):
+def _bit_identity_config(N, n, shared, steps=50, paths=300, chi=1.6):
     return make_config(
-        market=MarketParams.from_chi(N, 1.6),
+        market=MarketParams.from_chi(N, chi),
         strategies=(BankStrategy(0.25, n), BankStrategy(0.25, n)),
         overlap=RandomSelection() if shared is None else FixedOverlap(shared),
         steps_per_horizon=steps,
@@ -425,6 +424,9 @@ BIT_IDENTITY_CONFIGS = {
     "N16-n4-k1-ragged": _bit_identity_config(16, 4, 1, steps=20, paths=2 * levdiv.simulate._CHUNK_PATHS + 1234),
     # one path's shocks exceed the scratch budget: sub-blocks of one path
     "N16-n10-random-long": _bit_identity_config(16, 10, None, steps=10_000, paths=20),
+    # about half the book means underflow at sigma^2 = 6000 over 4 steps
+    "N8-n4-k2-underflow": _bit_identity_config(8, 4, 2, steps=4, chi=3000.0),
+    "N8-n4-random-underflow": _bit_identity_config(8, 4, None, steps=4, chi=3000.0),
 }
 
 
@@ -505,6 +507,40 @@ class TestThreadedEstimator:
             sys.setswitchinterval(interval)
         expected = _serial_result("N8-n4-random")
         _assert_bitwise_equal(result, expected)
+
+
+class TestUnderflowedBookMeans:
+    def test_underflow_configs_take_both_routes(self):
+        # the bit-identity configs above retake some book means, not all
+        cfg = BIT_IDENTITY_CONFIGS["N8-n4-random-underflow"]
+        m = cfg.market
+        low = []
+        for p in range(cfg.paths):
+            x = path_rng(cfg.seed, p).standard_normal((4, 8)) * (m.sigma * math.sqrt(cfg.dt)) - 0.5 * m.sigma**2 * cfg.dt
+            low.append(np.exp(x[:, select_holdings(cfg, p)[0]]).mean(axis=1) < np.finfo(float).tiny)
+        assert 0.2 < np.mean(low) < 0.8, np.mean(low)
+
+    def test_single_project_log_return_is_exact(self):
+        # at n = 1, m + log(mean(exp(x - m))) is x itself: with two one-project
+        # books (k = 0) whose every gross return underflows, the realized
+        # correlation is that of drift_term + vol * xi, summed in the estimator's order
+        strategy = BankStrategy(0.25, 1)
+        cfg = make_config(
+            market=MarketParams.from_chi(2, 2000.0), strategies=(strategy, strategy), overlap=FixedOverlap(0),
+            paths=1, steps_per_horizon=2,
+        )
+        m = cfg.market
+        drift_term = (m.drift - 0.5 * m.sigma**2) * cfg.dt
+        vol_term = m.sigma * math.sqrt(cfg.dt)
+        (x0, y0), (x1, y1) = (path_rng(cfg.seed, 0).standard_normal((2, 2)) * vol_term + drift_term).tolist()
+        assert max(x0, y0, x1, y1) < math.log(np.finfo(float).tiny)
+        s_x, s_y = x0 + x1, y0 + y1
+        var_x = (x0 * x0 + x1 * x1) / 2 - (s_x / 2) ** 2
+        var_y = (y0 * y0 + y1 * y1) / 2 - (s_y / 2) ** 2
+        cov = (x0 * y0 + x1 * y1) / 2 - (s_x / 2) * (s_y / 2)
+        result = estimate_default_probs(cfg)
+        assert result.realized_correlation == cov / math.sqrt(var_x * var_y)
+        assert (result.pd1_hat, result.pd2_hat, result.joint_pd_hat) == (1.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("shared", [2, 1], ids=["identical-books", "k1"])
